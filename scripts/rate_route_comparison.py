@@ -6,7 +6,7 @@ series.  Agreement within the fit uncertainty is the headline sanity
 check of the whole counting stack; the affine row shows both routes
 recognizing subexponential growth.
 
-Usage: python3 scripts/rate_route_comparison.py [--radius 16]
+Usage: python3 scripts/rate_route_comparison.py [--radius 30]
 """
 
 import argparse
@@ -19,6 +19,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from coxinv.coxeter import CoxeterMatrix
 from coxinv.growth import growth_rate
+from coxinv.system import System
 
 INF = math.inf
 
@@ -50,8 +51,10 @@ def main():
           f"{'fit err':>9} {'agree':>6}")
     for name, M, truth in SYSTEMS:
         t0 = time.perf_counter()
-        s = growth_rate(M, None, method="series")
-        f = growth_rate(M, None, method="enumeration", radius=args.radius)
+        system = System(M)
+        s = system.rate()
+        f = growth_rate(system, None, method="enumeration",
+                        radius=args.radius)
         dt = time.perf_counter() - t0
         agree = (f.bracket[0] - f.uncertainty <= s.value
                  <= f.bracket[1] + f.uncertainty)

@@ -2,17 +2,18 @@
 that depend on it: weighted rate e_q, critical exponents, conformal
 dimension.
 
-The default system is the right-angled pentagon, whose nerve is a circle,
-so the conformal dimension column is exact (1 + 1/e_q) and should climb
-logarithmically with q while p_cohom = confdim throughout.
+The system is the right-angled pentagon, whose nerve is a circle, so the
+conformal dimension column is exact (1 + 1/e_q) and should climb
+logarithmically with q while p_cohom = confdim throughout.  One System
+serves the whole sweep, so the growth series are built once and each
+thickness costs one rate.
 
-Usage: python3 scripts/thickness_sweep.py [--qmax 6] [--radius 4]
+Usage: python3 scripts/thickness_sweep.py [--qmax 6]
 """
 
 import argparse
 import math
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -20,7 +21,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from coxinv.building import ThicknessVector, critical_exponents
 from coxinv.conformal import confdim_bounds
 from coxinv.coxeter import CoxeterMatrix
-from coxinv.growth import WeightVector, growth_rate
+from coxinv.system import System
 
 INF = math.inf
 
@@ -38,8 +39,9 @@ def main():
     ap.add_argument("--qmax", type=int, default=6)
     args = ap.parse_args()
 
-    M = PENTAGON
-    e_w = growth_rate(M, None, method="series")
+    system = System(PENTAGON)
+    M = system.M
+    e_w = system.rate()
     print(f"system: right-angled pentagon, e(W) = {e_w.value:.9f} "
           f"(log((3+sqrt(5))/2) = {math.log((3+math.sqrt(5))/2):.9f})")
     print()
@@ -47,11 +49,9 @@ def main():
           f"{'confdim':>12} {'provenance':>14}")
     for q in range(2, args.qmax + 1):
         thickness = ThicknessVector.constant(M, q)
-        weights = WeightVector.constant(M, Fraction(q))
-        e_q = growth_rate(M, weights, method="series")
-        ce = critical_exponents(M, thickness, e_q=e_q)
-        b = confdim_bounds(M, thickness, e_q=e_q)
-        print(f"{q:>3} {e_q.value:>12.6f} {ce.p_hom:>12.6f} "
+        ce = critical_exponents(system, thickness)
+        b = confdim_bounds(system, thickness)
+        print(f"{q:>3} {ce.e_q.value:>12.6f} {ce.p_hom:>12.6f} "
               f"{ce.p_cohom:>12.6f} {b.lower:>12.6f} "
               f"{b.lower_provenance:>14}")
     print()

@@ -2,6 +2,8 @@
 
 The public surface is intentionally small; the submodules hold the full
 APIs (coxeter, growth, homology, davis, building, conformal, report).
+Stage functions take a System, which wraps a CoxeterMatrix and computes
+each shared invariant once.
 """
 
 __version__ = "0.1.0"
@@ -12,9 +14,10 @@ from .coxeter import CoxeterMatrix, classify_parabolic
 from .davis import is_type_PM, vcd_real
 from .growth import WeightVector, growth_rate, rational_growth_series
 from .report import build_report
+from .system import System
 
 __all__ = [
-    "CoxeterMatrix", "ThicknessVector", "WeightVector",
+    "CoxeterMatrix", "System", "ThicknessVector", "WeightVector",
     "classify_parabolic", "growth_rate", "rational_growth_series",
     "vcd_real", "is_type_PM", "critical_exponents", "oracle_battery",
     "moussong_hyperbolic", "confdim_bounds", "build_report",

@@ -156,7 +156,7 @@ class BuildingBall:
     fibers: dict                # W-word (gens tuple) -> list of chamber words
     commute: tuple
     qmod: tuple                 # per generator: q_s + 1
-    sphericals: tuple           # frozensets including the empty set
+    spherical_types: frozenset  # sorted generator tuples, () included
 
     def sphere_sizes(self):
         out = [0] * (self.radius + 1)
@@ -216,7 +216,8 @@ def building_ball(M, thickness, radius, caps=None):
     for w in chambers:
         fibers.setdefault(word_gens(w), []).append(w)
     ball = BuildingBall(M, thickness, radius, chambers, fibers, commute, qmod,
-                        tuple(spherical_subsets(M)))
+                        frozenset(tuple(sorted(T))
+                                  for T in spherical_subsets(M)))
     _verify_building_axioms(ball)
     return ball
 
@@ -289,9 +290,8 @@ def make_simplex(ball, word, chain):
     for a, b in zip(chain, chain[1:]):
         if not set(a) < set(b):
             raise SchemaError(f"chain not strictly nested: {a} !< {b}")
-    sph = {tuple(sorted(T)) for T in ball.sphericals}
     for T in chain:
-        if T not in sph:
+        if T not in ball.spherical_types:
             raise SchemaError(f"{T} is not spherical")
     gate = gate_word(word, chain[0], ball.commute, ball.qmod)
     if len(gate) + len(chain[-1]) + 2 > ball.radius:
@@ -546,16 +546,14 @@ class CriticalExponents:
     nerve_is_pm: bool
 
 
-def critical_exponents(M, thickness, caps=None, e_q=None):
-    from .davis import is_type_PM
-    from .growth import WeightVector, growth_rate
-    pm = is_type_PM(M).is_pm
+def critical_exponents(system, thickness):
+    from .growth import WeightVector
+    pm = system.type_pm.is_pm
     if thickness.is_thin():
         return CriticalExponents(math.inf, 1.0, (math.inf, math.inf),
                                  (1.0, 1.0), None, True, pm)
-    if e_q is None:
-        w = WeightVector(M, [Fraction(v) for v in thickness.values])
-        e_q = growth_rate(M, w, method="series", caps=caps)
+    e_q = system.rate(
+        WeightVector(system.M, [Fraction(v) for v in thickness.values]))
     lo, hi = e_q.bracket
     if e_q.value == 0.0 and e_q.exact:
         return CriticalExponents(1.0, math.inf, (1.0, 1.0),
@@ -573,8 +571,7 @@ def critical_exponents(M, thickness, caps=None, e_q=None):
 
 def random_simplices(ball, rng, count, max_dim=2):
     """Margin-valid simplices sampled uniformly-ish for the test battery."""
-    sph = sorted({tuple(sorted(T)) for T in ball.sphericals},
-                 key=lambda t: (len(t), t))
+    sph = sorted(ball.spherical_types, key=lambda t: (len(t), t))
     out = []
     attempts = 0
     while len(out) < count and attempts < count * 200:

@@ -17,17 +17,15 @@ import sys
 from fractions import Fraction
 
 from .building import (ThicknessVector, critical_exponents, oracle_battery)
-from .conformal import confdim_bounds, fuchsian_report, moussong_hyperbolic
-from .coxeter import CoxeterMatrix, classify_parabolic, finite_group_order
-from .davis import is_type_PM, nerve_complex, vcd_real
+from .conformal import confdim_bounds, fuchsian_report
+from .coxeter import CoxeterMatrix, finite_group_order
 from .elements import Caps
 from .errors import (CoxinvError, ResourceExceeded, SchemaError,
                      ValidationMismatch)
-from .growth import (WeightVector, classify_convergence, growth_rate,
-                     rational_growth_series)
-from .report import (build_report, encode_json_value, report_to_json,
-                     report_to_text, _poly_str, _rate_json, _witness_json,
-                     _fmt)
+from .growth import WeightVector, classify_convergence, growth_rate
+from .report import (build_report, report_to_json, report_to_text,
+                     _poly_str, _rate_json, _fmt)
+from .system import System
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -106,10 +104,12 @@ def _require_thickness(thickness):
 
 
 # ---------------------------------------------------------------------------
-# subcommands, each returning a JSON-ready dict
+# subcommands, each taking the invocation's System and returning a
+# JSON-ready dict
 
-def cmd_classify(M, thickness, weights, args):
-    cls = classify_parabolic(M)
+def cmd_classify(system, thickness, weights, args):
+    M = system.M
+    cls = system.classification
     return {
         "digest": M.digest(),
         "rank": M.rank,
@@ -120,14 +120,14 @@ def cmd_classify(M, thickness, weights, args):
                        for c in cls.components],
         "order": finite_group_order(M, range(M.rank))
                  if cls.is_finite() else None,
-        "hyperbolic": moussong_hyperbolic(M).hyperbolic,
+        "hyperbolic": system.hyperbolicity.hyperbolic,
     }
 
 
-def cmd_nerve(M, thickness, weights, args):
-    N = nerve_complex(M)
-    pm = is_type_PM(M)
-    v = vcd_real(M)
+def cmd_nerve(system, thickness, weights, args):
+    N = system.nerve
+    pm = system.type_pm
+    v = system.vcd
     return {
         "dim": N.dim,
         "face_counts": [len(N.k_faces(k)) for k in range(N.dim + 1)],
@@ -144,11 +144,11 @@ def cmd_nerve(M, thickness, weights, args):
     }
 
 
-def cmd_growth(M, thickness, weights, args):
-    caps = args.caps
+def cmd_growth(system, thickness, weights, args):
     if weights is None and thickness is not None:
-        weights = WeightVector(M, [Fraction(q) for q in thickness.values])
-    series = rational_growth_series(M, caps=caps)
+        weights = WeightVector(system.M,
+                               [Fraction(q) for q in thickness.values])
+    series = system.series(per_class=True)
     out = {
         "series": {
             "numerator": _poly_str(series.numerator.collapse(), ["t"]),
@@ -157,15 +157,15 @@ def cmd_growth(M, thickness, weights, args):
         },
     }
     w_arg = None if weights is None or weights.all_one() else weights
-    rate = growth_rate(M, w_arg, method="series", caps=caps, series=series)
+    rate = system.rate(w_arg)
     out["rate"] = _rate_json(rate)
     out["weighted"] = w_arg is not None
     if w_arg is not None:
         out["convergence_at_one"] = classify_convergence(
-            M, weights, 1.0, rate=rate, caps=caps)
+            system, weights, 1.0)
     if args.radius:
-        fit = growth_rate(M, w_arg, method="enumeration",
-                          radius=args.radius, caps=caps)
+        fit = growth_rate(system, w_arg, method="enumeration",
+                          radius=args.radius)
         out["enumeration_rate"] = _rate_json(fit)
         out["routes_consistent"] = (
             fit.bracket[0] - fit.uncertainty <= rate.value
@@ -173,11 +173,11 @@ def cmd_growth(M, thickness, weights, args):
     return out
 
 
-def cmd_exponents(M, thickness, weights, args):
+def cmd_exponents(system, thickness, weights, args):
     thickness = _require_thickness(thickness)
-    ce = critical_exponents(M, thickness, caps=args.caps)
+    ce = critical_exponents(system, thickness)
     return {
-        "thickness": list(thickness.per_generator(M)),
+        "thickness": list(thickness.per_generator(system.M)),
         "thin": ce.thin,
         "p_hom": ce.p_hom,
         "p_cohom": ce.p_cohom,
@@ -187,11 +187,10 @@ def cmd_exponents(M, thickness, weights, args):
     }
 
 
-def cmd_confdim(M, thickness, weights, args):
+def cmd_confdim(system, thickness, weights, args):
     thickness = _require_thickness(thickness)
-    b = confdim_bounds(M, thickness, lam=args.lam,
-                       apartment_confdim=args.apartment_confdim,
-                       caps=args.caps)
+    b = confdim_bounds(system, thickness, lam=args.lam,
+                       apartment_confdim=args.apartment_confdim)
     out = {
         "lower": b.lower,
         "upper": b.upper,
@@ -203,26 +202,25 @@ def cmd_confdim(M, thickness, weights, args):
         "fuchsian": b.fuchsian,
     }
     if b.fuchsian:
-        fr = fuchsian_report(M, thickness, p_grid=args.p_grid,
-                             e_q=b.e_q, caps=args.caps)
+        fr = fuchsian_report(system, thickness, p_grid=args.p_grid)
         out["vanishing"] = [{"p": p, "degree_1": d1, "degree_2": d2}
                             for p, d1, d2 in fr.table]
     return out
 
 
-def cmd_verify_oracle(M, thickness, weights, args):
+def cmd_verify_oracle(system, thickness, weights, args):
     thickness = _require_thickness(thickness)
     radius = args.radius or 4
-    return oracle_battery(M, thickness, radius, p_values=tuple(args.p_grid),
-                          chains=args.chains, seed=args.seed, caps=args.caps)
+    return oracle_battery(system.M, thickness, radius,
+                          p_values=tuple(args.p_grid), chains=args.chains,
+                          seed=args.seed, caps=system.caps)
 
 
-def cmd_report(M, thickness, weights, args):
-    return build_report(M, thickness=thickness, weights=weights,
+def cmd_report(system, thickness, weights, args):
+    return build_report(system, thickness=thickness, weights=weights,
                         depth=args.depth, radius=args.radius, lam=args.lam,
                         apartment_confdim=args.apartment_confdim,
-                        p_grid=args.p_grid, caps=args.caps,
-                        cache_dir=args.cache_dir, timings=args.timings)
+                        p_grid=args.p_grid, timings=args.timings)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +309,6 @@ def main(argv=None):
     if args.max_elements is not None:
         caps = Caps(max_elements=args.max_elements,
                     max_simplices=caps.max_simplices)
-    args.caps = caps
     if args.lam is not None and args.lam != "bourdon":
         try:
             args.lam = float(args.lam)
@@ -320,7 +317,8 @@ def main(argv=None):
             return EXIT_INPUT
     try:
         M, thickness, weights = load_system(args.input)
-        result = COMMANDS[args.command](M, thickness, weights, args)
+        system = System(M, caps=caps, cache_dir=args.cache_dir)
+        result = COMMANDS[args.command](system, thickness, weights, args)
     except ValidationMismatch as exc:
         print(f"error: identity violated: {exc}", file=sys.stderr)
         return EXIT_MISMATCH

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coxeter import classify_parabolic
-from .davis import nerve_complex, vcd_real
+from .davis import nerve_complex
 from .errors import (AffineDegenerate, NotHyperbolic, ResourceExceeded,
                      SchemaError, ThinBuilding)
 
@@ -93,29 +93,28 @@ def resolve_lambda(lam, e_q):
     return lam, "UserSupplied"
 
 
-def _require_thick_growing(M, thickness, e_q, caps):
-    from .growth import WeightVector, growth_rate
+def _require_thick_growing(system, thickness):
+    from .growth import WeightVector
     if thickness.is_thin():
         raise ThinBuilding("conformal data needs thickness >= 2 somewhere")
-    if e_q is None:
-        w = WeightVector(M, [Fraction(v) for v in thickness.values])
-        e_q = growth_rate(M, w, method="series", caps=caps)
+    e_q = system.rate(
+        WeightVector(system.M, [Fraction(v) for v in thickness.values]))
     if e_q.value <= 0:
         raise AffineDegenerate("chamber growth is not exponential; the "
                                "boundary carries no visual dimension data")
     return e_q
 
 
-def coornaert_hausdim(M, thickness, lam=None, e_q=None, caps=None):
+def coornaert_hausdim(system, thickness, lam=None):
     """Hausdorff dimension e_q / log(lambda) of the visual boundary.
 
     Requires hyperbolicity, exponential chamber growth, and an actually
     thick building.
     """
-    hyp = moussong_hyperbolic(M)
+    hyp = system.hyperbolicity
     if not hyp.hyperbolic:
         raise NotHyperbolic(f"obstruction: {hyp.witness}")
-    e_q = _require_thick_growing(M, thickness, e_q, caps)
+    e_q = _require_thick_growing(system, thickness)
     lam_val, lam_prov = resolve_lambda(lam, e_q)
     value = e_q.value / math.log(lam_val)
     lo, hi = e_q.bracket
@@ -175,8 +174,7 @@ class ConfdimBounds:
         return self.width / mid if mid else math.inf
 
 
-def confdim_bounds(M, thickness, lam=None, apartment_confdim=None,
-                   e_q=None, caps=None):
+def confdim_bounds(system, thickness, lam=None, apartment_confdim=None):
     """Bracket the conformal dimension of the boundary of the building.
 
     lower: (apartment conformal dimension, or vcd - 1 as its floor) times
@@ -185,17 +183,17 @@ def confdim_bounds(M, thickness, lam=None, apartment_confdim=None,
     the apartment boundary is itself a circle, confdim 1) pinches the
     bracket to the exact value 1 + 1/e_q.
     """
-    hyp = moussong_hyperbolic(M)
+    hyp = system.hyperbolicity
     if not hyp.hyperbolic:
         raise NotHyperbolic(f"obstruction: {hyp.witness}")
-    e_q = _require_thick_growing(M, thickness, e_q, caps)
+    e_q = _require_thick_growing(system, thickness)
     lam_val, lam_prov = resolve_lambda(lam, e_q)
     inv = 1.0 / e_q.value
     lo_eq, hi_eq = e_q.bracket
     factor_lo = 1.0 + (1.0 / hi_eq if hi_eq > 0 else math.inf)
     factor_hi = 1.0 + (1.0 / lo_eq if lo_eq > 0 else math.inf)
     hausdim = e_q.value / math.log(lam_val)
-    fuch = is_nerve_circle(M)
+    fuch = system.nerve_is_circle
     if apartment_confdim is not None:
         base = float(apartment_confdim)
         lower_prov = "UserSupplied"
@@ -204,7 +202,7 @@ def confdim_bounds(M, thickness, lam=None, apartment_confdim=None,
     else:
         # vcd - 1 bounds the topological dimension of the boundary from
         # below; it can be 0 (totally disconnected boundary)
-        d = vcd_real(M).value
+        d = system.vcd.value
         base = max(d - 1, 0)
         lower_prov = "VcdFloor"
     lower = base * factor_lo
@@ -226,20 +224,19 @@ class FuchsianReport:
     e_q: object
 
 
-def fuchsian_report(M, thickness, p_grid=(1.25, 1.5, 2.0, 3.0, 5.0),
-                    e_q=None, caps=None):
+def fuchsian_report(system, thickness, p_grid=(1.25, 1.5, 2.0, 3.0, 5.0)):
     """Degreewise l^p-cohomology vanishing for circle-nerve systems.
 
     Degree 1 is nonzero exactly above the boundary conformal dimension;
     degree 2 behaves dually (nonzero below the conjugate exponent
     1 + e_q).  Grid points inside the uncertainty bracket are "critical".
     """
-    if not is_nerve_circle(M):
+    if not system.nerve_is_circle:
         raise SchemaError("vanishing table requires a circle nerve")
-    hyp = moussong_hyperbolic(M)
+    hyp = system.hyperbolicity
     if not hyp.hyperbolic:
         raise NotHyperbolic(f"obstruction: {hyp.witness}")
-    e_q = _require_thick_growing(M, thickness, e_q, caps)
+    e_q = _require_thick_growing(system, thickness)
     lo, hi = e_q.bracket
     confdim = 1.0 + 1.0 / e_q.value
     conf_lo, conf_hi = 1.0 + 1.0 / hi, 1.0 + 1.0 / lo

@@ -127,9 +127,8 @@ class BestvinaSupport:
     degree: int         # vcd value d; the test degree is d-1
 
 
-def bestvina_support(M, vcd=None):
-    if vcd is None:
-        vcd = vcd_real(M)
+def bestvina_support(system):
+    vcd = system.vcd
     d = vcd.value
     if d == 0:
         raise NoWitness("cohomological dimension 0: no support face")

@@ -15,7 +15,6 @@ can store; growth-series code cross-validates it against true BFS layers.
 """
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import inf
 
@@ -85,21 +84,6 @@ class ReflectionRep:
     def is_descent(self, cols, s):
         """l(ws) < l(w) iff w(alpha_s) has every coordinate <= 0."""
         return all(self.field.sign(x) <= 0 for x in cols[s])
-
-    def matmul(self, A, B):
-        """Full product, for cross-checks; A, B column-major."""
-        F = self.field
-        n = self.M.rank
-        out = []
-        for j in range(n):
-            col = [F.zero] * n
-            for k in range(n):
-                c = B[j][k]
-                if not F.is_zero(c):
-                    for i in range(n):
-                        col[i] = F.add(col[i], F.mul(A[k][i], c))
-            out.append(tuple(col))
-        return tuple(out)
 
     def word_matrix(self, word):
         m = self.identity
@@ -213,24 +197,11 @@ class BallEnumeration:
                 yield GroupElement(self.rep, word, k, cv, mask)
 
 
-def _expand_word_chunk(chunk, n, commute, class_of):
-    out = []
-    for word, cv in chunk:
-        for s in range(n):
-            nw, shorter = append_letter(word, s, commute)
-            if not shorter:
-                cv2 = list(cv)
-                cv2[class_of[s]] += 1
-                out.append((nw, tuple(cv2)))
-    return out
-
-
-def ball_enumerate(M, radius, caps=None, backend="auto", workers=1):
+def ball_enumerate(M, radius, caps=None, backend="auto"):
     """Enumerate the ball of the given radius with canonical deduplication.
 
     All-or-nothing: exceeding caps raises ResourceExceeded without returning
-    partial layers.  workers > 1 splits each layer across threads; results
-    are merged in chunk order and are bit-identical to the sequential run.
+    partial layers.
     """
     caps = caps or Caps.from_env()
     if backend == "auto":
@@ -238,11 +209,11 @@ def ball_enumerate(M, radius, caps=None, backend="auto", workers=1):
     if backend == "word" and not M.is_right_angled():
         raise NotRightAngled("word backend requires all entries in {2, inf}")
     if backend == "word":
-        return _ball_words(M, radius, caps, workers)
+        return _ball_words(M, radius, caps)
     return _ball_matrices(M, radius, caps)
 
 
-def _ball_words(M, radius, caps, workers=1):
+def _ball_words(M, radius, caps):
     n = M.rank
     commute = commutation_table(M)
     class_of = M.class_of()
@@ -255,20 +226,14 @@ def _ball_words(M, radius, caps, workers=1):
     frontier = [((), zero_cv)]
     exhausted = False
     for k in range(radius):
-        if workers > 1 and len(frontier) > 4 * workers:
-            chunksz = (len(frontier) + workers - 1) // workers
-            chunks = [frontier[i:i + chunksz] for i in range(0, len(frontier), chunksz)]
-            with ThreadPoolExecutor(max_workers=workers) as ex:
-                results = list(ex.map(
-                    lambda ch: _expand_word_chunk(ch, n, commute, class_of),
-                    chunks))
-            candidates = [c for r in results for c in r]
-        else:
-            candidates = _expand_word_chunk(frontier, n, commute, class_of)
         new = {}
-        for nw, cv in candidates:
-            if nw not in seen and nw not in new:
-                new[nw] = cv
+        for word, cv in frontier:
+            for s in range(n):
+                nw, shorter = append_letter(word, s, commute)
+                if not shorter and nw not in seen and nw not in new:
+                    cv2 = list(cv)
+                    cv2[class_of[s]] += 1
+                    new[nw] = tuple(cv2)
         if not new:
             exhausted = True
             break

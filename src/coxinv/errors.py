@@ -54,10 +54,6 @@ class NotRightAngled(CoxinvError):
     """Operation only defined for right-angled systems."""
 
 
-class RadiusExceeded(CoxinvError):
-    """Requested data beyond the enumerated radius."""
-
-
 class MarginViolation(CoxinvError):
     """Chain support too close to the truncation boundary for a safe answer."""
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from .coxeter import finite_group_order, classify_parabolic, spherical_subsets
+from .coxeter import finite_group_order, classify_parabolic
 from .elements import Caps, ball_enumerate, racg_layer_counts
 from .errors import (DegenerateWeights, ResourceExceeded, SchemaError,
                      ValidationMismatch)
@@ -241,11 +241,11 @@ class GrowthTable:
         return out
 
 
-def growth_table(M, weights, radius, caps=None):
-    counts, source = layer_class_counts(M, radius, caps=caps)
+def growth_table(system, weights, radius):
+    counts, source = system.layer_counts(radius)
     logs = weights.log_values()
     degenerate = weights.all_one()
-    table = GrowthTable(M, weights, radius, counts, source, degenerate)
+    table = GrowthTable(system.M, weights, radius, counts, source, degenerate)
     if degenerate:
         return table
     if any(l == 0 for l in logs):
@@ -348,7 +348,7 @@ def _parabolic_poly(M, T, nclasses, class_of, caps):
     if not T:
         return PolyQ.const(nclasses, 1)
     order = finite_group_order(M, T)
-    if order > (caps.max_elements if caps else Caps.from_env().max_elements):
+    if order > caps.max_elements:
         raise ResourceExceeded(f"parabolic on {sorted(T)} has order {order}")
     sub = M.submatrix(T)
     idx = sorted(T)
@@ -370,15 +370,14 @@ def _parabolic_poly(M, T, nclasses, class_of, caps):
     return PolyQ(nclasses, out)
 
 
-def rational_growth_series(M, per_class=True, caps=None,
-                           validate_depth=None):
+def rational_growth_series(system, per_class=True, validate_depth=None):
     """Weighted growth series as an exact rational function, validated
-    against BFS counts through validate_depth (mandatory)."""
-    caps = caps or Caps.from_env()
+    against the system's BFS counts through validate_depth (mandatory)."""
+    M, caps = system.M, system.caps
     classes = M.conjugacy_classes()
     nclasses = len(classes) if per_class else 1
     class_of = M.class_of() if per_class else [0] * M.rank
-    cls = classify_parabolic(M)
+    cls = system.classification
     if validate_depth is None:
         validate_depth = DEFAULT_VALIDATION_DEPTH
 
@@ -386,10 +385,10 @@ def rational_growth_series(M, per_class=True, caps=None,
         poly = _parabolic_poly(M, frozenset(range(M.rank)), nclasses, class_of, caps)
         series = RationalGrowthSeries(M, poly, PolyQ.const(nclasses, 1),
                                       per_class, validate_depth)
-        _validate_series(series, caps, validate_depth)
+        _validate_series(series, system, validate_depth)
         return series
 
-    sphericals = spherical_subsets(M)
+    sphericals = system.sphericals
     # accumulate sum over T of (-1)^|T| / W_T as an exact fraction, reusing
     # syntactically identical parabolic polynomials
     polys = {}
@@ -425,14 +424,13 @@ def rational_growth_series(M, per_class=True, caps=None,
     W_num = W_num.scale(Fraction(1) / c0)
     W_den = W_den.scale(Fraction(1) / c0)
     series = RationalGrowthSeries(M, W_num, W_den, per_class, validate_depth)
-    _validate_series(series, caps, validate_depth)
+    _validate_series(series, system, validate_depth)
     return series
 
 
-def _validate_series(series, caps, depth):
+def _validate_series(series, system, depth):
     """Mandatory: Taylor coefficients must equal BFS class counts exactly."""
-    M = series.M
-    counts, _src = layer_class_counts(M, depth, caps=caps)
+    counts, _src = system.layer_counts(depth)
     if series.per_class:
         expanded = series.expand(depth)
         for k in range(min(depth + 1, len(counts))):
@@ -785,16 +783,17 @@ def enumeration_fit(points):
                               details={"points": len(pts)})
 
 
-def growth_rate(M, weights=None, method="series", radius=None, caps=None,
-                series=None):
+def growth_rate(system, weights=None, method="series", radius=None):
     """Weighted exponential growth rate e_t(W); weights None means the
     unweighted rate e(W).
 
     method "series" locates the smallest positive singularity of the exact
-    rational series; "enumeration" regresses enumerated counting data.
+    rational series, per conjugacy class for non-constant weights and in a
+    single variable otherwise; "enumeration" regresses enumerated counting
+    data.  System.rate memoises the series route.
     """
-    caps = caps or Caps.from_env()
-    cls = classify_parabolic(M)
+    M = system.M
+    cls = system.classification
     if weights is not None and weights.all_one():
         raise DegenerateWeights("all weights are 1; the counting function is trivial")
     if weights is not None and any(v == 1 for v in weights.values):
@@ -809,8 +808,7 @@ def growth_rate(M, weights=None, method="series", radius=None, caps=None,
             return GrowthRateEstimate(0.0, "SeriesSingularity", 0.0, (0.0, 0.0),
                                       exact=True, details={"finite": True})
         per_class = weights is not None and not weights.is_constant()
-        if series is None:
-            series = rational_growth_series(M, per_class=per_class, caps=caps)
+        series = system.series(per_class)
         if weights is None:
             return _series_rate_constant_weight(series, None)
         if weights.is_constant():
@@ -822,7 +820,7 @@ def growth_rate(M, weights=None, method="series", radius=None, caps=None,
         if radius is None:
             radius = 20 if M.is_right_angled() else 12
         if weights is None:
-            counts, _src = layer_class_counts(M, radius, caps=caps)
+            counts, _src = system.layer_counts(radius)
             sizes = []
             tot = 0
             for d in counts:
@@ -830,7 +828,7 @@ def growth_rate(M, weights=None, method="series", radius=None, caps=None,
                 sizes.append(tot)
             pts = [(float(k), sizes[k]) for k in range(1, len(sizes))]
             return enumeration_fit(pts)
-        table = growth_table(M, weights, radius, caps=caps)
+        table = growth_table(system, weights, radius)
         if table.degenerate:
             raise DegenerateWeights("degenerate weights: no usable counting function")
         pts = list(zip(table.breakpoints, table.q_values))
@@ -838,12 +836,11 @@ def growth_rate(M, weights=None, method="series", radius=None, caps=None,
     raise SchemaError(f"unknown growth-rate method {method!r}")
 
 
-def classify_convergence(M, weights, x, rate=None, caps=None):
+def classify_convergence(system, weights, x):
     """Does W(t^-x) converge?  Returns 'converges', 'diverges', or
     'boundary' when x falls inside the rate bracket."""
     x = float(x)
-    if rate is None:
-        rate = growth_rate(M, weights, method="series", caps=caps)
+    rate = system.rate(weights)
     if x > rate.bracket[1] + 1e-15:
         return "converges"
     if x < rate.bracket[0] - 1e-15:
@@ -851,12 +848,11 @@ def classify_convergence(M, weights, x, rate=None, caps=None):
     return "boundary"
 
 
-def rate_comparison_bounds(M, weights, caps=None, e_univ=None):
+def rate_comparison_bounds(system, weights):
     """e(W)/log t_max <= e_t <= e(W)/log t_min for weights > 1."""
     if any(v == 1 for v in weights.values):
         raise DegenerateWeights("comparison bounds require weights > 1")
-    if e_univ is None:
-        e_univ = growth_rate(M, None, method="series", caps=caps)
+    e_univ = system.rate(None)
     ltmax = math.log(float(max(weights.values)))
     ltmin = math.log(float(min(weights.values)))
     return (e_univ.bracket[0] / ltmax, e_univ.bracket[1] / ltmin)

@@ -17,16 +17,13 @@ import math
 import time
 from fractions import Fraction
 
-from .building import ThicknessVector, critical_exponents
-from .cache import cached_layer_counts
-from .conformal import confdim_bounds, is_nerve_circle, moussong_hyperbolic
-from .coxeter import classify_parabolic, finite_group_order
-from .davis import bestvina_support, is_type_PM, vcd_real
-from .davis import nerve_complex
+from .building import critical_exponents
+from .conformal import confdim_bounds
+from .coxeter import finite_group_order
+from .davis import bestvina_support
 from .errors import (AffineDegenerate, CoxinvError, DegenerateWeights,
                      NoWitness, NotHyperbolic, SchemaError, ThinBuilding)
-from .growth import (WeightVector, classify_convergence, growth_rate,
-                     rational_growth_series)
+from .growth import WeightVector, classify_convergence
 
 SCHEMA_VERSION = 1
 INF_TOKEN = "Infinity"
@@ -131,14 +128,18 @@ def _witness_json(w):
 # ---------------------------------------------------------------------------
 # assembly
 
-def build_report(M, thickness=None, weights=None, depth=8, radius=None,
+def build_report(system, thickness=None, weights=None, depth=8, radius=None,
                  lam=None, apartment_confdim=None, p_grid=(1.5, 2.0, 3.0),
-                 caps=None, cache_dir=None, timings=False):
-    """Full invariant report for one system.
+                 timings=False):
+    """Full invariant report for one System.
 
     thickness: ThicknessVector or None (no building sections).
     weights: WeightVector or None (thickness-induced, else all-one).
+    timings: per-stage wall clock outside the deterministic payload; work
+    the System shares between stages is charged to the first stage that
+    asks for it.
     """
+    M = system.M
     clock = {}
 
     def timed(name, fn):
@@ -147,7 +148,7 @@ def build_report(M, thickness=None, weights=None, depth=8, radius=None,
         clock[name] = time.perf_counter() - t0
         return out
 
-    cls = classify_parabolic(M)
+    cls = system.classification
     order = finite_group_order(M, range(M.rank)) if cls.is_finite() else None
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -174,13 +175,13 @@ def build_report(M, thickness=None, weights=None, depth=8, radius=None,
     }
 
     # nerve and Davis-complex invariants
-    nerve = timed("nerve", lambda: nerve_complex(M))
-    pm = timed("type_pm", lambda: is_type_PM(M))
+    nerve = timed("nerve", lambda: system.nerve)
+    pm = timed("type_pm", lambda: system.type_pm)
     report["nerve"] = {
         "dim": nerve.dim,
         "face_counts": [len(nerve.k_faces(k)) for k in range(nerve.dim + 1)],
         "euler": nerve.euler_characteristic(),
-        "is_circle": is_nerve_circle(M),
+        "is_circle": system.nerve_is_circle,
     }
     report["type_pm"] = {
         "is_pm": pm.is_pm,
@@ -190,7 +191,7 @@ def build_report(M, thickness=None, weights=None, depth=8, radius=None,
         "gallery_connected": pm.gallery_connected,
         "orientable": pm.orientable,
     }
-    v = timed("vcd", lambda: vcd_real(M))
+    v = timed("vcd", lambda: system.vcd)
     report["vcd"] = {
         "value": v.value,
         "spherical_value": v.spherical_value,
@@ -198,13 +199,13 @@ def build_report(M, thickness=None, weights=None, depth=8, radius=None,
                        "spherical": w.spherical} for w in v.witnesses],
     }
     try:
-        bs = timed("bestvina", lambda: bestvina_support(M, vcd=v))
+        bs = timed("bestvina", lambda: bestvina_support(system))
         report["bestvina"] = {"F0": list(bs.F0), "S0": list(bs.S0),
                               "degree": bs.degree}
     except NoWitness as exc:
         report["bestvina"] = _error_json(exc)
 
-    hyp = moussong_hyperbolic(M)
+    hyp = system.hyperbolicity
     report["hyperbolic"] = {"verdict": hyp.hyperbolic,
                             "witness": _witness_json(hyp.witness)}
 
@@ -214,9 +215,7 @@ def build_report(M, thickness=None, weights=None, depth=8, radius=None,
             weights = WeightVector(M, [Fraction(q) for q in thickness.values])
         else:
             weights = WeightVector(M, [Fraction(1)] * len(M.conjugacy_classes()))
-    layers, source = timed(
-        "layers", lambda: cached_layer_counts(M, depth, caps=caps,
-                                              cache_dir=cache_dir))
+    layers, source = timed("layers", lambda: system.layer_counts(depth))
     class_of = M.class_of()
     growth = {
         "weights": {M.generators[i]:
@@ -227,8 +226,7 @@ def build_report(M, thickness=None, weights=None, depth=8, radius=None,
         "layer_sizes": [sum(layer.values()) for layer in layers],
     }
     try:
-        series = timed("series",
-                       lambda: rational_growth_series(M, caps=caps))
+        series = timed("series", lambda: system.series(per_class=True))
         # the report carries the collapsed univariate form; the per-class
         # function stays a library-level object
         growth["series"] = {
@@ -239,12 +237,11 @@ def build_report(M, thickness=None, weights=None, depth=8, radius=None,
         }
         # trivial weights fall back to the plain rate e(W)
         w_arg = None if weights.all_one() else weights
-        rate = timed("rate", lambda: growth_rate(M, w_arg, method="series",
-                                                 caps=caps, series=series))
+        rate = timed("rate", lambda: system.rate(w_arg))
         growth["rate"] = _rate_json(rate)
         if w_arg is not None:
             growth["convergence_at_one"] = classify_convergence(
-                M, weights, 1.0, rate=rate, caps=caps)
+                system, weights, 1.0)
     except (DegenerateWeights, SchemaError) as exc:
         growth.update(_error_json(exc))
     report["growth"] = growth
@@ -253,7 +250,7 @@ def build_report(M, thickness=None, weights=None, depth=8, radius=None,
     if thickness is not None:
         try:
             ce = timed("exponents",
-                       lambda: critical_exponents(M, thickness, caps=caps))
+                       lambda: critical_exponents(system, thickness))
             report["building"] = {
                 "thickness": list(thickness.per_generator(M)),
                 "thin": ce.thin,
@@ -269,9 +266,8 @@ def build_report(M, thickness=None, weights=None, depth=8, radius=None,
             report["building"] = _error_json(exc)
         try:
             b = timed("confdim",
-                      lambda: confdim_bounds(M, thickness, lam=lam,
-                                             apartment_confdim=apartment_confdim,
-                                             caps=caps))
+                      lambda: confdim_bounds(system, thickness, lam=lam,
+                                             apartment_confdim=apartment_confdim))
             report["confdim"] = {
                 "lower": b.lower,
                 "upper": b.upper,

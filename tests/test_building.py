@@ -21,6 +21,7 @@ from coxinv.building import (ThicknessVector, append_syllable, boundary,
                              random_chain)
 from coxinv.errors import (MarginViolation, NotRightAngled,
                            ThicknessClassError)
+from coxinv.system import System
 
 
 @pytest.fixture(scope="module")
@@ -218,7 +219,8 @@ class TestPartialSums:
 
 class TestCriticalExponents:
     def test_pentagon(self, pentagon):
-        ce = critical_exponents(pentagon, ThicknessVector.constant(pentagon, 2))
+        ce = critical_exponents(System(pentagon),
+                                ThicknessVector.constant(pentagon, 2))
         e = math.log((3 + math.sqrt(5)) / 2) / math.log(2)
         assert abs(ce.p_hom - (1 + e)) < 1e-6
         assert abs(ce.p_cohom - (1 + 1 / e)) < 1e-6
@@ -226,12 +228,14 @@ class TestCriticalExponents:
         assert ce.p_hom_bracket[0] <= ce.p_hom <= ce.p_hom_bracket[1]
 
     def test_affine_exact(self, triangle_333):
-        ce = critical_exponents(triangle_333, ThicknessVector.constant(triangle_333, 2))
+        ce = critical_exponents(System(triangle_333),
+                                ThicknessVector.constant(triangle_333, 2))
         assert ce.p_hom == 1.0 and ce.p_cohom == math.inf
         assert not ce.thin
 
     def test_thin(self, pentagon):
-        ce = critical_exponents(pentagon, ThicknessVector.constant(pentagon, 1))
+        ce = critical_exponents(System(pentagon),
+                                ThicknessVector.constant(pentagon, 1))
         assert ce.thin
         assert ce.p_hom == math.inf and ce.p_cohom == 1.0
 

@@ -11,6 +11,7 @@ from coxinv.conformal import (AffineRank3, CommutingInfinitePair,
                               moussong_hyperbolic, resolve_lambda)
 from coxinv.errors import (AffineDegenerate, NotHyperbolic, ResourceExceeded,
                            SchemaError, ThinBuilding)
+from coxinv.system import System
 from .conftest import INF, mat
 
 PENT_RATE = math.log((3 + math.sqrt(5)) / 2)   # e(W) of the 5-cycle system
@@ -70,32 +71,33 @@ class TestNerveCircle:
 class TestHausdorff:
     def test_bourdon_preset_normalizes_to_one(self, pentagon):
         q = ThicknessVector.constant(pentagon, 2)
-        hd = coornaert_hausdim(pentagon, q)
+        hd = coornaert_hausdim(System(pentagon), q)
         assert abs(hd.value - 1.0) < 1e-8
         assert hd.lambda_provenance == "BourdonPreset"
         assert hd.bracket[0] <= hd.value <= hd.bracket[1]
 
     def test_lambda_covariance(self, pentagon):
         q = ThicknessVector.constant(pentagon, 2)
-        hd = coornaert_hausdim(pentagon, q)
-        hd2 = coornaert_hausdim(pentagon, q, lam=hd.lam ** 2)
+        S = System(pentagon)
+        hd = coornaert_hausdim(S, q)
+        hd2 = coornaert_hausdim(S, q, lam=hd.lam ** 2)
         assert abs(hd2.value - hd.value / 2) < 1e-9
         assert hd2.lambda_provenance == "UserSupplied"
 
     def test_lambda_must_exceed_one(self, pentagon):
         q = ThicknessVector.constant(pentagon, 2)
         with pytest.raises(SchemaError):
-            coornaert_hausdim(pentagon, q, lam=0.5)
+            coornaert_hausdim(System(pentagon), q, lam=0.5)
 
     def test_finite_group_degenerate(self, a2):
         with pytest.raises(AffineDegenerate):
-            coornaert_hausdim(a2, ThicknessVector.constant(a2, 2))
+            coornaert_hausdim(System(a2), ThicknessVector.constant(a2, 2))
 
 
 class TestConfdimBounds:
     def test_pentagon_exact(self, pentagon):
         q = ThicknessVector.constant(pentagon, 2)
-        b = confdim_bounds(pentagon, q)
+        b = confdim_bounds(System(pentagon), q)
         expect = 1.0 + math.log(2) / PENT_RATE
         assert b.fuchsian
         assert b.lower == b.upper
@@ -105,40 +107,31 @@ class TestConfdimBounds:
 
     def test_free_product_cantor_floor(self, free_product_3):
         q = ThicknessVector.constant(free_product_3, 2)
-        b = confdim_bounds(free_product_3, q)
+        b = confdim_bounds(System(free_product_3), q)
         assert not b.fuchsian
         assert b.lower == 0.0 and b.lower_provenance == "VcdFloor"
         assert b.upper > 0 and b.upper_provenance == "HausdorffBound"
 
     def test_user_supplied_floor(self, free_product_3):
         q = ThicknessVector.constant(free_product_3, 2)
-        b = confdim_bounds(free_product_3, q, apartment_confdim=1.2)
+        b = confdim_bounds(System(free_product_3), q, apartment_confdim=1.2)
         assert b.lower_provenance == "UserSupplied"
         assert b.lower > 0
 
     def test_not_hyperbolic(self, square_product):
         q = ThicknessVector.constant(square_product, 2)
         with pytest.raises(NotHyperbolic):
-            confdim_bounds(square_product, q)
+            confdim_bounds(System(square_product), q)
 
     def test_thin_building(self, pentagon):
         with pytest.raises(ThinBuilding):
-            confdim_bounds(pentagon, ThicknessVector.constant(pentagon, 1))
+            confdim_bounds(System(pentagon),
+                           ThicknessVector.constant(pentagon, 1))
 
     def test_linear_growth_degenerate(self, path_2edge):
         q = ThicknessVector.constant(path_2edge, 2)
         with pytest.raises(AffineDegenerate):
-            confdim_bounds(path_2edge, q)
-
-    def test_precomputed_rate_short_circuits(self, pentagon):
-        from coxinv.growth import WeightVector, growth_rate
-        from fractions import Fraction
-        q = ThicknessVector.constant(pentagon, 2)
-        w = WeightVector(pentagon, [Fraction(2)] * 5)
-        e_q = growth_rate(pentagon, w, method="series")
-        b1 = confdim_bounds(pentagon, q, e_q=e_q)
-        b2 = confdim_bounds(pentagon, q)
-        assert b1.lower == b2.lower and b1.upper == b2.upper
+            confdim_bounds(System(path_2edge), q)
 
 
 class TestFuchsianReport:
@@ -146,7 +139,7 @@ class TestFuchsianReport:
         q = ThicknessVector.constant(pentagon, 2)
         conf = 1.0 + math.log(2) / PENT_RATE
         dual = 1.0 + PENT_RATE / math.log(2)
-        fr = fuchsian_report(pentagon, q,
+        fr = fuchsian_report(System(pentagon), q,
                              p_grid=(1.25, conf, 2.0, dual, 3.0))
         assert abs(fr.confdim - conf) < 1e-6
         assert abs(fr.p_hom - dual) < 1e-6
@@ -160,12 +153,12 @@ class TestFuchsianReport:
     def test_requires_circle_nerve(self, path_2edge):
         q = ThicknessVector.constant(path_2edge, 2)
         with pytest.raises(SchemaError):
-            fuchsian_report(path_2edge, q)
+            fuchsian_report(System(path_2edge), q)
 
     def test_requires_hyperbolic(self, triangle_333):
         q = ThicknessVector.constant(triangle_333, 2)
         with pytest.raises(NotHyperbolic):
-            fuchsian_report(triangle_333, q)
+            fuchsian_report(System(triangle_333), q)
 
 
 class TestLambdaResolution:

@@ -4,6 +4,7 @@ from coxinv.davis import (bestvina_support, davis_chamber, is_type_PM,
                           nerve_complex, vcd_real)
 from coxinv.errors import NoWitness
 from coxinv.homology import betti_numbers, verify_boundary_squares_to_zero
+from coxinv.system import System
 
 
 # ---------------------------------------------------------------------------
@@ -115,34 +116,34 @@ def test_vcd_spherical_only_subsets(pentagon):
 # support face
 
 def test_bestvina_pentagon(pentagon):
-    b = bestvina_support(pentagon)
+    b = bestvina_support(System(pentagon))
     assert b.F0 == ()
     assert b.S0 == (0, 1, 2, 3, 4)
     assert b.degree == 2
 
 
 def test_bestvina_333(triangle_333):
-    b = bestvina_support(triangle_333)
+    b = bestvina_support(System(triangle_333))
     assert b.F0 == ()
     assert b.S0 == (0, 1, 2)
 
 
 def test_bestvina_path_middle_vertex(path_2edge):
-    b = bestvina_support(path_2edge)
+    b = bestvina_support(System(path_2edge))
     assert b.F0 == (1,)
     assert b.S0 == (0, 2)
     assert b.degree == 1
 
 
 def test_bestvina_dihedral(dihedral_inf):
-    b = bestvina_support(dihedral_inf)
+    b = bestvina_support(System(dihedral_inf))
     assert b.F0 == ()
     assert b.S0 == (0, 1)
 
 
 def test_bestvina_finite_raises(a2):
     with pytest.raises(NoWitness):
-        bestvina_support(a2)
+        bestvina_support(System(a2))
 
 
 # ---------------------------------------------------------------------------

@@ -53,12 +53,6 @@ def test_backends_agree(pentagon, triangle_732):
                 assert [x[3] for x in lw] == [x[3] for x in lm]  # descent masks
 
 
-def test_parallel_matches_sequential(pentagon):
-    seq = ball_enumerate(pentagon, 9, workers=1)
-    par = ball_enumerate(pentagon, 9, workers=4)
-    assert seq.layers == par.layers
-
-
 def test_recurrence_matches_bfs(pentagon, square_product):
     for M in (pentagon, square_product):
         ball = ball_enumerate(M, 9)

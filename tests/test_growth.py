@@ -10,6 +10,7 @@ from coxinv.growth import (GrowthRateEstimate, PolyQ, WeightVector,
                            classify_convergence, enumeration_fit, growth_rate,
                            growth_table, rate_comparison_bounds,
                            rational_growth_series, smallest_positive_root)
+from coxinv.system import System
 
 from .oracles import series_quotient
 
@@ -20,7 +21,7 @@ E_PENTAGON = math.log((3 + math.sqrt(5)) / 2)   # 0.9624236501...
 # series construction
 
 def test_dinf_series_closed_form(dihedral_inf):
-    s = rational_growth_series(dihedral_inf, per_class=False)
+    s = rational_growth_series(System(dihedral_inf), per_class=False)
     num = {e[0]: c for e, c in s.numerator.terms.items()}
     den = {e[0]: c for e, c in s.denominator.terms.items()}
     assert num == {0: Fraction(1), 1: Fraction(1)}
@@ -29,28 +30,29 @@ def test_dinf_series_closed_form(dihedral_inf):
 
 def test_dinf_series_per_class(dihedral_inf):
     # (1+ta)(1+tb) / (1 - ta tb)
-    s = rational_growth_series(dihedral_inf, per_class=True)
+    s = rational_growth_series(System(dihedral_inf), per_class=True)
     assert s.numerator.terms == {(0, 0): Fraction(1), (1, 0): Fraction(1),
                                  (0, 1): Fraction(1), (1, 1): Fraction(1)}
     assert s.denominator.terms == {(0, 0): Fraction(1), (1, 1): Fraction(-1)}
 
 
 def test_a2_polynomial(a2):
-    s = rational_growth_series(a2, per_class=False)
+    s = rational_growth_series(System(a2), per_class=False)
     assert s.denominator.terms == {(0,): Fraction(1)}
     assert {e[0]: c for e, c in s.numerator.terms.items()} == \
         {0: Fraction(1), 1: Fraction(2), 2: Fraction(2), 3: Fraction(1)}
 
 
 def test_pentagon_expansion_frozen(pentagon):
-    s = rational_growth_series(pentagon, per_class=False, validate_depth=12)
+    s = rational_growth_series(System(pentagon), per_class=False,
+                               validate_depth=12)
     got = [int(c) for c in s.expand_univariate(12)]
     assert got == [1, 5, 15, 40, 105, 275, 720, 1885, 4935, 12920, 33825,
                    88555, 231840]
 
 
 def test_pentagon_expansion_matches_long_division(pentagon):
-    s = rational_growth_series(pentagon, per_class=False)
+    s = rational_growth_series(System(pentagon), per_class=False)
     num = [Fraction(0)] * (s.numerator.max_degrees()[0] + 1)
     for (k,), c in s.numerator.terms.items():
         num[k] = c
@@ -62,7 +64,7 @@ def test_pentagon_expansion_matches_long_division(pentagon):
 
 def test_multivariate_expansion_matches_counts(dihedral_inf, square_product):
     for M in (dihedral_inf, square_product):
-        s = rational_growth_series(M, per_class=True, validate_depth=8)
+        s = rational_growth_series(System(M), per_class=True, validate_depth=8)
         expanded = s.expand(8)
         ball = ball_enumerate(M, 8)
         counts = ball.class_counts()
@@ -84,7 +86,7 @@ def test_validation_is_mandatory(monkeypatch, dihedral_inf):
 
     monkeypatch.setattr(G, "_parabolic_poly", corrupted)
     with pytest.raises(ValidationMismatch):
-        rational_growth_series(dihedral_inf, per_class=False)
+        rational_growth_series(System(dihedral_inf), per_class=False)
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +127,7 @@ def test_no_root_returns_none():
 # growth rates
 
 def test_pentagon_rate_series(pentagon):
-    e = growth_rate(pentagon, None, method="series")
+    e = growth_rate(System(pentagon), None, method="series")
     assert e.method == "SeriesSingularity"
     assert abs(e.value - E_PENTAGON) < 1e-6
     assert e.uncertainty < 1e-8
@@ -133,85 +135,85 @@ def test_pentagon_rate_series(pentagon):
 
 
 def test_732_rate_is_lehmer(triangle_732):
-    e = growth_rate(triangle_732, None, method="series")
+    e = growth_rate(System(triangle_732), None, method="series")
     assert abs(math.exp(e.value) - 1.17628081825991) < 1e-9
 
 
 def test_affine_rates_exact_zero(triangle_333, square_product, dihedral_inf):
     for M in (triangle_333, square_product, dihedral_inf):
-        e = growth_rate(M, None, method="series")
+        e = growth_rate(System(M), None, method="series")
         assert e.value == 0.0 and e.exact
 
 
 def test_finite_rate_zero(a2):
-    e = growth_rate(a2, None, method="series")
+    e = growth_rate(System(a2), None, method="series")
     assert e.value == 0.0 and e.exact
 
 
 def test_pentagon_weighted_constant(pentagon):
     w = WeightVector.constant(pentagon, 2)
-    e = growth_rate(pentagon, w, method="series")
+    e = growth_rate(System(pentagon), w, method="series")
     assert abs(e.value - E_PENTAGON / math.log(2)) < 1e-6
 
 
 def test_affine_weighted_exact_zero(triangle_333):
     w = WeightVector.constant(triangle_333, 2)
-    e = growth_rate(triangle_333, w, method="series")
+    e = growth_rate(System(triangle_333), w, method="series")
     assert e.value == 0.0 and e.exact
 
 
 def test_pentagon_mixed_weights_bounds(pentagon):
     w = WeightVector(pentagon, [2, 2, 2, 2, 3])
-    e = growth_rate(pentagon, w, method="series")
-    lo, hi = rate_comparison_bounds(pentagon, w)
+    e = growth_rate(System(pentagon), w, method="series")
+    lo, hi = rate_comparison_bounds(System(pentagon), w)
     assert lo - 1e-9 <= e.value <= hi + 1e-9
     # strictly inside: the mixed rate differs from both constant-weight rates
     assert e.value - lo > 1e-3 and hi - e.value > 1e-3
 
 
 def test_weight_one_on_finite_parabolic_allowed(dihedral_inf):
-    e = growth_rate(dihedral_inf, WeightVector(dihedral_inf, [1, 2]),
-                    method="series")
+    e = growth_rate(System(dihedral_inf),
+                    WeightVector(dihedral_inf, [1, 2]), method="series")
     assert e.value == 0.0 and e.exact
 
 
 def test_weight_one_on_infinite_parabolic_rejected(path_2edge):
     with pytest.raises(DegenerateWeights):
-        growth_rate(path_2edge, WeightVector(path_2edge, [1, 2, 1]),
+        growth_rate(System(path_2edge), WeightVector(path_2edge, [1, 2, 1]),
                     method="series")
 
 
 def test_all_one_weights_rejected(dihedral_inf):
     with pytest.raises(DegenerateWeights):
-        growth_rate(dihedral_inf, WeightVector(dihedral_inf, [1, 1]),
-                    method="series")
+        growth_rate(System(dihedral_inf),
+                    WeightVector(dihedral_inf, [1, 1]), method="series")
 
 
 # ---------------------------------------------------------------------------
 # enumeration fits (moderate depth here; deep runs live in acceptance)
 
 def test_pentagon_fit_unweighted(pentagon):
-    e = growth_rate(pentagon, None, method="enumeration", radius=12)
+    e = growth_rate(System(pentagon), None, method="enumeration", radius=12)
     assert e.method == "EnumerationFit"
     assert abs(e.value - E_PENTAGON) < 5e-2
 
 
 def test_pentagon_fit_weighted(pentagon):
     w = WeightVector.constant(pentagon, 2)
-    e = growth_rate(pentagon, w, method="enumeration", radius=12)
+    e = growth_rate(System(pentagon), w, method="enumeration", radius=12)
     assert abs(e.value - E_PENTAGON / math.log(2)) < 5e-2
 
 
 def test_affine_fit_bracket_contains_zero(triangle_333):
     w = WeightVector.constant(triangle_333, 2)
-    e = growth_rate(triangle_333, w, method="enumeration", radius=30)
+    e = growth_rate(System(triangle_333), w, method="enumeration", radius=30)
     assert abs(e.value) < 1e-2
     assert e.bracket[0] <= 0.0 <= e.bracket[1]
 
 
 def test_growth_table_complete_range(pentagon):
     w = WeightVector(pentagon, [2, 2, 2, 2, 4])
-    t = growth_table(pentagon, w, 10)
+    t = growth_table(System(pentagon), w, 10)
     # every reported point lies within the completeness bound
     vmax = 10 * math.log(2)
     assert all(v <= vmax + 1e-9 for v in t.breakpoints)
@@ -227,35 +229,36 @@ def test_fit_requires_points():
 # convergence classification
 
 def test_convergence_verdicts(pentagon):
+    S = System(pentagon)
     w = WeightVector.constant(pentagon, 2)
-    e = growth_rate(pentagon, w, method="series")
-    assert classify_convergence(pentagon, w, 2.0, rate=e) == "converges"
-    assert classify_convergence(pentagon, w, 1.0, rate=e) == "diverges"
-    assert classify_convergence(pentagon, w, e.value, rate=e) == "boundary"
+    e = S.rate(w)
+    assert classify_convergence(S, w, 2.0) == "converges"
+    assert classify_convergence(S, w, 1.0) == "diverges"
+    assert classify_convergence(S, w, e.value) == "boundary"
 
 
 def test_convergence_affine(triangle_333):
+    S = System(triangle_333)
     w = WeightVector.constant(triangle_333, 2)
-    e = growth_rate(triangle_333, w, method="series")
-    assert classify_convergence(triangle_333, w, 0.5, rate=e) == "converges"
-    assert classify_convergence(triangle_333, w, 0.0, rate=e) == "boundary"
+    assert classify_convergence(S, w, 0.5) == "converges"
+    assert classify_convergence(S, w, 0.0) == "boundary"
 
 
 # ---------------------------------------------------------------------------
 # structural properties
 
 @pytest.fixture(scope="module")
-def pentagon_series(pentagon):
-    return rational_growth_series(pentagon, per_class=False)
+def pentagon_system(pentagon):
+    return System(pentagon)
 
 
 @settings(max_examples=8, deadline=None)
 @given(st.integers(2, 6))
-def test_constant_weight_scaling(pentagon, pentagon_series, q):
+def test_constant_weight_scaling(pentagon, pentagon_system, q):
     """e_q(W) = e(W) / log q for constant weights."""
-    e0 = growth_rate(pentagon, None, method="series", series=pentagon_series)
-    eq = growth_rate(pentagon, WeightVector.constant(pentagon, q),
-                     method="series", series=pentagon_series)
+    e0 = growth_rate(pentagon_system, None, method="series")
+    eq = growth_rate(pentagon_system, WeightVector.constant(pentagon, q),
+                     method="series")
     assert abs(eq.value - e0.value / math.log(q)) < 1e-6
 
 
@@ -267,18 +270,16 @@ def free_rank3():
 
 
 @pytest.fixture(scope="module")
-def free_rank3_series(free_rank3):
-    return rational_growth_series(free_rank3, per_class=True)
+def free_rank3_system(free_rank3):
+    return System(free_rank3)
 
 
 @settings(max_examples=6, deadline=None)
 @given(st.sampled_from([2, 3, 4]), st.sampled_from([2, 3, 4]))
-def test_weighted_rate_monotone_in_weights(free_rank3, free_rank3_series,
+def test_weighted_rate_monotone_in_weights(free_rank3, free_rank3_system,
                                            qa, qb):
     """Raising any single weight cannot raise the counting exponent."""
-    M, s = free_rank3, free_rank3_series
-    e1 = growth_rate(M, WeightVector(M, [qa, qb, qb]), method="series",
-                     series=s)
-    e2 = growth_rate(M, WeightVector(M, [qa + 1, qb, qb]), method="series",
-                     series=s)
+    M, S = free_rank3, free_rank3_system
+    e1 = growth_rate(S, WeightVector(M, [qa, qb, qb]), method="series")
+    e2 = growth_rate(S, WeightVector(M, [qa + 1, qb, qb]), method="series")
     assert e2.value <= e1.value + 1e-6

@@ -1,7 +1,9 @@
 """Report assembly, canonical JSON, and the enumeration cache."""
 
+import hashlib
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,12 +13,26 @@ from coxinv.cache import (cached_layer_counts, load_layers, store_layers)
 from coxinv.report import (build_report, decode_json_value,
                            encode_json_value, report_from_json,
                            report_to_json, report_to_text)
+from coxinv.system import System
+
+from .conftest import mat
+
+# sha256 of report_to_json(build_report(System(M), thickness=q=2, depth=8)),
+# recorded before reports were assembled from a shared System
+GOLDEN_Q2 = {
+    "pentagon":
+        "5c9b221a47c5f930f0c93bfb67e372dfb6baa4d61ee9629020237e794bc7ad52",
+    "triangle_732":
+        "5ed9f966013194bbc4ba80a81d79c46fd1bd9e6f8ee71f1d625af7f677be288d",
+    "triangle_433":
+        "e8b2d6c052096918436c162691813aa140db79766fc447ebc68a8452b05dbc1f",
+}
 
 
 @pytest.fixture(scope="module")
 def pentagon_report(pentagon):
     q = ThicknessVector.constant(pentagon, 2)
-    return build_report(pentagon, thickness=q, depth=8)
+    return build_report(System(pentagon), thickness=q, depth=8)
 
 
 class TestEncoding:
@@ -62,17 +78,18 @@ class TestReportContent:
 
     def test_timings_on_request(self, pentagon):
         q = ThicknessVector.constant(pentagon, 2)
-        r = build_report(pentagon, thickness=q, depth=6, timings=True)
+        r = build_report(System(pentagon), thickness=q, depth=6,
+                         timings=True)
         assert "timings" in r and r["timings"]
 
     def test_determinism_in_process(self, pentagon, pentagon_report):
         q = ThicknessVector.constant(pentagon, 2)
-        again = build_report(pentagon, thickness=q, depth=8)
+        again = build_report(System(pentagon), thickness=q, depth=8)
         assert report_to_json(again) == report_to_json(pentagon_report)
 
     def test_affine_building_has_infinity_token(self, triangle_333):
         q = ThicknessVector.constant(triangle_333, 2)
-        r = build_report(triangle_333, thickness=q, depth=6)
+        r = build_report(System(triangle_333), thickness=q, depth=6)
         j = report_to_json(r)
         assert '"Infinity"' in j
         assert report_from_json(j)["building"]["exponents"]["p_cohom"] == math.inf
@@ -80,14 +97,14 @@ class TestReportContent:
 
     def test_commuting_pair_witness_in_report(self, square_product):
         q = ThicknessVector.constant(square_product, 2)
-        r = build_report(square_product, thickness=q, depth=6)
+        r = build_report(System(square_product), thickness=q, depth=6)
         assert r["hyperbolic"]["verdict"] is False
         w = r["hyperbolic"]["witness"]
         assert w["kind"] == "CommutingInfinitePair"
         assert w["first"] == [0, 2] and w["second"] == [1, 3]
 
     def test_no_thickness_skips_building(self, a2):
-        r = build_report(a2, depth=6)
+        r = build_report(System(a2), depth=6)
         assert r["building"] is None and r["confdim"] is None
         assert r["classification"]["order"] == 6
         assert r["growth"]["rate"]["exact"] is True
@@ -98,6 +115,42 @@ class TestReportContent:
         assert "confdim: 1.7202100449769393 (exact, FuchsianExact)" in txt
         assert "hyperbolic: yes" in txt
         assert txt.endswith("\n")
+
+
+class TestSharedSystem:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_Q2))
+    def test_golden_bytes(self, request, name):
+        if name == "triangle_433":
+            M = mat([[1, 4, 3], [4, 1, 3], [3, 3, 1]])
+        else:
+            M = request.getfixturevalue(name)
+        r = build_report(System(M), thickness=ThicknessVector.constant(M, 2))
+        digest = hashlib.sha256(report_to_json(r).encode()).hexdigest()
+        assert digest == GOLDEN_Q2[name]
+
+    def test_each_invariant_computed_once(self, monkeypatch, triangle_732):
+        leaves = ("growth.layer_class_counts", "growth.rational_growth_series",
+                  "davis.vcd_real", "davis.is_type_PM",
+                  "conformal.moussong_hyperbolic", "conformal.is_nerve_circle")
+        calls = dict.fromkeys(leaves, 0)
+        for name in leaves:
+            modname, attr = name.split(".")
+            orig = getattr(sys.modules[f"coxinv.{modname}"], attr)
+
+            def counted(*args, _orig=orig, _name=name, **kwargs):
+                calls[_name] += 1
+                return _orig(*args, **kwargs)
+            # replace every binding, including `from .x import f` copies
+            for modkey, mod in list(sys.modules.items()):
+                if modkey.startswith("coxinv") and \
+                        getattr(mod, attr, None) is orig:
+                    monkeypatch.setattr(mod, attr, counted)
+        q = ThicknessVector.constant(triangle_732, 2)
+        build_report(System(triangle_732), thickness=q)
+        # one series per form: per-class for the printed series,
+        # univariate for the constant-weight rate
+        assert calls.pop("growth.rational_growth_series") == 2
+        assert calls == dict.fromkeys(calls, 1)
 
 
 class TestCache:

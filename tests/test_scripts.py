@@ -1,0 +1,21 @@
+"""Smoke tests for the scripts under scripts/."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def test_thickness_sweep_confdim_equals_p_cohom():
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "thickness_sweep.py"), "--qmax", "3"],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()
+            if line.split() and line.split()[0].isdigit()]
+    assert [row[0] for row in rows] == ["2", "3"]
+    # columns: q, e_q, p_hom, p_cohom, confdim, provenance
+    for row in rows:
+        assert row[3] == row[4]
+        assert row[5] == "FuchsianExact"
