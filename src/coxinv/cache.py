@@ -3,7 +3,8 @@
 Ball enumeration dominates every expensive pipeline, so its per-length
 class counts are cached keyed by (matrix digest, radius).  The file is
 append-only: a deeper enumeration appends a new record rather than
-rewriting, and lookups take the deepest usable record.  Records that fail
+rewriting, and lookups take the deepest record that answers the radius
+the way a fresh enumeration would, method tag included.  Records that fail
 to parse, carry an unknown version, or are structurally wrong are skipped
 silently; a truncated tail (interrupted write) therefore costs a rebuild,
 never an error.
@@ -38,8 +39,23 @@ def _decode_layers(raw):
     return layers
 
 
+def _answers(rec, radius):
+    """Does this record give what a fresh enumeration at radius gives?
+
+    A finite group enumerated to its longest element ("exhausted") has all
+    its layers, so its record answers any radius.  A "bfs" record answers
+    any radius up to its own: a smaller ball fits the same caps.  A
+    "recurrence" record answers only its own radius, since a shallower
+    ball may fit the caps and then comes from BFS.
+    """
+    r = int(rec["radius"])
+    if rec.get("exhausted") or r == radius:
+        return True
+    return r > radius and rec.get("method", "bfs") == "bfs"
+
+
 def load_layers(cache_dir, digest, radius):
-    """Deepest cached (layers, method) for this digest covering radius,
+    """Deepest cached (layers, method) for this digest that answers radius,
     or None."""
     if cache_dir is None:
         return None
@@ -59,12 +75,12 @@ def load_layers(cache_dir, digest, radius):
             if rec.get("v") != CACHE_VERSION or rec.get("digest") != digest:
                 continue
             r = int(rec["radius"])
-            if r < radius:
-                continue
-            if best is not None and best[0] >= r:
+            if (best is not None and best[0] >= r) or not _answers(rec, radius):
                 continue
             layers = _decode_layers(rec["layers"])
-            if len(layers) != r + 1:
+            n = len(layers)
+            # an exhausted record stops short of its radius, others reach it
+            if (n > r) if rec.get("exhausted") else (n != r + 1):
                 continue
             best = (r, layers, str(rec.get("method", "bfs")))
         except (ValueError, KeyError, TypeError):
@@ -76,11 +92,14 @@ def load_layers(cache_dir, digest, radius):
 
 
 def store_layers(cache_dir, digest, radius, layers, method):
+    """Append one record; fewer than radius + 1 layers mark it exhausted."""
     if cache_dir is None:
         return
     os.makedirs(cache_dir, exist_ok=True)
     rec = {"v": CACHE_VERSION, "digest": digest, "radius": radius,
            "method": method, "layers": _encode_layers(layers)}
+    if len(layers) <= radius:
+        rec["exhausted"] = True
     with open(cache_file(cache_dir), "a") as fh:
         fh.write(json.dumps(rec, sort_keys=True) + "\n")
 

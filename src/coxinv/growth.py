@@ -13,7 +13,9 @@ The exponential growth rate e_t(W) = limsup (1/n) log #{w : t_w <= e^n} is
 computed two independent ways: the smallest positive singularity of the
 series (exact rational Sturm isolation, or a certified interval scan along
 the substitution curve t -> t^-x for mixed weights), and a regression fit
-on the enumerated counting function.
+on the enumerated counting function.  On the curve a monomial of class
+vector k becomes w^-x with w = weight_of(k) exact, so the scan evaluates
+the denominator as the sum of c_w * w^-x over its monomials merged by w.
 """
 
 import math
@@ -354,7 +356,6 @@ def _parabolic_poly(M, T, nclasses, class_of, caps):
     idx = sorted(T)
     ball = ball_enumerate(sub, 4 * order, caps=caps)
     assert ball.group_exhausted
-    sub_class_of = sub.class_of()
     # ambient class of each sub-generator
     amb = {}
     for pos, i in enumerate(idx):
@@ -373,33 +374,30 @@ def _parabolic_poly(M, T, nclasses, class_of, caps):
 def rational_growth_series(system, per_class=True, validate_depth=None):
     """Weighted growth series as an exact rational function, validated
     against the system's BFS counts through validate_depth (mandatory)."""
-    M, caps = system.M, system.caps
-    classes = M.conjugacy_classes()
-    nclasses = len(classes) if per_class else 1
-    class_of = M.class_of() if per_class else [0] * M.rank
+    M = system.M
+    nclasses = len(M.conjugacy_classes()) if per_class else 1
     cls = system.classification
     if validate_depth is None:
         validate_depth = DEFAULT_VALIDATION_DEPTH
 
+    def parabolic(T):
+        poly = system.parabolic_poly(T)
+        return poly if per_class else poly.collapse()
+
     if cls.is_finite():
-        poly = _parabolic_poly(M, frozenset(range(M.rank)), nclasses, class_of, caps)
+        poly = parabolic(range(M.rank))
         series = RationalGrowthSeries(M, poly, PolyQ.const(nclasses, 1),
                                       per_class, validate_depth)
         _validate_series(series, system, validate_depth)
         return series
 
-    sphericals = system.sphericals
     # accumulate sum over T of (-1)^|T| / W_T as an exact fraction, reusing
     # syntactically identical parabolic polynomials
-    polys = {}
-    for T in sphericals:
-        key = tuple(sorted(T))
-        polys[key] = _parabolic_poly(M, T, nclasses, class_of, caps)
     num = PolyQ.const(nclasses, 0)
     den = PolyQ.const(nclasses, 1)
     seen_dens = {}
-    for T in sphericals:
-        poly = polys[tuple(sorted(T))]
+    for T in system.sphericals:
+        poly = parabolic(T)
         sign = -1 if len(T) % 2 else 1
         pk = tuple(sorted(poly.terms.items()))
         if pk in seen_dens:
@@ -652,30 +650,58 @@ def _p1_exact_div(a, b):
     return _p1_trim(q)
 
 
-def _iv_eval_curve(poly, logs, x, prec):
-    """Certified interval value of poly(t_1^-x, ..., t_k^-x)."""
+def _iv_frac(q):
+    iv = mpmath.iv
+    return iv.mpf(q.numerator) / iv.mpf(q.denominator)
+
+
+class CurveTerms:
+    """A polynomial restricted to the substitution curve t_i -> t_i^-x.
+
+    The monomial prod t_i^k_i becomes w^-x with w = weights.weight_of(k),
+    so the polynomial is the sum of c_w * w^-x over the distinct exact
+    weights w, each c_w the exact sum of the coefficients of weight w.
+    Zero sums are dropped.  The interval forms of c_w and log w are built
+    once per precision.
+    """
+
+    def __init__(self, poly, weights):
+        acc = {}
+        for e, c in poly.terms.items():
+            w = weights.weight_of(e)
+            acc[w] = acc.get(w, 0) + c
+        self.terms = {w: c for w, c in sorted(acc.items()) if c}
+        self._iv = {}           # prec -> [(c_w, log w) intervals]
+
+    def iv_terms(self):
+        """(c_w, log w) as intervals at the current mpmath.iv precision."""
+        prec = mpmath.iv.prec
+        if prec not in self._iv:
+            self._iv[prec] = [(_iv_frac(c), mpmath.iv.log(_iv_frac(w)))
+                              for w, c in self.terms.items()]
+        return self._iv[prec]
+
+
+def _iv_eval_curve(curve, x, prec):
+    """Certified interval value of the sum of c_w * w^-x over curve.terms,
+    at a rational x."""
     iv = mpmath.iv
     old = iv.prec
     try:
         iv.prec = prec
-        xs = iv.mpf(x.numerator) / iv.mpf(x.denominator) if isinstance(x, Fraction) else iv.mpf(x)
+        xs = _iv_frac(x)
         tot = iv.mpf(0)
-        for e, c in poly.terms.items():
-            expo = iv.mpf(0)
-            for l, k in zip(logs, e):
-                if k:
-                    expo += k * l
-            term = iv.exp(-xs * expo)
-            tot += (iv.mpf(c.numerator) / iv.mpf(c.denominator)) * term
+        for c, logw in curve.iv_terms():
+            tot += c * iv.exp(-xs * logw)
         return tot
     finally:
         iv.prec = old
 
 
-def _iv_sign(poly, logs, x, max_prec=2048):
+def _iv_sign(curve, x, max_prec=2048):
     prec = 64
     while prec <= max_prec:
-        v = _iv_eval_curve(poly, logs, x, prec)
+        v = _iv_eval_curve(curve, x, prec)
         if v > 0:
             return 1
         if v < 0:
@@ -686,16 +712,10 @@ def _iv_sign(poly, logs, x, max_prec=2048):
 
 def _series_rate_curve(series, weights):
     """Mixed weights: scan the substitution curve for the first denominator
-    sign change, certify with interval arithmetic, bisect to 1e-9."""
-    iv = mpmath.iv
-    logs = []
-    old = iv.prec
-    try:
-        iv.prec = 256
-        for v in weights.values:
-            logs.append(iv.log(iv.mpf(v.numerator) / iv.mpf(v.denominator)))
-    finally:
-        iv.prec = old
+    sign change, certify with interval arithmetic, bisect to 1e-9.
+
+    On the curve t_i -> t_i^-x the denominator is evaluated as the sum of
+    c_w * w^-x over its monomials merged by exact weight w (CurveTerms)."""
     den, num = series.denominator, series.numerator
     # exact rational check at x = 0
     if den.eval_frac([Fraction(1)] * den.nvars) == 0:
@@ -707,11 +727,12 @@ def _series_rate_curve(series, weights):
     xmax = Fraction(int((e_univ.bracket[1] / logmin + 1) * 100), 100) if logmin > 0 else Fraction(2)
     step = Fraction(1, 100)
     x = Fraction(0)
-    s_prev = _iv_sign(den, logs, x + step / 10)  # just off zero
+    den_curve = CurveTerms(den, weights)
+    s_prev = _iv_sign(den_curve, x + step / 10)  # just off zero
     found = None
     while x < xmax:
         x2 = x + step
-        s2 = _iv_sign(den, logs, x2)
+        s2 = _iv_sign(den_curve, x2)
         if s2 == 0 or s2 != s_prev:
             # root in (x, x2]: check it is not removable
             found = (x, x2)
@@ -725,12 +746,13 @@ def _series_rate_curve(series, weights):
     lo, hi = found
     while hi - lo > ROOT_TOL:
         mid = (lo + hi) / 2
-        sm = _iv_sign(den, logs, mid)
+        sm = _iv_sign(den_curve, mid)
         if sm == 0 or sm != s_prev:
             hi = mid
         else:
             lo = mid
-    num_sign = _iv_sign(num, logs, (lo + hi) / 2, max_prec=512)
+    num_sign = _iv_sign(CurveTerms(num, weights), (lo + hi) / 2,
+                        max_prec=512)
     details = {}
     if num_sign == 0:
         details["note"] = "numerator small at root; possible removable point"

@@ -4,15 +4,17 @@ A System wraps a CoxeterMatrix together with the resource caps and the
 optional enumeration cache directory, and memoises on the instance what
 several pipeline stages read: classification, spherical subsets, nerve,
 type-PM verdict, vcd, hyperbolicity, the circle-nerve verdict, per-length
-class counts, the growth series of each form and the series-route rate of
-each weight vector.  The stage functions in growth, building, conformal,
-davis and report take a System, so one report builds each of these once
-however many sections read it.  The leaf computations they call keep
-taking a bare CoxeterMatrix.
+class counts, the per-class polynomial of each spherical parabolic, the
+growth series of each form and the series-route rate of each weight
+vector.  The stage functions in growth, building, conformal, davis and
+report take a System, so one report builds each of these once however
+many sections read it.  The leaf computations they call keep taking a
+bare CoxeterMatrix.
 """
 
 from functools import cached_property
 
+from . import growth
 from .cache import cached_layer_counts
 from .conformal import is_nerve_circle, moussong_hyperbolic
 from .coxeter import classify_parabolic, spherical_subsets
@@ -28,6 +30,7 @@ class System:
         self.caps = caps or Caps.from_env()
         self.cache_dir = cache_dir
         self._layers = None     # (depth, counts, source) of the deepest run
+        self._parabolics = {}   # sorted subset -> per-class PolyQ
         self._series = {}       # per_class flag -> RationalGrowthSeries
         self._rates = {}        # weight values, or None -> GrowthRateEstimate
 
@@ -66,7 +69,7 @@ class System:
         depth, so an enumeration never stops short of it: a report's layer
         section and its series checks then share one run.  Shallower
         requests are slices of the deepest run so far and carry its source
-        tag, as a deeper record of the disk cache does.
+        tag; the one tag a report prints is that of its first request.
         """
         if self._layers is None or self._layers[0] < depth:
             run_depth = max(depth, DEFAULT_VALIDATION_DEPTH)
@@ -75,6 +78,17 @@ class System:
             self._layers = (run_depth, counts, source)
         _, counts, source = self._layers
         return counts[:depth + 1], source
+
+    def parabolic_poly(self, T):
+        """Per-class enumeration polynomial of the finite parabolic W_T;
+        both series forms read it, the univariate one collapsed."""
+        key = tuple(sorted(T))
+        if key not in self._parabolics:
+            M = self.M
+            self._parabolics[key] = growth._parabolic_poly(
+                M, frozenset(key), len(M.conjugacy_classes()), M.class_of(),
+                self.caps)
+        return self._parabolics[key]
 
     def series(self, per_class):
         """Validated rational growth series, per conjugacy class or in a

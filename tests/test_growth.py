@@ -6,10 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from coxinv.elements import ball_enumerate
 from coxinv.errors import DegenerateWeights, ValidationMismatch
-from coxinv.growth import (GrowthRateEstimate, PolyQ, WeightVector,
-                           classify_convergence, enumeration_fit, growth_rate,
-                           growth_table, rate_comparison_bounds,
-                           rational_growth_series, smallest_positive_root)
+from coxinv.growth import (CurveTerms, GrowthRateEstimate, PolyQ,
+                           WeightVector, _series_rate_constant_weight,
+                           _series_rate_curve, classify_convergence,
+                           enumeration_fit, growth_rate, growth_table,
+                           rate_comparison_bounds, rational_growth_series,
+                           smallest_positive_root)
 from coxinv.system import System
 
 from .oracles import series_quotient
@@ -187,6 +189,36 @@ def test_all_one_weights_rejected(dihedral_inf):
     with pytest.raises(DegenerateWeights):
         growth_rate(System(dihedral_inf),
                     WeightVector(dihedral_inf, [1, 1]), method="series")
+
+
+# ---------------------------------------------------------------------------
+# the mixed-weight curve route
+
+@pytest.mark.parametrize("x", [1, 2, 3])
+def test_curve_terms_exact_at_integer_x(pentagon_system, pentagon, x):
+    # at integer x every w^-x is rational, so the merged sum is exact
+    w = WeightVector(pentagon, [2, 2, 2, 2, 3])
+    s = pentagon_system.series(per_class=True)
+    point = [v ** -x for v in w.values]
+    for poly, sizes in ((s.denominator, (834, 50)), (s.numerator, (1024, 52))):
+        curve = CurveTerms(poly, w)
+        assert (len(poly.terms), len(curve.terms)) == sizes
+        assert 0 not in curve.terms.values()
+        merged = sum(c * wt ** -x for wt, c in curve.terms.items())
+        assert merged == poly.eval_frac(point)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_curve_route_overlaps_sturm_route(pentagon_system, pentagon, q):
+    # constant weights through the interval curve scan of the per-class
+    # series, against exact Sturm isolation of the univariate series
+    w = WeightVector.constant(pentagon, q)
+    curve = _series_rate_curve(pentagon_system.series(per_class=True), w)
+    sturm = _series_rate_constant_weight(
+        pentagon_system.series(per_class=False), math.log(q))
+    assert curve.bracket[0] <= sturm.bracket[1]
+    assert sturm.bracket[0] <= curve.bracket[1]
+    assert curve.contains(E_PENTAGON / math.log(q))
 
 
 # ---------------------------------------------------------------------------

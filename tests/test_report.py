@@ -10,6 +10,8 @@ import pytest
 
 from coxinv.building import ThicknessVector
 from coxinv.cache import (cached_layer_counts, load_layers, store_layers)
+from coxinv.elements import Caps
+from coxinv.growth import WeightVector
 from coxinv.report import (build_report, decode_json_value,
                            encode_json_value, report_from_json,
                            report_to_json, report_to_text)
@@ -27,6 +29,30 @@ GOLDEN_Q2 = {
     "triangle_433":
         "e8b2d6c052096918436c162691813aa140db79766fc447ebc68a8452b05dbc1f",
 }
+
+# sha256 of report_to_json(build_report(System(pentagon), ...)) for inputs
+# whose rate comes from the mixed-weight curve scan, recorded before the
+# curve was evaluated on monomials merged by weight
+GOLDEN_MIXED = {
+    "weights=22223":
+        "912cb90afe394d65b6bed913d412b48c7490d5aea68b12c5c50e3d1b02c5cd75",
+    "thickness=23222":
+        "428000c26d7b15be970ac21d8264bc089de733c1c33fddb33facc8f1d45bf5aa",
+}
+
+
+def _counting(monkeypatch, module, attr, keep=lambda *a: True):
+    """Replace module.attr by a wrapper that records the arguments of each
+    call for which keep(*args) holds."""
+    calls = []
+    orig = getattr(module, attr)
+
+    def counted(*args, **kwargs):
+        if keep(*args):
+            calls.append(args)
+        return orig(*args, **kwargs)
+    monkeypatch.setattr(module, attr, counted)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +154,34 @@ class TestSharedSystem:
         digest = hashlib.sha256(report_to_json(r).encode()).hexdigest()
         assert digest == GOLDEN_Q2[name]
 
+    @pytest.mark.parametrize("name", sorted(GOLDEN_MIXED))
+    def test_golden_bytes_mixed(self, pentagon, name):
+        kind, digits = name.split("=")
+        values = [int(d) for d in digits]
+        if kind == "weights":
+            r = build_report(System(pentagon),
+                             weights=WeightVector(pentagon, values))
+        else:
+            r = build_report(System(pentagon),
+                             thickness=ThicknessVector.validated(values))
+        digest = hashlib.sha256(report_to_json(r).encode()).hexdigest()
+        assert digest == GOLDEN_MIXED[name]
+
+    def test_each_parabolic_enumerated_once(self, monkeypatch):
+        # an unweighted report prints the per-class series and reads its
+        # rate from the univariate one; both come from one enumeration of
+        # each spherical parabolic
+        M = mat([[1, 5, 2, 2], [5, 1, 3, 2], [2, 3, 1, 4], [2, 2, 4, 1]])
+        calls = _counting(monkeypatch, sys.modules["coxinv.growth"],
+                          "ball_enumerate", keep=lambda N, *a: N is not M)
+        system = System(M)
+        build_report(system)
+        subsets = [tuple(N.generators) for N, *_ in calls]
+        assert len(subsets) == 14
+        assert sorted(subsets) == sorted(
+            tuple(M.generators[i] for i in sorted(T))
+            for T in system.sphericals if T)
+
     def test_each_invariant_computed_once(self, monkeypatch, triangle_732):
         leaves = ("growth.layer_class_counts", "growth.rational_growth_series",
                   "davis.vcd_real", "davis.is_type_PM",
@@ -167,11 +221,56 @@ class TestCache:
         assert load_layers(tmp_path, "other", 2) is None
 
     def test_deepest_record_wins(self, tmp_path):
+        # the layers differ only so that the answering record shows
         store_layers(tmp_path, "d1", 1, [{(0,): 1}, {(1,): 3}], "bfs")
         store_layers(tmp_path, "d1", 2,
-                     [{(0,): 1}, {(1,): 3}, {(2,): 5}], "recurrence")
+                     [{(0,): 1}, {(1,): 4}, {(2,): 5}], "bfs")
         got, method = load_layers(tmp_path, "d1", 1)
-        assert len(got) == 2 and method == "recurrence"
+        assert got == [{(0,): 1}, {(1,): 4}] and method == "bfs"
+
+    def test_recurrence_record_answers_only_its_radius(self, tmp_path):
+        store_layers(tmp_path, "d1", 2,
+                     [{(0,): 1}, {(1,): 3}, {(2,): 5}], "recurrence")
+        assert load_layers(tmp_path, "d1", 1) is None
+        got, method = load_layers(tmp_path, "d1", 2)
+        assert len(got) == 3 and method == "recurrence"
+        store_layers(tmp_path, "d1", 1, [{(0,): 1}, {(1,): 3}], "bfs")
+        assert load_layers(tmp_path, "d1", 1)[1] == "bfs"
+
+    def test_exhausted_record_answers_any_radius(self, tmp_path):
+        layers = [{(0,): 1}, {(1,): 2}, {(2,): 2}, {(3,): 1}]
+        store_layers(tmp_path, "d1", 10, layers, "bfs")
+        assert '"exhausted": true' in (tmp_path / "layers.jsonl").read_text()
+        assert load_layers(tmp_path, "d1", 2) == (layers[:3], "bfs")
+        assert load_layers(tmp_path, "d1", 50) == (layers, "bfs")
+
+    def test_finite_group_hits(self, monkeypatch, tmp_path, a2):
+        calls = _counting(monkeypatch, sys.modules["coxinv.growth"],
+                          "layer_class_counts")
+        out, per_run = [], []
+        for _ in range(3):
+            before = len(calls)
+            r = build_report(System(a2, cache_dir=tmp_path),
+                             thickness=ThicknessVector.constant(a2, 2))
+            out.append(report_to_json(r))
+            per_run.append(len(calls) - before)
+        assert per_run == [1, 0, 0]
+        assert out[0] == out[1] == out[2]
+        assert len((tmp_path / "layers.jsonl").read_text().splitlines()) == 1
+
+    def test_warm_recurrence_record_keeps_bytes(self, tmp_path, pentagon,
+                                                pentagon_report):
+        # a deep run stores a "recurrence" record (a smaller cap makes it
+        # cheap); a depth-8 report in the same directory must still print
+        # what a cold one prints, "bfs" included
+        deep = System(pentagon, caps=Caps.from_env(max_elements=60_000),
+                      cache_dir=tmp_path)
+        assert deep.layer_counts(20)[1] == "recurrence"
+        q = ThicknessVector.constant(pentagon, 2)
+        warm = build_report(System(pentagon, cache_dir=tmp_path),
+                            thickness=q, depth=8)
+        assert warm["growth"]["layer_source"] == "bfs"
+        assert report_to_json(warm) == report_to_json(pentagon_report)
 
     def test_corrupt_lines_skipped(self, tmp_path):
         store_layers(tmp_path, "d1", 1, [{(0,): 1}, {(1,): 3}], "bfs")
