@@ -6,26 +6,26 @@ rewritten through the basis z^d(z^j + z^-j) = z^d * D_j(z + 1/z) where D_j
 are the degree-j Dickson polynomials (D_j(2cos a) = 2cos(ja)).  The result is
 checked numerically to 1e-30 before any element arithmetic is allowed.
 
-Field elements are coordinate tuples of Fractions in the power basis.  Exact
-zero tests are coordinate tests; sign tests of nonzero elements refine an
-interval enclosure of the generator until zero is excluded.
+Field elements are coordinate tuples in the power basis of x = 2cos(pi/N).
+The minimal polynomial is monic over Z, so algebraic integers such as every
+2cos(pi/m) and every entry of the geometric representation have int
+coordinates, and ring operations on them never leave int arithmetic; a
+coordinate is a Fraction only where the value is not an integer.  Exact
+zero tests are coordinate tests.  The sign of a nonzero element is
+certified by integer bounds L_i <= x^i 2^P <= U_i, taken once per
+precision P from an interval enclosure of x: the bounds bracket the
+element times 2^P, and P doubles until the bracket excludes zero.
 """
 
 from fractions import Fraction
+from math import lcm
 
 import mpmath
+from mpmath import libmp
 
 VALIDATION_DIGITS = 60
-VALIDATION_TOL = Fraction(1, 10 ** 30)
-
-
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
+SIGN_START_PREC = 64
+SIGN_DOUBLINGS = 12
 
 
 def _poly_divmod_exact(a, b):
@@ -94,6 +94,12 @@ def _validate_minpoly(psi, N):
             raise AssertionError(f"minimal polynomial failed validation at N={N}: residual {val}")
 
 
+def _int_or_fraction(q):
+    """q as an int when it is an integer, else as a Fraction."""
+    q = Fraction(q)
+    return q.numerator if q.denominator == 1 else q
+
+
 class CycloField:
     """Q[x]/(psi) with x standing for 2cos(pi/N)."""
 
@@ -107,39 +113,39 @@ class CycloField:
         self.minpoly = minimal_poly_2cos_pi_over(N)
         _validate_minpoly(self.minpoly, N)
         self.degree = len(self.minpoly) - 1
-        # reduction table: x^(d+k) in the power basis, k = 0..d-2
+        # reduction table: x^(d+k) in the power basis, k = 0..d-2; integer
+        # because psi is monic
         d = self.degree
         self._red = []
         if d > 1:
-            cur = [Fraction(-c) for c in self.minpoly[:-1]]  # x^d
+            cur = [-c for c in self.minpoly[:-1]]  # x^d
             self._red.append(tuple(cur))
             for _ in range(d - 2):
-                shifted = [Fraction(0)] + list(cur)
+                shifted = [0] + cur
                 top = shifted.pop()
                 if top:
                     for i in range(d):
                         shifted[i] -= top * self.minpoly[i]
                 cur = shifted
                 self._red.append(tuple(cur))
-        self.zero = (Fraction(0),) * d
+        self.zero = (0,) * d
         self.one = self.from_rational(1)
-        self._enclosure_prec = 0
-        self._enclosure = None
+        self._bounds = {}       # precision P -> (L, U), see _power_bounds
         cls._cache[N] = self
         return self
 
     def from_rational(self, q):
-        v = [Fraction(0)] * self.degree
-        v[0] = Fraction(q)
+        v = [0] * self.degree
+        v[0] = _int_or_fraction(q)
         return tuple(v)
 
     def gen(self):
         """Coordinates of 2cos(pi/N) itself."""
         if self.degree == 1:
-            # x reduces to the rational root of the linear minpoly
-            return (Fraction(-self.minpoly[0], self.minpoly[1]),)
-        v = [Fraction(0)] * self.degree
-        v[1] = Fraction(1)
+            # x reduces to the integer root of the monic linear minpoly
+            return (-self.minpoly[0],)
+        v = [0] * self.degree
+        v[1] = 1
         return tuple(v)
 
     def two_cos_pi_over(self, m):
@@ -167,20 +173,20 @@ class CycloField:
         return tuple(-x for x in a)
 
     def scale(self, a, c):
-        c = Fraction(c)
+        c = _int_or_fraction(c)
         return tuple(x * c for x in a)
 
     def mul(self, a, b):
         d = self.degree
         if d == 1:
             return (a[0] * b[0],)
-        prod = [Fraction(0)] * (2 * d - 1)
+        prod = [0] * (2 * d - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
                     if y:
                         prod[i + j] += x * y
-        out = list(prod[:d])
+        out = prod[:d]
         for k in range(d, 2 * d - 1):
             c = prod[k]
             if c:
@@ -192,42 +198,57 @@ class CycloField:
     def is_zero(self, a):
         return all(x == 0 for x in a)
 
-    def _generator_interval(self, prec):
-        if self._enclosure_prec >= prec and self._enclosure is not None:
-            return self._enclosure
+    def _power_bounds(self, prec):
+        """Integers L_i <= x^i * 2^prec <= U_i for i < degree.
+
+        The powers come from a rigorous interval enclosure of x at
+        precision prec; scaling a binary endpoint by 2^prec and rounding
+        it to an integer outward are exact operations on its mantissa and
+        exponent, so no bound passes through a rounded conversion.
+        """
+        if prec in self._bounds:
+            return self._bounds[prec]
         iv = mpmath.iv
         old = iv.prec
         try:
             iv.prec = prec
             x = 2 * iv.cos(iv.pi / self.N)
+            p = iv.mpf(1)
+            L, U = [], []
+            for _ in range(self.degree):
+                a, b = p._mpi_
+                L.append(libmp.to_int(libmp.mpf_shift(a, prec), "f"))
+                U.append(libmp.to_int(libmp.mpf_shift(b, prec), "c"))
+                p = p * x
         finally:
             iv.prec = old
-        self._enclosure = x
-        self._enclosure_prec = prec
-        return x
+        self._bounds[prec] = (L, U)
+        return L, U
 
     def sign(self, a):
         """-1, 0, or 1; exact zero by coordinates, otherwise certified by
-        interval refinement."""
+        integer bounds on the element times 2^P, doubling P as needed."""
         if self.is_zero(a):
             return 0
         if self.degree == 1:
             return -1 if a[0] < 0 else 1
-        iv = mpmath.iv
-        prec = 64
-        for _ in range(12):
-            x = self._generator_interval(prec)
-            old = iv.prec
-            try:
-                iv.prec = prec
-                val = iv.mpf(0)
-                for c in reversed(a):
-                    val = val * x + iv.mpf(c.numerator) / iv.mpf(c.denominator)
-            finally:
-                iv.prec = old
-            if val > 0:
+        den = lcm(*(c.denominator for c in a))
+        if den != 1:
+            a = [int(c * den) for c in a]
+        prec = SIGN_START_PREC
+        for _ in range(SIGN_DOUBLINGS):
+            L, U = self._power_bounds(prec)
+            lo = hi = 0
+            for c, l, u in zip(a, L, U):
+                if c > 0:
+                    lo += c * l
+                    hi += c * u
+                elif c < 0:
+                    lo += c * u
+                    hi += c * l
+            if lo > 0:
                 return 1
-            if val < 0:
+            if hi < 0:
                 return -1
             prec *= 2
         raise AssertionError("sign refinement failed to converge on a nonzero element")

@@ -4,15 +4,21 @@ Ball enumeration dominates every expensive pipeline, so its per-length
 class counts are cached keyed by (matrix digest, radius).  The file is
 append-only: a deeper enumeration appends a new record rather than
 rewriting, and lookups take the deepest record that answers the radius
-the way a fresh enumeration would, method tag included.  Records that fail
-to parse, carry an unknown version, or are structurally wrong are skipped
-silently; a truncated tail (interrupted write) therefore costs a rebuild,
-never an error.
+the way a fresh enumeration would, method tag included.  A hit is served
+only when the caps in force would give a fresh run the same method;
+otherwise the layers are recomputed, so a warm cache never lifts a cap.
+Records that fail to parse, carry an unknown version, or are structurally
+wrong are skipped silently; a truncated tail (interrupted write) therefore
+costs a rebuild, never an error.
 """
 
 import json
 import os
+from itertools import accumulate
 from pathlib import Path
+
+from .elements import Caps
+from .growth import DEFAULT_VALIDATION_DEPTH
 
 CACHE_VERSION = 1
 CACHE_FILENAME = "layers.jsonl"
@@ -104,16 +110,33 @@ def store_layers(cache_dir, digest, radius, layers, method):
         fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
+def _same_method_under(caps, layers, method):
+    """Would a fresh run under caps end in this method?
+
+    A fresh run gives "bfs" when the ball through the radius fits
+    max_elements, and "recurrence" when it does not but the ball through
+    the validation depth does; anything else raises.
+    """
+    sizes = list(accumulate(sum(layer.values()) for layer in layers))
+    fits = sizes[-1] <= caps.max_elements
+    if method == "bfs":
+        return fits
+    check = sizes[min(DEFAULT_VALIDATION_DEPTH, len(sizes) - 1)]
+    return not fits and check <= caps.max_elements
+
+
 def cached_layer_counts(M, radius, caps=None, cache_dir=None):
     """layer_class_counts with a transparent disk cache.
 
     Hits replay the stored method tag so downstream reports are
-    bit-identical whether or not the cache was warm.
+    bit-identical whether or not the cache was warm, and a hit that the
+    caps in force would not give is recomputed, raising as a cold run does.
     """
     from .growth import layer_class_counts
+    caps = caps or Caps.from_env()
     digest = M.digest()
     hit = load_layers(cache_dir, digest, radius)
-    if hit is not None:
+    if hit is not None and _same_method_under(caps, *hit):
         return hit
     layers, method = layer_class_counts(M, radius, caps=caps)
     store_layers(cache_dir, digest, radius, layers, method)

@@ -3,8 +3,9 @@
 Two interchangeable enumeration backends produce identical ball data:
 
 * matrix backend: elements are exact matrices of the geometric reflection
-  representation over Q(2cos(pi/N)); works for every system; the descent
-  test is the sign of the column w(alpha_s).
+  representation, whose entries lie in the ring Z[2cos(pi/N)] and so have
+  int coordinates; works for every system; the descent test is the
+  certified sign of each coordinate of the column w(alpha_s).
 * word backend: right-angled systems only; elements are lexicographically
   least reduced words (commutation-trace normal forms), where appending a
   generator is O(length).
@@ -206,6 +207,8 @@ def ball_enumerate(M, radius, caps=None, backend="auto"):
     caps = caps or Caps.from_env()
     if backend == "auto":
         backend = "word" if M.is_right_angled() else "matrix"
+    if backend not in ("word", "matrix"):
+        raise ValueError(f"unknown backend {backend!r}")
     if backend == "word" and not M.is_right_angled():
         raise NotRightAngled("word backend requires all entries in {2, inf}")
     if backend == "word":

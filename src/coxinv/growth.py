@@ -293,35 +293,29 @@ class RationalGrowthSeries:
     def expand(self, depth):
         """Series coefficients by total degree: list of {expo: int}."""
         num, den = self.numerator, self.denominator
-        nv = self.nvars
-        d0 = den.constant()
-        assert d0 == 1
+        assert den.constant() == 1
         den_rest = [(e, c) for e, c in den.terms.items() if any(e)]
         coeffs = [dict() for _ in range(depth + 1)]
-        by_degree = [dict() for _ in range(depth + 1)]
         for e, c in num.terms.items():
             td = sum(e)
             if td <= depth:
-                by_degree[td][e] = c
-
-        known = {}
+                coeffs[td][e] = c
+        # in place: each total starts from the numerator's terms and
+        # subtracts denominator terms times lower totals, already final
         for total in range(depth + 1):
-            cur = dict(by_degree[total])
+            cur = coeffs[total]
             for e, c in den_rest:
                 td = sum(e)
                 if td > total:
                     continue
                 for e2, c2 in coeffs[total - td].items():
                     tgt = tuple(a + b for a, b in zip(e, e2))
-                    if sum(tgt) != total:
-                        continue
                     v = cur.get(tgt, Fraction(0)) - c * c2
                     if v:
                         cur[tgt] = v
                     elif tgt in cur:
                         del cur[tgt]
-            coeffs[total] = cur
-        return [{e: c for e, c in layer.items()} for layer in coeffs]
+        return coeffs
 
     def expand_univariate(self, depth):
         num = self.numerator.collapse()

@@ -102,6 +102,20 @@ def series_quotient(num, den, depth):
     return out
 
 
+def degree_product(degrees):
+    """Coefficients of prod_i [d_i]_t, [d]_t = 1 + t + ... + t^(d-1): the
+    Poincare polynomial of a finite Coxeter group with these degrees
+    (Solomon 1966)."""
+    poly = [1]
+    for d in degrees:
+        out = [0] * (len(poly) + d - 1)
+        for i, c in enumerate(poly):
+            for j in range(d):
+                out[i + j] += c
+        poly = out
+    return poly
+
+
 def parabolic_is_finite_by_enumeration(M, subset, bound=20000):
     """Finiteness of a standard parabolic checked by enumerating reflection
     matrices until exhaustion or the bound; no diagram tables involved."""

@@ -107,3 +107,109 @@ def test_sign_agrees_with_float(p, q):
         assert s == (1 if v > 0 else -1)
     else:
         assert s == 0 or abs(v) < 1e-9
+
+
+# --- differential tests of the integer-bound sign certificate -------------
+
+REF_PREC = 512
+
+
+def _ref_interval(F, a):
+    """Enclosure of a at 512 bits by plain interval Horner evaluation,
+    sharing no code with CycloField.sign."""
+    iv = mpmath.iv
+    old = iv.prec
+    try:
+        iv.prec = REF_PREC
+        x = 2 * iv.cos(iv.pi / F.N)
+        val = iv.mpf(0)
+        for c in reversed(a):
+            c = Fraction(c)
+            val = val * x + iv.mpf(c.numerator) / iv.mpf(c.denominator)
+        return val
+    finally:
+        iv.prec = old
+
+
+def _ref_sign(F, a):
+    """Sign from the 512-bit enclosure, or None if it contains 0."""
+    val = _ref_interval(F, a)
+    if val > 0:
+        return 1
+    if val < 0:
+        return -1
+    return None
+
+
+def _elements(N, max_den):
+    d = CycloField(N).degree
+    coord = st.integers(-10 ** 6, 10 ** 6)
+    if max_den > 1:
+        coord = st.builds(Fraction, coord, st.integers(1, max_den))
+    return st.lists(coord, min_size=d, max_size=d).map(tuple)
+
+
+@pytest.mark.parametrize("N", [7, 60])
+@pytest.mark.parametrize("max_den", [1, 30])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_sign_matches_reference(N, max_den, data):
+    F = CycloField(N)
+    a = data.draw(_elements(N, max_den))
+    # a minus the float nearest to it: a nonzero element some 2^-53 of its
+    # own size from zero, or an exact zero when a is rational
+    near = F.sub(a, F.from_rational(Fraction(F.to_float(a))))
+    for b in (a, near, F.neg(near)):
+        want = _ref_sign(F, b)
+        if F.is_zero(b):
+            assert F.sign(b) == 0
+        elif want is not None:
+            assert F.sign(b) == want
+
+
+def test_sign_of_near_cancelling_powers():
+    # sqrt 3 - sqrt 2 = 0.318... in the degree-16 field: its 60th power is
+    # about 1e-30 with coordinates near 1e30, which takes several doublings
+    F = CycloField(60)
+    r2, r3 = F.two_cos_pi_over(4), F.two_cos_pi_over(6)
+    up, down = F.sub(r3, r2), F.sub(r2, r3)
+    p, q = F.one, F.one
+    for k in range(1, 61):
+        p, q = F.mul(p, up), F.mul(q, down)
+        assert F.sign(p) == 1 == _ref_sign(F, p)
+        assert F.sign(q) == (-1) ** k == _ref_sign(F, q)
+    # exact zeros reached through the reduction table
+    assert F.sign(F.sub(F.mul(r3, r3), F.from_rational(3))) == 0
+    assert F.sign(F.sub(F.two_cos_pi_over(3), F.one)) == 0
+    assert F.sign(F.sub(F.mul(p, q), F.mul(q, p))) == 0
+
+
+@pytest.mark.parametrize("N", [7, 60])
+def test_power_bounds_bracket_at_twice_the_precision(N):
+    F = CycloField(N)
+    iv = mpmath.iv
+    for prec in (64, 128, 256, 1024):
+        L, U = F._power_bounds(prec)
+        old = iv.prec
+        try:
+            iv.prec = 2 * prec
+            x = 2 * iv.cos(iv.pi / N)
+            for i in range(F.degree):
+                scaled = x ** i * iv.mpf(2) ** prec
+                assert type(L[i]) is int and type(U[i]) is int
+                assert iv.mpf(L[i]) <= scaled and scaled <= iv.mpf(U[i])
+                # and narrows as the precision grows
+                assert U[i] - L[i] <= 2 ** (prec // 2)
+        finally:
+            iv.prec = old
+
+
+def test_integer_coordinates_stay_int():
+    F = CycloField(60)
+    a = F.add(F.two_cos_pi_over(5), F.scale(F.gen(), 3))
+    b = F.sub(F.two_cos_pi_over(12), F.from_rational(Fraction(4, 2)))
+    for v in (a, b, F.mul(a, b), F.neg(a), F.gen(), F.one, F.zero):
+        assert all(type(c) is int for c in v)
+    half = F.scale(a, Fraction(1, 2))
+    assert any(isinstance(c, Fraction) for c in half)
+    assert F.scale(half, 2) == a

@@ -183,6 +183,18 @@ class TestDeterminism:
                        "--format", "machine", "--cache-dir", cache)
         assert proc.stdout == out[0]
 
+    def test_warm_cache_keeps_caps(self, inputs, tmp_path):
+        # a record stored under the default caps must not answer a capped
+        # request that a cold run refuses
+        cache = str(tmp_path / "cache")
+        capped = ("report", "--input", inputs["pentagon"],
+                  "--max-elements", "1000", "--cache-dir", cache)
+        codes = [run_cli(*capped).returncode,
+                 run_cli("report", "--input", inputs["pentagon"],
+                         "--cache-dir", cache).returncode,
+                 run_cli(*capped).returncode]
+        assert codes == [3, 0, 3]
+
     def test_env_cache_dir(self, inputs, tmp_path, monkeypatch):
         import os
         env = dict(os.environ, CACHE_DIR=str(tmp_path / "envcache"))

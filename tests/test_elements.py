@@ -9,12 +9,28 @@ from coxinv.elements import (Caps, ReflectionRep, append_letter, ball_enumerate,
 from coxinv.errors import ResourceExceeded
 
 from .conftest import mat
-from .oracles import brute_canonical
+from .oracles import brute_canonical, degree_product
 
 INF = math.inf
 
 PENTAGON_LAYERS = [1, 5, 15, 40, 105, 275, 720, 1885, 4935, 12920, 33825,
                    88555, 231840]
+
+# finite irreducible systems with their degrees; their representations live
+# in Q(2cos pi/N) of degree 2 (N = 6), 3 (N = 7), 4 (N = 8, 12) and 8 (N = 30)
+FINITE_DEGREES = {
+    "A3": ([[1, 3, 2], [3, 1, 3], [2, 3, 1]], (2, 3, 4)),
+    "B3": ([[1, 4, 2], [4, 1, 3], [2, 3, 1]], (2, 4, 6)),
+    "H3": ([[1, 5, 2], [5, 1, 3], [2, 3, 1]], (2, 6, 10)),
+    "D4": ([[1, 3, 2, 2], [3, 1, 3, 3], [2, 3, 1, 2], [2, 3, 2, 1]],
+           (2, 4, 4, 6)),
+    "F4": ([[1, 3, 2, 2], [3, 1, 4, 2], [2, 4, 1, 3], [2, 2, 3, 1]],
+           (2, 6, 8, 12)),
+    "H4": ([[1, 5, 2, 2], [5, 1, 3, 2], [2, 3, 1, 3], [2, 2, 3, 1]],
+           (2, 12, 20, 30)),
+    "I2(7)": ([[1, 7], [7, 1]], (2, 7)),
+    "I2(8)": ([[1, 8], [8, 1]], (2, 8)),
+}
 
 
 def test_dihedral_layers(dihedral_inf):
@@ -42,15 +58,42 @@ def test_h3_exhausts_at_120():
     assert max(k for k, n in enumerate(ball.layer_sizes()) if n) == 15
 
 
-def test_backends_agree(pentagon, triangle_732):
-    for M, r in ((pentagon, 7), (triangle_732, 9)):
-        w = ball_enumerate(M, r, backend="words") if M.is_right_angled() else None
-        m = ball_enumerate(M, r, backend="matrices")
-        if w is not None:
-            assert w.layer_sizes() == m.layer_sizes()
-            assert w.class_counts() == m.class_counts()
-            for lw, lm in zip(w.layers, m.layers):
-                assert [x[3] for x in lw] == [x[3] for x in lm]  # descent masks
+@pytest.mark.parametrize("name", sorted(FINITE_DEGREES))
+def test_matrix_backend_matches_degree_product(name):
+    rows, degrees = FINITE_DEGREES[name]
+    want = degree_product(degrees)
+    # one layer past the longest element, so that expansion empties
+    ball = ball_enumerate(mat(rows), len(want), backend="matrix")
+    assert ball.group_exhausted
+    assert ball.layer_sizes() == want
+
+
+def test_matrix_coordinates_are_ints(triangle_732):
+    ball = ball_enumerate(triangle_732, 8, backend="matrix")
+    cells = [x for g in ball.elements() for col in g.matrix for cell in col
+             for x in cell]
+    # 3x3 matrices over Q(2cos pi/42), which has degree 12
+    assert len(cells) == 9 * 12 * ball.ball_sizes()[-1]
+    assert all(type(x) is int for x in cells)
+    assert all(type(x) is int
+               for layer in ball.layers for key, *_ in layer for x in key)
+
+
+def test_unknown_backend_rejected(pentagon):
+    with pytest.raises(ValueError):
+        ball_enumerate(pentagon, 2, backend="words")
+
+
+def test_backends_agree(pentagon):
+    # the layers are ordered by backend-specific keys, so descent masks
+    # are compared as multisets
+    w = ball_enumerate(pentagon, 7, backend="word")
+    m = ball_enumerate(pentagon, 7, backend="matrix")
+    assert (w.backend, m.backend) == ("word", "matrix")
+    assert w.layer_sizes() == m.layer_sizes()
+    assert w.class_counts() == m.class_counts()
+    for lw, lm in zip(w.layers, m.layers):
+        assert sorted(x[3] for x in lw) == sorted(x[3] for x in lm)
 
 
 def test_recurrence_matches_bfs(pentagon, square_product):

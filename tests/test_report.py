@@ -5,12 +5,14 @@ import json
 import math
 import sys
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from coxinv.building import ThicknessVector
 from coxinv.cache import (cached_layer_counts, load_layers, store_layers)
-from coxinv.elements import Caps
+from coxinv.elements import Caps, racg_layer_counts
+from coxinv.errors import ResourceExceeded
 from coxinv.growth import WeightVector
 from coxinv.report import (build_report, decode_json_value,
                            encode_json_value, report_from_json,
@@ -38,6 +40,18 @@ GOLDEN_MIXED = {
         "912cb90afe394d65b6bed913d412b48c7490d5aea68b12c5c50e3d1b02c5cd75",
     "thickness=23222":
         "428000c26d7b15be970ac21d8264bc089de733c1c33fddb33facc8f1d45bf5aa",
+}
+
+# sha256 of report_to_json(build_report(System(M), ...)) for reports whose
+# enumeration runs in the matrix backend, recorded before its coordinates
+# became integers: [5,3,4] has an H3 parabolic in the degree-16 field
+# Q(2cos pi/60) and no thickness; (7,3,2) at q=3
+LINEAR_534 = [[1, 5, 2, 2], [5, 1, 3, 2], [2, 3, 1, 4], [2, 2, 4, 1]]
+GOLDEN_MATRIX = {
+    "linear_534":
+        "0db56afb725ad06c3ea921281c22fbebb23f406697a9a4325048d0a5d4b391c9",
+    "triangle_732_q3":
+        "589bcb18ca2244327f500e4cfda71c86fc375f2e67d511dd5c6b0baa9d7d0e38",
 }
 
 
@@ -167,11 +181,21 @@ class TestSharedSystem:
         digest = hashlib.sha256(report_to_json(r).encode()).hexdigest()
         assert digest == GOLDEN_MIXED[name]
 
+    @pytest.mark.parametrize("name", sorted(GOLDEN_MATRIX))
+    def test_golden_bytes_matrix(self, triangle_732, name):
+        if name == "linear_534":
+            r = build_report(System(mat(LINEAR_534)))
+        else:
+            r = build_report(System(triangle_732), thickness=
+                             ThicknessVector.constant(triangle_732, 3))
+        digest = hashlib.sha256(report_to_json(r).encode()).hexdigest()
+        assert digest == GOLDEN_MATRIX[name]
+
     def test_each_parabolic_enumerated_once(self, monkeypatch):
         # an unweighted report prints the per-class series and reads its
         # rate from the univariate one; both come from one enumeration of
         # each spherical parabolic
-        M = mat([[1, 5, 2, 2], [5, 1, 3, 2], [2, 3, 1, 4], [2, 2, 4, 1]])
+        M = mat(LINEAR_534)
         calls = _counting(monkeypatch, sys.modules["coxinv.growth"],
                           "ball_enumerate", keep=lambda N, *a: N is not M)
         system = System(M)
@@ -271,6 +295,28 @@ class TestCache:
                             thickness=q, depth=8)
         assert warm["growth"]["layer_source"] == "bfs"
         assert report_to_json(warm) == report_to_json(pentagon_report)
+
+    def test_hit_only_under_caps_that_give_its_method(self, tmp_path,
+                                                       pentagon):
+        # a warm answer is what a cold run under the caps in force gives:
+        # the same method, or the same ResourceExceeded
+        counts = racg_layer_counts(pentagon, 12, track_classes=True)
+        digest = pentagon.digest()
+        store_layers(tmp_path, digest, 12, counts, "recurrence")
+        store_layers(tmp_path, digest, 6, counts[:7], "bfs")
+        store_layers(tmp_path, digest, 3, counts[:4], "recurrence")
+        warm = partial(cached_layer_counts, pentagon, cache_dir=tmp_path)
+        # ball(12) exceeds the cap and ball(10) fits it: a hit
+        assert warm(12, caps=Caps.from_env(max_elements=60_000)) == \
+            (counts, "recurrence")
+        # ball(10) exceeds the cap, ball(6) = 1161 exceeds it, and
+        # ball(3) = 61 fits any cap, so a cold run would give "bfs"
+        small = Caps.from_env(max_elements=1000)
+        with pytest.raises(ResourceExceeded):
+            warm(12, caps=small)
+        with pytest.raises(ResourceExceeded):
+            warm(6, caps=small)
+        assert warm(3, caps=small) == (counts[:4], "bfs")
 
     def test_corrupt_lines_skipped(self, tmp_path):
         store_layers(tmp_path, "d1", 1, [{(0,): 1}, {(1,): 3}], "bfs")
