@@ -171,9 +171,6 @@ class BuildingBall:
             out *= per[s]
         return out
 
-    def contains_w(self, w_word):
-        return w_word in self.fibers
-
 
 def building_ball(M, thickness, radius, caps=None):
     """Enumerate the ball and verify the two panel axioms on it: every
@@ -267,14 +264,6 @@ class Simplex:
     @property
     def dim(self):
         return len(self.chain) - 1
-
-    @property
-    def min_type(self):
-        return self.chain[0]
-
-    @property
-    def top_type(self):
-        return self.chain[-1]
 
 
 def make_simplex(ball, word, chain):

@@ -1,22 +1,26 @@
 """Group elements and metric balls.
 
-Two interchangeable enumeration backends produce identical ball data:
+One breadth-first loop enumerates balls in either of two representations
+of the elements; both give the same per-length class counts:
 
-* matrix backend: elements are exact matrices of the geometric reflection
-  representation, whose entries lie in the ring Z[2cos(pi/N)] and so have
-  int coordinates; works for every system; the descent test is the
-  certified sign of each coordinate of the column w(alpha_s).
-* word backend: right-angled systems only; elements are lexicographically
-  least reduced words (commutation-trace normal forms), where appending a
-  generator is O(length).
+* matrix: exact matrices of the geometric reflection representation,
+  whose entries lie in the ring Z[2cos(pi/N)] and so have int
+  coordinates; works for every system; the descent test is the certified
+  sign of each coordinate of the column w(alpha_s).
+* word: right-angled systems only; lexicographically least reduced words
+  (commutation-trace normal forms), where appending a generator is
+  O(length) and reports whether it shortened the word.
 
-The word backend also yields a counting recurrence over descent sets that
-extends per-length class-type counts far beyond what explicit enumeration
-can store; growth-series code cross-validates it against true BFS layers.
+A ball records only the conjugacy-class vector of each element.  For
+right-angled systems a counting recurrence over descent sets extends
+per-length class-type counts far beyond what explicit enumeration can
+store; growth-series code cross-validates it against true BFS layers.
 """
 
 import os
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
+from itertools import accumulate
 from math import inf
 
 from .algebraic import CycloField
@@ -126,80 +130,37 @@ def append_letter(word, s, commute):
     return word[:p] + (s,) + word[p:], False
 
 
-@dataclass
-class GroupElement:
-    """A group element with its canonical data.
-
-    word is a reduced witness (the canonical normal form under the word
-    backend); the exact matrix is materialized on first access.
-    """
-    rep: ReflectionRep
-    word: tuple
-    length: int
-    class_vector: tuple
-    descent_mask: int
-    _matrix: tuple = field(default=None, repr=False)
-
-    @property
-    def matrix(self):
-        if self._matrix is None:
-            self._matrix = self.rep.word_matrix(self.word)
-        return self._matrix
-
-    def descents(self):
-        return frozenset(s for s in range(self.rep.M.rank)
-                         if self.descent_mask >> s & 1)
-
-
 class BallEnumeration:
     """Breadth-first layers of (W, S) up to a radius.
 
-    layers[k] is a list of records (key, word, class_vector, descent_mask)
-    sorted by key; keys are canonical (normal-form word, or flattened exact
-    matrix).  group_exhausted marks that expansion emptied before the radius,
-    i.e. the group is finite and fully enumerated.
+    layers[k] lists the conjugacy-class vectors of the elements of length
+    k, one entry per element.  group_exhausted marks that expansion emptied
+    before the radius, i.e. the group is finite and fully enumerated.
     """
 
-    def __init__(self, M, radius, layers, group_exhausted, backend):
-        self.M = M
-        self.radius = radius
+    def __init__(self, layers, group_exhausted):
         self.layers = layers
         self.group_exhausted = group_exhausted
-        self.backend = backend
-        self.rep = None
 
     def layer_sizes(self):
         return [len(l) for l in self.layers]
 
     def ball_sizes(self):
-        out, tot = [], 0
-        for l in self.layers:
-            tot += len(l)
-            out.append(tot)
-        return out
+        return list(accumulate(self.layer_sizes()))
 
     def class_counts(self):
-        """Per length: dict class_vector -> element count."""
-        out = []
-        for layer in self.layers:
-            d = {}
-            for rec in layer:
-                cv = rec[2]
-                d[cv] = d.get(cv, 0) + 1
-            out.append(d)
-        return out
-
-    def elements(self, length=None):
-        if self.rep is None:
-            self.rep = ReflectionRep(self.M)
-        lengths = range(len(self.layers)) if length is None else [length]
-        for k in lengths:
-            for key, word, cv, mask in self.layers[k]:
-                yield GroupElement(self.rep, word, k, cv, mask)
+        """Per length: dict class_vector -> element count, keys sorted as
+        the layer cache returns them."""
+        return [dict(sorted(Counter(layer).items())) for layer in self.layers]
 
 
 def ball_enumerate(M, radius, caps=None, backend="auto"):
-    """Enumerate the ball of the given radius with canonical deduplication.
+    """Enumerate the ball of the given radius, one layer at a time.
+
+    A step by a non-descent generator lengthens an element by one, so every
+    child of a length-k element has length k + 1 and duplicates can only
+    fall inside the new layer: each layer is a dict keyed by the element
+    itself, and earlier layers keep only their class vectors.
 
     All-or-nothing: exceeding caps raises ResourceExceeded without returning
     partial layers.
@@ -211,32 +172,38 @@ def ball_enumerate(M, radius, caps=None, backend="auto"):
         raise ValueError(f"unknown backend {backend!r}")
     if backend == "word" and not M.is_right_angled():
         raise NotRightAngled("word backend requires all entries in {2, inf}")
+    gens = range(M.rank)
     if backend == "word":
-        return _ball_words(M, radius, caps)
-    return _ball_matrices(M, radius, caps)
+        commute = commutation_table(M)
+        identity = ()
 
+        def children(word):
+            for s in gens:
+                child, shorter = append_letter(word, s, commute)
+                if not shorter:
+                    yield s, child
+    else:
+        rep = ReflectionRep(M)
+        identity = rep.identity
 
-def _ball_words(M, radius, caps):
-    n = M.rank
-    commute = commutation_table(M)
+        def children(cols):
+            for s in gens:
+                if not rep.is_descent(cols, s):
+                    yield s, rep.apply_gen(cols, s)
+
     class_of = M.class_of()
-    nclasses = len(M.conjugacy_classes())
-    zero_cv = (0,) * nclasses
-
-    layers = [[((), (), zero_cv, 0)]]
-    seen = {()}
+    zero_cv = (0,) * len(M.conjugacy_classes())
+    layer = {identity: zero_cv}
+    layers = [[zero_cv]]
     total = 1
-    frontier = [((), zero_cv)]
     exhausted = False
     for k in range(radius):
         new = {}
-        for word, cv in frontier:
-            for s in range(n):
-                nw, shorter = append_letter(word, s, commute)
-                if not shorter and nw not in seen and nw not in new:
-                    cv2 = list(cv)
-                    cv2[class_of[s]] += 1
-                    new[nw] = tuple(cv2)
+        for x, cv in layer.items():
+            for s, y in children(x):
+                if y not in new:
+                    c = class_of[s]
+                    new[y] = cv[:c] + (cv[c] + 1,) + cv[c + 1:]
         if not new:
             exhausted = True
             break
@@ -244,93 +211,14 @@ def _ball_words(M, radius, caps):
         if total > caps.max_elements:
             raise ResourceExceeded(
                 f"ball size exceeds cap {caps.max_elements} at radius {k + 1}")
-        seen.update(new)
-        ordered = sorted(new.items())
-        frontier = ordered
-        layers.append([(w, w, cv, 0) for w, cv in ordered])
-
-    # descent masks: s is a descent iff appending s shortens
-    out_layers = []
-    for layer in layers:
-        recs = []
-        for key, word, cv, _ in layer:
-            mask = 0
-            for s in range(n):
-                _, shorter = append_letter(word, s, commute)
-                if shorter:
-                    mask |= 1 << s
-            recs.append((key, word, cv, mask))
-        out_layers.append(recs)
-    return BallEnumeration(M, radius, out_layers, exhausted, "word")
+        layers.append(list(new.values()))
+        layer = new
+    return BallEnumeration(layers, exhausted)
 
 
-def _ball_matrices(M, radius, caps):
-    rep = ReflectionRep(M)
-    F = rep.field
-    n = M.rank
-    class_of = M.class_of()
-    nclasses = len(M.conjugacy_classes())
-    zero_cv = (0,) * nclasses
-
-    def keyof(cols):
-        return tuple(x for col in cols for cell in col for x in cell)
-
-    ident = rep.identity
-    layers = [[(keyof(ident), (), zero_cv, 0)]]
-    seen = {keyof(ident)}
-    frontier = [(ident, (), zero_cv)]
-    total = 1
-    exhausted = False
-    masks = {keyof(ident): 0}
-    for k in range(radius):
-        new = {}
-        for cols, word, cv in frontier:
-            for s in range(n):
-                if rep.is_descent(cols, s):
-                    masks[keyof(cols)] |= 1 << s
-                    continue
-                cols2 = rep.apply_gen(cols, s)
-                key2 = keyof(cols2)
-                if key2 in seen or key2 in new:
-                    continue
-                cv2 = list(cv)
-                cv2[class_of[s]] += 1
-                new[key2] = (cols2, word + (s,), tuple(cv2))
-        if not new:
-            exhausted = True
-            break
-        total += len(new)
-        if total > caps.max_elements:
-            raise ResourceExceeded(
-                f"ball size exceeds cap {caps.max_elements} at radius {k + 1}")
-        seen.update(new)
-        ordered = sorted(new.items())
-        for key2, _ in ordered:
-            masks[key2] = 0
-        frontier = [(cols, word, cv) for _, (cols, word, cv) in ordered]
-        layers.append([(key2, word, cv, 0) for key2, (cols, word, cv) in ordered])
-
-    # every expanded element accumulated its full mask; only the final layer
-    # (never expanded) needs a direct computation
-    out_layers = []
-    for k, layer in enumerate(layers):
-        recs = []
-        for key, word, cv, _ in layer:
-            mask = masks.get(key, 0)
-            if k == len(layers) - 1 and not exhausted:
-                cols = rep.word_matrix(word)
-                mask = 0
-                for s in range(n):
-                    if rep.is_descent(cols, s):
-                        mask |= 1 << s
-            recs.append((key, word, cv, mask))
-        out_layers.append(recs)
-    return BallEnumeration(M, radius, out_layers, exhausted, "matrix")
-
-
-def racg_layer_counts(M, depth, track_classes=False):
-    """Per-length counts (optionally per class-type vector) for a
-    right-angled system via the descent-set recurrence, no element storage.
+def racg_layer_counts(M, depth):
+    """Per-length dict {class_vector: count} for a right-angled system via
+    the descent-set recurrence, no element storage.
 
     Each element of length k+1 has a unique canonical parent: strip the least
     descent.  So counting states (descent set D, appended letter s) with
@@ -366,31 +254,20 @@ def racg_layer_counts(M, depth, track_classes=False):
         trans[D] = out
         return out
 
-    if track_classes:
-        zero = (0,) * nclasses
-        states = {0: {zero: 1}}
-        result = [{zero: 1}]
-        for _ in range(depth):
-            nxt = {}
-            layer = {}
-            for D, vecs in states.items():
-                for s, D2 in succs(D):
-                    ci = class_of[s]
-                    tgt = nxt.setdefault(D2, {})
-                    for cv, cnt in vecs.items():
-                        cv2 = cv[:ci] + (cv[ci] + 1,) + cv[ci + 1:]
-                        tgt[cv2] = tgt.get(cv2, 0) + cnt
-                        layer[cv2] = layer.get(cv2, 0) + cnt
-            states = nxt
-            result.append(layer)
-        return result
-    states = {0: 1}
-    result = [1]
+    zero = (0,) * nclasses
+    states = {0: {zero: 1}}
+    result = [{zero: 1}]
     for _ in range(depth):
         nxt = {}
-        for D, cnt in states.items():
+        layer = {}
+        for D, vecs in states.items():
             for s, D2 in succs(D):
-                nxt[D2] = nxt.get(D2, 0) + cnt
+                ci = class_of[s]
+                tgt = nxt.setdefault(D2, {})
+                for cv, cnt in vecs.items():
+                    cv2 = cv[:ci] + (cv[ci] + 1,) + cv[ci + 1:]
+                    tgt[cv2] = tgt.get(cv2, 0) + cnt
+                    layer[cv2] = layer.get(cv2, 0) + cnt
         states = nxt
-        result.append(sum(nxt.values()))
+        result.append(layer)
     return result

@@ -209,7 +209,7 @@ def layer_class_counts(M, depth, caps=None, validate_depth=DEFAULT_VALIDATION_DE
             raise
     check_depth = validate_depth
     ball = ball_enumerate(M, check_depth, caps=caps)
-    rec = racg_layer_counts(M, depth, track_classes=True)
+    rec = racg_layer_counts(M, depth)
     bfs_counts = ball.class_counts()
     if rec[:len(bfs_counts)] != bfs_counts:
         raise ValidationMismatch(
@@ -350,18 +350,17 @@ def _parabolic_poly(M, T, nclasses, class_of, caps):
     idx = sorted(T)
     ball = ball_enumerate(sub, 4 * order, caps=caps)
     assert ball.group_exhausted
-    # ambient class of each sub-generator
-    amb = {}
-    for pos, i in enumerate(idx):
-        amb[pos] = class_of[i]
+    # generators conjugate in W_T are conjugate in W: each class of the
+    # parabolic lies in one ambient class
+    amb = [class_of[idx[cls[0]]] for cls in sub.conjugacy_classes()]
     out = {}
-    for k, layer in enumerate(ball.layers):
-        for key, word, cv, mask in layer:
+    for layer in ball.class_counts():
+        for cv, c in layer.items():
             e = [0] * nclasses
-            for s in word:
-                e[amb[s]] += 1
+            for ci, k in enumerate(cv):
+                e[amb[ci]] += k
             e = tuple(e)
-            out[e] = out.get(e, Fraction(0)) + 1
+            out[e] = out.get(e, 0) + c
     return PolyQ(nclasses, out)
 
 

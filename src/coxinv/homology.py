@@ -89,13 +89,6 @@ class SimplicialComplexQ:
         maxes = self.maximal_faces()
         return any(all(v in f for f in maxes) for v in verts)
 
-    def restrict(self, keep):
-        """Full subcomplex on faces contained in `keep` (a vertex set)."""
-        ks = set(keep)
-        return SimplicialComplexQ(
-            [f for f in self._faces if ks.issuperset(f)],
-            max_simplices=len(self._faces))
-
 
 def order_complex(elements, strictly_less, key=None):
     """Simplicial complex of chains of a finite poset.

@@ -116,6 +116,26 @@ def degree_product(degrees):
     return poly
 
 
+def bn_poincare(n):
+    """Two-variable Poincare polynomial of B_n as {(i, j): coefficient}:
+    prod_{i=0}^{n-1} [i+1]_s (1 + s^i t), with s marking the generators of
+    the A_{n-1} chain and t the generator at the end of the 4-edge
+    (Macdonald 1972)."""
+    poly = {(0, 0): 1}
+    for i in range(n):
+        factor = {}
+        for a in range(i + 1):
+            for e in ((a, 0), (a + i, 1)):
+                factor[e] = factor.get(e, 0) + 1
+        out = {}
+        for (a, b), c in poly.items():
+            for (x, y), d in factor.items():
+                key = (a + x, b + y)
+                out[key] = out.get(key, 0) + c * d
+        poly = out
+    return poly
+
+
 def parabolic_is_finite_by_enumeration(M, subset, bound=20000):
     """Finiteness of a standard parabolic checked by enumerating reflection
     matrices until exhaustion or the bound; no diagram tables involved."""

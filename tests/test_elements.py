@@ -69,14 +69,19 @@ def test_matrix_backend_matches_degree_product(name):
 
 
 def test_matrix_coordinates_are_ints(triangle_732):
-    ball = ball_enumerate(triangle_732, 8, backend="matrix")
-    cells = [x for g in ball.elements() for col in g.matrix for cell in col
-             for x in cell]
+    # the ball of radius 8 is the set of products of at most 8 generators
+    rep = ReflectionRep(triangle_732)
+    ball, frontier = {rep.identity}, {rep.identity}
+    for _ in range(8):
+        frontier = {rep.apply_gen(m, s) for m in frontier
+                    for s in range(3)} - ball
+        ball |= frontier
+    assert len(ball) == ball_enumerate(triangle_732, 8).ball_sizes()[-1]
+    assert rep.word_matrix([0, 1, 2, 1, 0, 1, 2, 1]) in ball
+    cells = [x for m in ball for col in m for cell in col for x in cell]
     # 3x3 matrices over Q(2cos pi/42), which has degree 12
-    assert len(cells) == 9 * 12 * ball.ball_sizes()[-1]
+    assert len(cells) == 9 * 12 * len(ball)
     assert all(type(x) is int for x in cells)
-    assert all(type(x) is int
-               for layer in ball.layers for key, *_ in layer for x in key)
 
 
 def test_unknown_backend_rejected(pentagon):
@@ -85,24 +90,60 @@ def test_unknown_backend_rejected(pentagon):
 
 
 def test_backends_agree(pentagon):
-    # the layers are ordered by backend-specific keys, so descent masks
-    # are compared as multisets
     w = ball_enumerate(pentagon, 7, backend="word")
     m = ball_enumerate(pentagon, 7, backend="matrix")
-    assert (w.backend, m.backend) == ("word", "matrix")
-    assert w.layer_sizes() == m.layer_sizes()
+    assert w.layer_sizes() == m.layer_sizes() == PENTAGON_LAYERS[:8]
     assert w.class_counts() == m.class_counts()
-    for lw, lm in zip(w.layers, m.layers):
-        assert sorted(x[3] for x in lw) == sorted(x[3] for x in lm)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 4), max_size=10))
+def test_shorter_flag_matches_is_descent(pentagon, letters):
+    """The word representation's `shorter` flag and the matrix
+    representation's sign test pick the same descents of an element."""
+    commute = commutation_table(pentagon)
+    rep = ReflectionRep(pentagon)
+    word = ()
+    for s in letters:
+        word, _ = append_letter(word, s, commute)
+    cols = rep.word_matrix(letters)
+    for s in range(5):
+        assert append_letter(word, s, commute)[1] == rep.is_descent(cols, s)
 
 
 def test_recurrence_matches_bfs(pentagon, square_product):
     for M in (pentagon, square_product):
         ball = ball_enumerate(M, 9)
-        rec = racg_layer_counts(M, 9, track_classes=True)
+        rec = racg_layer_counts(M, 9)
         assert rec == ball.class_counts()
-        rec_sizes = racg_layer_counts(M, 9)
-        assert rec_sizes == ball.layer_sizes()
+        assert [sum(d.values()) for d in rec] == ball.layer_sizes()
+
+
+def _count_calls(monkeypatch, owner, names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _fn=getattr(owner, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_word_enumeration_work(monkeypatch, pentagon):
+    """Only the layers below the radius are expanded, each element once
+    per generator."""
+    import coxinv.elements as E
+    calls = _count_calls(monkeypatch, E, ("append_letter",))
+    ball_enumerate(pentagon, 10)
+    assert calls["append_letter"] == 5 * sum(PENTAGON_LAYERS[:10]) == 104_505
+
+
+def test_matrix_enumeration_work(monkeypatch, triangle_732):
+    """The same for matrices, and no element is rebuilt from a word."""
+    calls = _count_calls(monkeypatch, ReflectionRep,
+                         ("is_descent", "word_matrix"))
+    ball = ball_enumerate(triangle_732, 8)
+    assert calls == {"is_descent": 3 * ball.ball_sizes()[7], "word_matrix": 0}
 
 
 def test_caps_enforced(pentagon):
@@ -114,9 +155,17 @@ def test_caps_enforced(pentagon):
 def test_descent_sets_are_spherical(pentagon):
     # the descent set of any element generates a finite parabolic
     from coxinv.coxeter import classify_parabolic
-    ball = ball_enumerate(pentagon, 6)
-    for el in ball.elements():
-        D = el.descents()
+    commute = commutation_table(pentagon)
+    rep = ReflectionRep(pentagon)
+    words, frontier = {()}, {()}
+    for _ in range(6):
+        frontier = {append_letter(w, s, commute)[0] for w in frontier
+                    for s in range(5)} - words
+        words |= frontier
+    assert len(words) == sum(PENTAGON_LAYERS[:7])
+    for word in words:
+        cols = rep.word_matrix(word)
+        D = {s for s in range(5) if rep.is_descent(cols, s)}
         if D:
             assert classify_parabolic(pentagon, D).is_finite()
 
@@ -162,15 +211,22 @@ def test_involution(pentagon, letters):
     assert back == ()
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=25, deadline=None)
 @given(st.data())
-def test_class_vector_path_independent(pentagon, data):
-    """Any two reduced spellings of the same element report the same
-    conjugacy-class vector (checked via enumeration layers)."""
-    ball = ball_enumerate(pentagon, 5)
-    layer = data.draw(st.sampled_from(range(1, 6)))
-    entries = ball.layers[layer]
-    key, word, cv, mask = data.draw(st.sampled_from(list(entries)))
-    assert sum(cv) == layer
-    assert cv == tuple(sum(1 for x in word if pentagon.class_of()[x] == c)
-                       for c in range(len(pentagon.conjugacy_classes())))
+def test_class_vector_path_independent(data):
+    """Class vectors accumulated along canonical words, along matrix
+    products and through the descent-set recurrence give the same
+    per-class counts on random right-angled systems."""
+    n = data.draw(st.integers(3, 5))
+    rows = [[1] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = data.draw(st.sampled_from((2, INF)))
+    M = mat(rows)
+    w = ball_enumerate(M, 5, backend="word")
+    m = ball_enumerate(M, 5, backend="matrix")
+    rec = racg_layer_counts(M, 5)
+    # a finite group exhausts early; the recurrence then counts zeros
+    k = len(w.layers)
+    assert w.class_counts() == m.class_counts() == rec[:k]
+    assert not any(rec[k:])

@@ -14,7 +14,8 @@ from coxinv.growth import (CurveTerms, GrowthRateEstimate, PolyQ,
                            smallest_positive_root)
 from coxinv.system import System
 
-from .oracles import series_quotient
+from .conftest import mat
+from .oracles import bn_poincare, series_quotient
 
 E_PENTAGON = math.log((3 + math.sqrt(5)) / 2)   # 0.9624236501...
 
@@ -73,6 +74,26 @@ def test_multivariate_expansion_matches_counts(dihedral_inf, square_product):
         for k in range(9):
             want = {cv: Fraction(n) for cv, n in counts[k].items()}
             assert expanded[k] == want
+
+
+def test_parabolic_poly_b3_in_534():
+    # {b, c} lie in the ambient class of a, and d is alone in its class;
+    # the B3 parabolic on {b, c, d} has the same two classes
+    M = mat([[1, 5, 2, 2], [5, 1, 3, 2], [2, 3, 1, 4], [2, 2, 4, 1]])
+    assert M.conjugacy_classes() == ((0, 1, 2), (3,))
+    poly = System(M).parabolic_poly({1, 2, 3})
+    assert poly.terms == bn_poincare(3)
+    assert sum(poly.terms.values()) == 48
+
+
+def test_parabolic_poly_two_classes_merge():
+    # I2(4) on {a, b} has two classes of its own; the odd labels through c
+    # put a and b in one ambient class
+    M = mat([[1, 4, 3], [4, 1, 3], [3, 3, 1]])
+    assert M.conjugacy_classes() == ((0, 1, 2),)
+    poly = System(M).parabolic_poly({0, 1})
+    # (1 + t)(1 + t + t^2 + t^3)
+    assert poly.terms == {(0,): 1, (1,): 2, (2,): 2, (3,): 2, (4,): 1}
 
 
 def test_validation_is_mandatory(monkeypatch, dihedral_inf):

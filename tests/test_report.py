@@ -300,7 +300,7 @@ class TestCache:
                                                        pentagon):
         # a warm answer is what a cold run under the caps in force gives:
         # the same method, or the same ResourceExceeded
-        counts = racg_layer_counts(pentagon, 12, track_classes=True)
+        counts = racg_layer_counts(pentagon, 12)
         digest = pentagon.digest()
         store_layers(tmp_path, digest, 12, counts, "recurrence")
         store_layers(tmp_path, digest, 6, counts[:7], "bfs")

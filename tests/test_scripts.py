@@ -19,3 +19,15 @@ def test_thickness_sweep_confdim_equals_p_cohom():
     for row in rows:
         assert row[3] == row[4]
         assert row[5] == "FuchsianExact"
+
+
+def test_rate_route_comparison_routes_agree():
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "rate_route_comparison.py"),
+         "--radius", "12"],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.splitlines()[1:]
+    # the agree column precedes the per-row time
+    assert len(rows) == 4
+    assert [row.split()[-2] for row in rows] == ["yes"] * 4
