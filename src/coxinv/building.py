@@ -16,7 +16,7 @@ over an explicit basis of square roots.
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath
@@ -124,22 +124,41 @@ def word_gens(word):
     return tuple(s for s, _e in word)
 
 
+def gate_drops(word, T, commute):
+    """Indices, right to left, of the syllables that the gate of word * <T>
+    drops: one pass that drops each syllable with generator in T that
+    commutes with every kept syllable to its right.  A dropped syllable
+    commutes with all that follows it once the other drops are gone, so the
+    kept syllables form a reduced word of length len(word) - len(drops)."""
+    drops = []
+    kept = []
+    for i in range(len(word) - 1, -1, -1):
+        s = word[i][0]
+        if s in T:
+            row = commute[s]
+            for t in kept:
+                if not row[t]:
+                    break
+            else:
+                drops.append(i)
+                continue
+        kept.append(s)
+    return drops
+
+
+def drop_syllables(word, drops, commute, qmod):
+    """The word without the syllables at the given indices, recanonicalized
+    by one rebuild (no rebuild when nothing is dropped)."""
+    if not drops:
+        return word
+    gone = set(drops)
+    return rebuild_word([syl for i, syl in enumerate(word) if i not in gone],
+                        commute, qmod)
+
+
 def gate_word(word, T, commute, qmod):
-    """Minimal-length representative of the coset word * <T>: repeatedly
-    drop syllables with generator in T that shuffle to the right end."""
-    T = set(T)
-    cur = word
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(cur) - 1, -1, -1):
-            s = cur[i][0]
-            movable = all(commute[s][cur[j][0]] for j in range(i + 1, len(cur)))
-            if s in T and movable:
-                cur = rebuild_word(cur[:i] + cur[i + 1:], commute, qmod)
-                changed = True
-                break
-    return cur
+    """Minimal-length representative of the coset word * <T>."""
+    return drop_syllables(word, gate_drops(word, T, commute), commute, qmod)
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +176,9 @@ class BuildingBall:
     commute: tuple
     qmod: tuple                 # per generator: q_s + 1
     spherical_types: frozenset  # sorted generator tuples, () included
+    # chain as given -> validated chain, filled by make_simplex
+    checked_chains: dict = field(default_factory=dict, compare=False,
+                                 repr=False)
 
     def sphere_sizes(self):
         out = [0] * (self.radius + 1)
@@ -271,8 +293,25 @@ def make_simplex(ball, word, chain):
 
     chain: iterable of generator subsets, strictly nested.  Raises
     MarginViolation when the top residue cannot be certified inside the
-    enumerated radius (length of gate + |top| + 2 > radius).
+    enumerated radius (length of gate + |top| + 2 > radius); the margin is
+    tested on the gate's length before the gate is rebuilt.
     """
+    key = tuple(map(tuple, chain))
+    checked = ball.checked_chains.get(key)
+    if checked is None:
+        checked = _check_chain(ball, key)
+        ball.checked_chains[key] = checked
+    drops = gate_drops(word, checked[0], ball.commute)
+    gate_len = len(word) - len(drops)
+    if gate_len + len(checked[-1]) + 2 > ball.radius:
+        raise MarginViolation(
+            f"gate length {gate_len} + top rank {len(checked[-1])} + 2 "
+            f"exceeds radius {ball.radius}")
+    return Simplex(drop_syllables(word, drops, ball.commute, ball.qmod),
+                   checked)
+
+
+def _check_chain(ball, chain):
     chain = tuple(tuple(sorted(T)) for T in chain)
     if not chain:
         raise SchemaError("empty chain")
@@ -282,12 +321,7 @@ def make_simplex(ball, word, chain):
     for T in chain:
         if T not in ball.spherical_types:
             raise SchemaError(f"{T} is not spherical")
-    gate = gate_word(word, chain[0], ball.commute, ball.qmod)
-    if len(gate) + len(chain[-1]) + 2 > ball.radius:
-        raise MarginViolation(
-            f"gate length {len(gate)} + top rank {len(chain[-1])} + 2 "
-            f"exceeds radius {ball.radius}")
-    return Simplex(gate, chain)
+    return chain
 
 
 def boundary(ball, chain_coeffs):
@@ -327,24 +361,27 @@ def pushforward(ball, apartment, chain_coeffs):
 
 def pullback(ball, apartment, chain_coeffs):
     """rho^*: spread each apartment simplex over its fiber with weight
-    1/q_w; a section of rho_* (rho_* rho^* = identity)."""
+    1/q_w; a section of rho_* (rho_* rho^* = identity).
+
+    Simplices with the same Weyl word and chain spread over the same
+    chambers, so their coefficients are merged first and each fiber is
+    written once, every chamber holding the one shared value."""
     per = ball.thickness.per_generator(ball.M)
-    out = {}
+    merged = {}
     for sx, c in chain_coeffs.items():
-        gens = word_gens(sx.gate)
+        key = (word_gens(sx.gate), sx.chain)
+        merged[key] = merged.get(key, 0) + c
+    out = {}
+    for (gens, chain), c in merged.items():
+        if not c:
+            continue
         qw = 1
         for s in gens:
             qw *= per[s]
-        share = c / qw
-        ranges = [range(1, per[s] + 1) for s in gens]
-        for exps in itertools.product(*ranges):
-            g = tuple(zip(gens, exps))
-            face = Simplex(g, sx.chain)
-            v = out.get(face, Fraction(0)) + share
-            if v:
-                out[face] = v
-            elif face in out:
-                del out[face]
+        share = Fraction(c) / qw
+        syllables = [[(s, e) for e in range(1, per[s] + 1)] for s in gens]
+        for gate in itertools.product(*syllables):
+            out[Simplex(gate, chain)] = share
     return out
 
 
@@ -375,24 +412,43 @@ def _sqrt_fraction(fr):
     return Fraction(a, fr.denominator), k
 
 
+def _abs_counts(values):
+    """{|v|: multiplicity}.  Runs of one object (a pulled-back fiber shares
+    its value) are counted before anything is hashed."""
+    counts = {}
+    prev, n = None, 0
+    for v in values:
+        if v is prev:
+            n += 1
+            continue
+        if n:
+            a = abs(prev)
+            counts[a] = counts.get(a, 0) + n
+        prev, n = v, 1
+    if n:
+        a = abs(prev)
+        counts[a] = counts.get(a, 0) + n
+    return counts
+
+
 def lp_power_sum(values, p):
     """Sum of |v|^p as {squarefree kernel: rational coefficient}, for
-    integer or half-integer p; None when p is neither."""
+    integer or half-integer p; None when p is neither.  Each distinct |v|
+    is raised to the power once."""
     p = Fraction(p)
     out = {}
     if p.denominator == 1:
-        tot = sum(abs(v) ** int(p) for v in values) or Fraction(0)
+        e = int(p)
+        tot = sum(av ** e * n for av, n in _abs_counts(values).items())
         return {1: Fraction(tot)}
     if p.denominator == 2:
         half = (p.numerator - 1) // 2
-        for v in values:
-            av = abs(Fraction(v))
+        for av, n in _abs_counts(values).items():
             if av == 0:
                 continue
-            rat = av ** half
+            av = Fraction(av)
             root_rat, kernel = _sqrt_fraction(av)
-            coeff = rat * root_rat
-            out[kernel] = out.get(kernel, Fraction(0)) + coeff
+            out[kernel] = out.get(kernel, Fraction(0)) + av ** half * root_rat * n
         return out or {1: Fraction(0)}
     return None
 
@@ -434,12 +490,12 @@ def _interval_power_sum(values, p, prec):
         iv.prec = prec
         pv = iv.mpf(Fraction(p).numerator) / iv.mpf(Fraction(p).denominator)
         tot = iv.mpf(0)
-        for v in values:
-            av = abs(Fraction(v))
+        for av, n in _abs_counts(values).items():
             if av == 0:
                 continue
+            av = Fraction(av)
             x = iv.mpf(av.numerator) / iv.mpf(av.denominator)
-            tot += iv.exp(pv * iv.log(x))
+            tot += iv.exp(pv * iv.log(x)) * n
         return tot
     finally:
         iv.prec = old
@@ -561,6 +617,7 @@ def critical_exponents(system, thickness):
 def random_simplices(ball, rng, count, max_dim=2):
     """Margin-valid simplices sampled uniformly-ish for the test battery."""
     sph = sorted(ball.spherical_types, key=lambda t: (len(t), t))
+    bigger = {T: [U for U in sph if set(U) > set(T)] for T in sph}
     out = []
     attempts = 0
     while len(out) < count and attempts < count * 200:
@@ -569,10 +626,10 @@ def random_simplices(ball, rng, count, max_dim=2):
         k = rng.randint(0, max_dim)
         chain = [sph[rng.randrange(len(sph))]]
         while len(chain) < k + 1:
-            bigger = [T for T in sph if set(T) > set(chain[-1])]
-            if not bigger:
+            above = bigger[chain[-1]]
+            if not above:
                 break
-            chain.append(bigger[rng.randrange(len(bigger))])
+            chain.append(above[rng.randrange(len(above))])
         try:
             out.append(make_simplex(ball, word, chain))
         except MarginViolation:

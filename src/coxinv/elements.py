@@ -163,7 +163,7 @@ def ball_enumerate(M, radius, caps=None, backend="auto"):
     itself, and earlier layers keep only their class vectors.
 
     All-or-nothing: exceeding caps raises ResourceExceeded without returning
-    partial layers.
+    partial layers, as soon as the element past the cap is recorded.
     """
     caps = caps or Caps.from_env()
     if backend == "auto":
@@ -198,19 +198,21 @@ def ball_enumerate(M, radius, caps=None, backend="auto"):
     total = 1
     exhausted = False
     for k in range(radius):
+        room = caps.max_elements - total
         new = {}
         for x, cv in layer.items():
             for s, y in children(x):
                 if y not in new:
                     c = class_of[s]
                     new[y] = cv[:c] + (cv[c] + 1,) + cv[c + 1:]
+                    if len(new) > room:
+                        raise ResourceExceeded(
+                            f"ball size exceeds cap {caps.max_elements} "
+                            f"at radius {k + 1}")
         if not new:
             exhausted = True
             break
         total += len(new)
-        if total > caps.max_elements:
-            raise ResourceExceeded(
-                f"ball size exceeds cap {caps.max_elements} at radius {k + 1}")
         layers.append(list(new.values()))
         layer = new
     return BallEnumeration(layers, exhausted)

@@ -157,3 +157,37 @@ def parabolic_is_finite_by_enumeration(M, subset, bound=20000):
                         return False, len(seen)
         frontier = nxt
     return True, len(seen)
+
+
+def iterative_gate(word, T, commute):
+    """Gate of the coset word * <T> in a right-angled building, syllable
+    by syllable: repeatedly drop the rightmost syllable with generator in T
+    that commutes with everything to its right, then put the survivors back
+    into lexicographically least order.  Rescans after every drop."""
+    T = set(T)
+    cur = tuple(word)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(cur) - 1, -1, -1):
+            s = cur[i][0]
+            movable = all(commute[s][cur[j][0]] for j in range(i + 1, len(cur)))
+            if s in T and movable:
+                cur = lex_least_trace(cur[:i] + cur[i + 1:], commute)
+                changed = True
+                break
+    return cur
+
+
+def lex_least_trace(syllables, commute):
+    """Lexicographically least reordering of a reduced syllable word that
+    only swaps commuting neighbours: repeatedly emit the smallest generator
+    none of whose non-commuting predecessors is still waiting."""
+    rest = list(syllables)
+    out = []
+    while rest:
+        free = [i for i in range(len(rest))
+                if all(commute[rest[j][0]][rest[i][0]] for j in range(i))]
+        i = min(free, key=lambda k: rest[k][0])
+        out.append(rest.pop(i))
+    return tuple(out)

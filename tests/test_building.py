@@ -7,21 +7,26 @@ fiber and panel axioms on every build, so any normal-form regression
 fails twice.
 """
 
+import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from coxinv.building import (ThicknessVector, append_syllable, boundary,
-                             building_ball, compare_radical_sums,
-                             critical_exponents, gate_word, jensen_check,
+from coxinv.building import (Simplex, ThicknessVector, _interval_power_sum,
+                             append_syllable, boundary, building_ball,
+                             compare_radical_sums, critical_exponents,
+                             gate_drops, gate_word, jensen_check,
                              lp_power_sum, lp_pullback_partial_sums,
-                             make_simplex, pullback, pushforward,
-                             random_chain)
+                             make_simplex, oracle_battery, pullback,
+                             pushforward, random_chain, word_gens)
 from coxinv.errors import (MarginViolation, NotRightAngled,
                            ThicknessClassError)
 from coxinv.system import System
+
+from .oracles import iterative_gate
 
 
 @pytest.fixture(scope="module")
@@ -257,3 +262,242 @@ class TestRadicalArithmetic:
         A = lp_power_sum([Fraction(2, 3), Fraction(5)], Fraction(3))
         assert set(A) == {1}
         assert A[1] == Fraction(2, 3) ** 3 + Fraction(5) ** 3
+
+
+# ---------------------------------------------------------------------------
+# pinned battery output and RNG draws, recorded with the iterative gate
+# and per-element sums: faster gates and sums must keep both
+
+PIN_IDENTITIES = ["boundary_squared_zero", "pushforward_boundary",
+                  "retraction_section", "pullback_boundary",
+                  "norm_comparison"]
+PIN_PENTAGON_Q2_R4 = {
+    "apartment_chambers": 166, "chains_checked": 20, "chambers": 2071,
+    "identities": PIN_IDENTITIES,
+    "jensen": {"equal": 0, "indeterminate": 0, "interval": 0, "strict": 60},
+    "p_values": ["3/2", "2", "3"], "radius": 4, "seed": 0,
+    "sphere_sizes": [1, 10, 60, 320, 1680]}
+PIN_DIHEDRAL_Q3_R8 = {
+    "apartment_chambers": 17, "chains_checked": 10, "chambers": 19681,
+    "identities": PIN_IDENTITIES,
+    "jensen": {"equal": 0, "indeterminate": 0, "interval": 0, "strict": 30},
+    "p_values": ["3/2", "2", "3"], "radius": 8, "seed": 0,
+    "sphere_sizes": [1, 6, 18, 54, 162, 486, 1458, 4374, 13122]}
+# sha256 over 50 random_chain draws (size 5, seed 0) and the next 64 RNG
+# bits; the jensen tallies above barely move when the draws change
+PIN_DRAWS = {
+    "pentagon": "c1e84fd2eb9c376ff3562b157be81288e5a7a378155093745f14e3d7e412665b",
+    "dihedral": "b36929e4a294c8be071a202a43136ccf33a43ef2950de28f224503f70b349760",
+}
+
+
+@pytest.fixture(scope="module")
+def tree_ball(dihedral_inf):
+    return building_ball(dihedral_inf, ThicknessVector.constant(dihedral_inf, 3), 8)
+
+
+def _draw_digest(ball):
+    rng = random.Random(0)
+    h = hashlib.sha256()
+    for _ in range(50):
+        ch = random_chain(ball, rng, 5)
+        h.update(repr([(sx.gate, sx.chain, str(c))
+                       for sx, c in ch.items()]).encode())
+    h.update(repr(rng.getrandbits(64)).encode())
+    return h.hexdigest()
+
+
+class TestBatteryPins:
+    def test_pentagon_battery(self, pentagon):
+        out = oracle_battery(pentagon, ThicknessVector.constant(pentagon, 2), 4,
+                             chains=20, seed=0)
+        assert out == PIN_PENTAGON_Q2_R4
+
+    def test_dihedral_battery(self, dihedral_inf):
+        out = oracle_battery(dihedral_inf,
+                             ThicknessVector.constant(dihedral_inf, 3), 8,
+                             chains=10, seed=0)
+        assert out == PIN_DIHEDRAL_Q3_R8
+
+    def test_pentagon_draws(self, pent_ball):
+        assert _draw_digest(pent_ball) == PIN_DRAWS["pentagon"]
+
+    def test_dihedral_draws(self, tree_ball):
+        assert _draw_digest(tree_ball) == PIN_DRAWS["dihedral"]
+
+
+# ---------------------------------------------------------------------------
+# the one-pass gate against the iterative oracle
+
+def _all_subsets(n):
+    return [T for k in range(n + 1) for T in itertools.combinations(range(n), k)]
+
+
+def _check_gates(ball):
+    checked = 0
+    for w in ball.chambers:
+        for T in _all_subsets(ball.M.rank):
+            want = iterative_gate(w, T, ball.commute)
+            assert gate_word(w, T, ball.commute, ball.qmod) == want, (w, T)
+            assert len(w) - len(gate_drops(w, T, ball.commute)) == len(want)
+            checked += 1
+    return checked
+
+
+class TestOnePassGate:
+    def test_pentagon_every_chamber_and_subset(self, pent_ball):
+        assert _check_gates(pent_ball) == 2071 * 32
+
+    def test_tree_every_chamber_and_subset(self, dihedral_inf):
+        ball = building_ball(dihedral_inf,
+                             ThicknessVector.constant(dihedral_inf, 3), 7)
+        assert _check_gates(ball) == 6559 * 4
+
+    def test_margin_message_reports_gate_length(self, pent_ball):
+        # the margin is judged on the gate, so a chamber over the Weyl word
+        # (0, 1) passes with the bottom type {0, 1}: both syllables drop
+        w = next(c for c in pent_ball.chambers if word_gens(c) == (0, 1))
+        sx = make_simplex(pent_ball, w, [(0, 1)])
+        assert sx.gate == () and sx.chain == ((0, 1),)
+        deep = next(c for c in pent_ball.chambers
+                    if len(c) == 4 and c[-1][0] == 2)
+        with pytest.raises(MarginViolation, match="gate length 3 "):
+            make_simplex(pent_ball, deep, [(2,)])
+
+
+# ---------------------------------------------------------------------------
+# the merged pullback and the grouped power sums against per-element
+# references
+
+def naive_pullback(ball, chain_coeffs):
+    per = ball.thickness.per_generator(ball.M)
+    out = {}
+    for sx, c in chain_coeffs.items():
+        gens = word_gens(sx.gate)
+        qw = math.prod(per[s] for s in gens)
+        for exps in itertools.product(*[range(1, per[s] + 1) for s in gens]):
+            face = Simplex(tuple(zip(gens, exps)), sx.chain)
+            out[face] = out.get(face, Fraction(0)) + Fraction(c) / qw
+            if not out[face]:
+                del out[face]
+    return out
+
+
+def naive_power_sum(values, p):
+    """{kernel: coefficient} one value at a time: |v|^p = |v|^k sqrt(|v|)
+    with sqrt(a/b) = sqrt(ab)/b, the square part pulled out by search."""
+    p = Fraction(p)
+    out = {}
+    for v in values:
+        av = abs(Fraction(v))
+        if p.denominator == 1:
+            out[1] = out.get(1, Fraction(0)) + av ** int(p)
+            continue
+        if av == 0:
+            continue
+        m = av.numerator * av.denominator
+        a = max(d for d in range(1, math.isqrt(m) + 1) if m % (d * d) == 0)
+        kernel = m // (a * a)
+        coeff = av ** ((p.numerator - 1) // 2) * Fraction(a, av.denominator)
+        out[kernel] = out.get(kernel, Fraction(0)) + coeff
+    return {k: v for k, v in out.items() if v} or {1: Fraction(0)}
+
+
+P_GRID = (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2),
+          Fraction(3), Fraction(7, 2))
+
+
+class TestMergedPullback:
+    def test_one_fiber_two_gates(self, pent_ball, pent_apartment):
+        # gates differing only in exponents lie over the same Weyl word
+        a = Simplex(((0, 1), (1, 2)), ((),))
+        b = Simplex(((0, 2), (1, 1)), ((),))
+        ch = {a: Fraction(1, 3), b: Fraction(1, 6)}
+        up = pullback(pent_ball, pent_apartment, ch)
+        assert up == naive_pullback(pent_ball, ch)
+        assert len(up) == 4 and set(up.values()) == {Fraction(1, 8)}
+
+    def test_cancelling_fiber_vanishes(self, pent_ball, pent_apartment):
+        a = Simplex(((0, 1), (1, 2)), ((),))
+        b = Simplex(((0, 2), (1, 1)), ((),))
+        c = Simplex(((2, 1),), ((3,),))
+        ch = {a: Fraction(2, 3), b: Fraction(-2, 3), c: Fraction(5)}
+        up = pullback(pent_ball, pent_apartment, ch)
+        assert up == naive_pullback(pent_ball, ch)
+        assert up == {Simplex(((2, 1),), ((3,),)): Fraction(5, 2),
+                      Simplex(((2, 2),), ((3,),)): Fraction(5, 2)}
+        assert pullback(pent_ball, pent_apartment, {a: 1, b: -1}) == {}
+
+    def test_random_chains_match_reference(self, pent_ball, pent_apartment,
+                                           tree_ball):
+        rng = random.Random(21)
+        for ball in (pent_ball, tree_ball):
+            for _ in range(10):
+                ch = random_chain(ball, rng, 6)
+                assert pullback(ball, None, ch) == naive_pullback(ball, ch)
+                theta = pullback(ball, None, pushforward(ball, None, ch))
+                for p in P_GRID:
+                    assert lp_power_sum(theta.values(), p) == \
+                        naive_power_sum(theta.values(), p)
+
+
+class TestGroupedPowerSums:
+    def test_equal_values_of_mixed_types(self):
+        # equal values as distinct Fraction objects, as ints and with sign
+        vals = [Fraction(3, 2), Fraction(3, 2), Fraction(-3, 2), 2,
+                Fraction(2), -2, 0, Fraction(0), Fraction(8, 3), 1]
+        assert vals[0] is not vals[1]
+        for p in P_GRID:
+            got = lp_power_sum(vals, p)
+            assert {k: v for k, v in got.items() if v} == \
+                {k: v for k, v in naive_power_sum(vals, p).items() if v}, p
+
+    def test_runs_of_one_object(self):
+        share = Fraction(1, 18)
+        vals = [share] * 9 + [Fraction(1, 18)] * 3 + [Fraction(-7, 5)] * 2
+        for p in P_GRID:
+            assert lp_power_sum(vals, p) == naive_power_sum(vals, p)
+
+    def test_half_integer_kernels(self):
+        got = lp_power_sum([Fraction(1, 2)] * 4 + [Fraction(9, 8)], Fraction(5, 2))
+        # (1/2)^(5/2) = sqrt(2)/8 and (9/8)^(5/2) = (81/64) (3/4) sqrt(2)
+        assert got == {2: 4 * Fraction(1, 8) + Fraction(81, 64) * Fraction(3, 4)}
+        assert lp_power_sum([], Fraction(3, 2)) == {1: Fraction(0)}
+        assert lp_power_sum([0, Fraction(0)], Fraction(2)) == {1: Fraction(0)}
+
+    def test_interval_sum_encloses_per_element_sum(self):
+        import mpmath
+        vals = [Fraction(1, 18)] * 40 + [Fraction(-2, 3)] * 5 + [3, Fraction(3)]
+        p = Fraction(5, 3)
+        grouped = _interval_power_sum(vals, p, 64)
+        with mpmath.workprec(256):
+            exact = mpmath.fsum(
+                (mpmath.mpf(abs(v).numerator) / abs(v).denominator)
+                ** (mpmath.mpf(5) / 3) for v in vals)
+            assert grouped.a <= exact <= grouped.b
+        assert grouped.b - grouped.a < mpmath.mpf(2) ** -50
+
+
+@pytest.fixture(scope="module")
+def tree_apartment(dihedral_inf):
+    return building_ball(dihedral_inf, ThicknessVector.constant(dihedral_inf, 1), 8)
+
+
+class TestIrrationalExponentVerdicts:
+    """Verdicts of the interval route at p = 5/3 on the q = 3 tree, as the
+    per-element sum gave them."""
+
+    def test_random_chain(self, tree_ball, tree_apartment):
+        ch = random_chain(tree_ball, random.Random(16), 5)
+        r = jensen_check(tree_ball, tree_apartment, ch, Fraction(5, 3))
+        assert (r.holds, r.comparison) == (True, "interval")
+
+    def test_near_equality(self, tree_ball, tree_apartment):
+        # a pulled-back chain with one coefficient nudged: theta spreads
+        # over whole fibers, and the two sides differ by about 1e-9
+        ch_ap = random_chain(tree_apartment, random.Random(17), 4)
+        up = pullback(tree_ball, tree_apartment, ch_ap)
+        face = max(up, key=lambda sx: (len(sx.gate), sx.gate, sx.chain))
+        up[face] += Fraction(1, 10 ** 6)
+        r = jensen_check(tree_ball, tree_apartment, up, Fraction(5, 3))
+        assert (r.holds, r.comparison) == (True, "interval")

@@ -161,6 +161,12 @@ class TestExitCodes:
                        "--max-elements", "50")
         assert proc.returncode == 3
 
+    def test_resource_cap_names_radius(self, inputs):
+        proc = run_cli("report", "--input", inputs["pentagon"],
+                       "--max-elements", "1000")
+        assert proc.returncode == 3
+        assert "exceeds cap 1000 at radius 6" in proc.stderr
+
     def test_bad_lambda(self, inputs):
         proc = run_cli("confdim", "--input", inputs["pentagon"],
                        "--lambda", "fast")

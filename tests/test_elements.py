@@ -152,6 +152,27 @@ def test_caps_enforced(pentagon):
                                                max_simplices=10 ** 6))
 
 
+def test_cap_refuses_as_each_element_enters(monkeypatch, pentagon):
+    """The cap is checked per recorded element: refusing costs at most
+    cap + 1 elements, not the rest of the layer that crosses the cap."""
+    import coxinv.elements as E
+    recorded = {()}
+    real = E.append_letter
+
+    def spy(word, s, commute):
+        child, shorter = real(word, s, commute)
+        if not shorter:
+            recorded.add(child)
+        return child, shorter
+    monkeypatch.setattr(E, "append_letter", spy)
+    cap = 1000
+    # ball sizes 1, 6, 21, 61, 166, 441, 1161: radius 6 crosses the cap
+    with pytest.raises(ResourceExceeded,
+                       match=f"exceeds cap {cap} at radius 6$"):
+        ball_enumerate(pentagon, 14, caps=Caps(max_elements=cap))
+    assert len(recorded) == cap + 1
+
+
 def test_descent_sets_are_spherical(pentagon):
     # the descent set of any element generates a finite parabolic
     from coxinv.coxeter import classify_parabolic
