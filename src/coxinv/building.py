@@ -18,6 +18,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath
 
@@ -273,12 +274,12 @@ def _verify_building_axioms(ball):
 # ---------------------------------------------------------------------------
 # simplices: chains of nested spherical residues
 
-@dataclass(frozen=True)
-class Simplex:
+class Simplex(NamedTuple):
     """(gate, chain): the residue chain gate*<T_0> c ... c gate*<T_k>.
 
     The gate is T_0-reduced; dim = k; vertices (k = 0) with T_0 = () are
-    chambers themselves.
+    chambers themselves.  A tuple, so hashing and equality run in C; the
+    hash is hash((gate, chain)).
     """
     gate: tuple
     chain: tuple                # strictly increasing tuple of sorted tuples

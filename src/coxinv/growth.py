@@ -21,10 +21,11 @@ the denominator as the sum of c_w * w^-x over its monomials merged by w.
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from operator import add
 
 import mpmath
-import numpy as np
 
+from .algebraic import _int_or_fraction
 from .coxeter import finite_group_order, classify_parabolic
 from .elements import Caps, ball_enumerate, racg_layer_counts
 from .errors import (DegenerateWeights, ResourceExceeded, SchemaError,
@@ -35,7 +36,8 @@ ROOT_TOL = Fraction(1, 10 ** 9)
 
 
 # ---------------------------------------------------------------------------
-# multivariate polynomials over Q (dict exponent tuple -> Fraction)
+# multivariate polynomials over Q (dict exponent tuple -> int, or Fraction
+# when the coefficient is not an integer)
 
 class PolyQ:
     __slots__ = ("nvars", "terms")
@@ -45,17 +47,18 @@ class PolyQ:
         self.terms = {}
         if terms:
             for e, c in terms.items():
-                c = Fraction(c)
+                if type(c) is not int:
+                    c = _int_or_fraction(c)
                 if c:
                     self.terms[tuple(e)] = c
 
     @staticmethod
     def const(nvars, c):
-        return PolyQ(nvars, {(0,) * nvars: Fraction(c)})
+        return PolyQ(nvars, {(0,) * nvars: c})
 
     @staticmethod
     def monomial(nvars, expo, c=1):
-        return PolyQ(nvars, {tuple(expo): Fraction(c)})
+        return PolyQ(nvars, {tuple(expo): c})
 
     def is_zero(self):
         return not self.terms
@@ -63,7 +66,7 @@ class PolyQ:
     def __add__(self, other):
         out = dict(self.terms)
         for e, c in other.terms.items():
-            v = out.get(e, Fraction(0)) + c
+            v = out.get(e, 0) + c
             if v:
                 out[e] = v
             elif e in out:
@@ -74,15 +77,15 @@ class PolyQ:
         return self + other.scale(-1)
 
     def scale(self, c):
-        c = Fraction(c)
+        c = _int_or_fraction(c)
         return PolyQ(self.nvars, {e: v * c for e, v in self.terms.items()})
 
     def __mul__(self, other):
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = out.get(e, Fraction(0)) + c1 * c2
+                e = tuple(map(add, e1, e2))
+                v = out.get(e, 0) + c1 * c2
                 if v:
                     out[e] = v
                 elif e in out:
@@ -124,7 +127,7 @@ class PolyQ:
         out = {}
         for e, c in self.terms.items():
             k = (sum(e),)
-            v = out.get(k, Fraction(0)) + c
+            v = out.get(k, 0) + c
             if v:
                 out[k] = v
             elif k in out:
@@ -132,7 +135,7 @@ class PolyQ:
         return PolyQ(1, out)
 
     def constant(self):
-        return self.terms.get((0,) * self.nvars, Fraction(0))
+        return self.terms.get((0,) * self.nvars, 0)
 
     def __repr__(self):
         return f"PolyQ({self.nvars}, {len(self.terms)} terms)"
@@ -294,7 +297,9 @@ class RationalGrowthSeries:
         """Series coefficients by total degree: list of {expo: int}."""
         num, den = self.numerator, self.denominator
         assert den.constant() == 1
-        den_rest = [(e, c) for e, c in den.terms.items() if any(e)]
+        # (total degree, exponent, coefficient), lowest total first
+        den_rest = sorted((sum(e), e, c) for e, c in den.terms.items()
+                          if any(e))
         coeffs = [dict() for _ in range(depth + 1)]
         for e, c in num.terms.items():
             td = sum(e)
@@ -304,13 +309,12 @@ class RationalGrowthSeries:
         # subtracts denominator terms times lower totals, already final
         for total in range(depth + 1):
             cur = coeffs[total]
-            for e, c in den_rest:
-                td = sum(e)
+            for td, e, c in den_rest:
                 if td > total:
-                    continue
+                    break
                 for e2, c2 in coeffs[total - td].items():
-                    tgt = tuple(a + b for a, b in zip(e, e2))
-                    v = cur.get(tgt, Fraction(0)) - c * c2
+                    tgt = tuple(map(add, e, e2))
+                    v = cur.get(tgt, 0) - c * c2
                     if v:
                         cur[tgt] = v
                     elif tgt in cur:
@@ -320,16 +324,16 @@ class RationalGrowthSeries:
     def expand_univariate(self, depth):
         num = self.numerator.collapse()
         den = self.denominator.collapse()
-        a = [Fraction(0)] * (depth + 1)
+        a = [0] * (depth + 1)
         for (k,), c in num.terms.items():
             if k <= depth:
                 a[k] += c
-        d = [Fraction(0)] * (depth + 1)
+        d = [0] * (depth + 1)
         for (k,), c in den.terms.items():
             if k <= depth:
                 d[k] += c
         assert d[0] == 1
-        out = [Fraction(0)] * (depth + 1)
+        out = [0] * (depth + 1)
         for k in range(depth + 1):
             v = a[k]
             for j in range(1, k + 1):
@@ -425,7 +429,7 @@ def _validate_series(series, system, depth):
     if series.per_class:
         expanded = series.expand(depth)
         for k in range(min(depth + 1, len(counts))):
-            want = {tuple(cv): Fraction(c) for cv, c in counts[k].items()}
+            want = {tuple(cv): c for cv, c in counts[k].items()}
             got = expanded[k]
             if want != got:
                 raise ValidationMismatch(
@@ -462,10 +466,11 @@ def _p1_deriv(p):
 
 def _p1_rem(a, b):
     a = list(a)
+    lead = Fraction(b[-1])      # exact division for int coefficients too
     while len(a) >= len(b) and _p1_trim(a):
         if not a:
             break
-        q = a[-1] / b[-1]
+        q = a[-1] / lead
         shift = len(a) - len(b)
         for i, c in enumerate(b):
             a[shift + i] -= q * c
@@ -481,7 +486,7 @@ def _p1_gcd(a, b):
         a, b = b, _p1_rem(a, b)
         _p1_trim(b)
     if a:
-        lead = a[-1]
+        lead = Fraction(a[-1])
         a = [c / lead for c in a]
     return a
 
@@ -632,9 +637,10 @@ def _poly1_list(p):
 
 def _p1_exact_div(a, b):
     a = list(a)
+    lead = Fraction(b[-1])
     q = [Fraction(0)] * (len(a) - len(b) + 1)
     for k in range(len(q) - 1, -1, -1):
-        c = a[k + len(b) - 1] / b[-1]
+        c = a[k + len(b) - 1] / lead
         q[k] = c
         if c:
             for j, y in enumerate(b):
@@ -755,29 +761,63 @@ def _series_rate_curve(series, weights):
                               (float(lo), float(hi)), details=details)
 
 
+def _solve_normal_equations(A, b):
+    """Exact solution of A beta = b for the Gram matrix A = X^T X, with the
+    inverse of A, by Gauss-Jordan elimination in Fraction arithmetic.
+
+    The normal equations are always consistent.  When A is singular its
+    free coefficients are set to 0, which is still a least-squares
+    solution, and the inverse is None.
+    """
+    n = len(A)
+    rows = [list(A[i]) + [b[i]] + [Fraction(int(i == j)) for j in range(n)]
+            for i in range(n)]
+    pivots = []
+    for col in range(n):
+        r = next((r for r in range(len(pivots), n) if rows[r][col]), None)
+        if r is None:
+            continue
+        k = len(pivots)
+        rows[k], rows[r] = rows[r], rows[k]
+        lead = rows[k][col]
+        rows[k] = [c / lead for c in rows[k]]
+        for i in range(n):
+            f = rows[i][col]
+            if i != k and f:
+                rows[i] = [c - f * p for c, p in zip(rows[i], rows[k])]
+        pivots.append(col)
+    beta = [Fraction(0)] * n
+    for k, col in enumerate(pivots):
+        beta[col] = rows[k][n]
+    inverse = [row[n + 1:] for row in rows] if len(pivots) == n else None
+    return beta, inverse
+
+
 def _fit_window(points, lo_frac):
+    """Least-squares slope of log Q on v, with the regressors 1, v and, as
+    the window allows, log v and 1/v; and its standard error.
+
+    The float regressors are converted exactly to Fraction and the normal
+    equations solved exactly, so the result is the exact least-squares fit
+    of the float data and no conditioning question arises."""
     pts = points[int(len(points) * lo_frac):]
     nregs = 4 if len(pts) >= 8 else (3 if len(pts) >= 5 else 2)
-    rows, ys = [], []
+    X, y = [], []
     for v, q in pts:
-        row = [1.0, v]
-        if nregs >= 3:
-            row.append(math.log(v))
-        if nregs >= 4:
-            row.append(1.0 / v)
-        rows.append(row)
-        ys.append(math.log(q))
-    X = np.array(rows)
-    y = np.array(ys)
-    beta, *_ = np.linalg.lstsq(X, y, rcond=None)
-    resid = y - X @ beta
-    dof = max(1, len(y) - X.shape[1])
-    s2 = float(resid @ resid) / dof
-    try:
-        cov = s2 * np.linalg.inv(X.T @ X)
-        se = math.sqrt(max(cov[1][1], 0.0))
-    except np.linalg.LinAlgError:
+        row = [1.0, v, math.log(v), 1.0 / v][:nregs]
+        X.append([Fraction(x) for x in row])
+        y.append(Fraction(math.log(q)))
+    cols = range(nregs)
+    A = [[sum(r[i] * r[j] for r in X) for j in cols] for i in cols]
+    b = [sum(r[i] * yk for r, yk in zip(X, y)) for i in cols]
+    beta, inverse = _solve_normal_equations(A, b)
+    resid = [yk - sum(c * x for c, x in zip(beta, r)) for r, yk in zip(X, y)]
+    dof = max(1, len(y) - nregs)
+    if inverse is None:
         se = float("nan")
+    else:
+        var = sum(e * e for e in resid) / dof * inverse[1][1]
+        se = math.sqrt(max(float(var), 0.0))
     return float(beta[1]), se
 
 

@@ -2,8 +2,10 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -222,3 +224,15 @@ class TestDeterminism:
         # e(W) / log(3/2) for constant 3/2 weights
         e = math.log((3 + math.sqrt(5)) / 2) / math.log(1.5)
         assert abs(r["rate"]["value"] - e) < 1e-6
+
+
+def test_import_does_not_load_numpy():
+    # start-up cost: no module the CLI imports may pull numpy in
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH="src")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import coxinv.cli, sys; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env, cwd=root, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

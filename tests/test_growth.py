@@ -6,8 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from coxinv.elements import ball_enumerate
 from coxinv.errors import DegenerateWeights, ValidationMismatch
-from coxinv.growth import (CurveTerms, GrowthRateEstimate, PolyQ,
-                           WeightVector, _series_rate_constant_weight,
+from coxinv.growth import (DEFAULT_VALIDATION_DEPTH, CurveTerms,
+                           GrowthRateEstimate, PolyQ, WeightVector,
+                           _p1_exact_div, _p1_gcd, _p1_rem,
+                           _series_rate_constant_weight,
                            _series_rate_curve, classify_convergence,
                            enumeration_fit, growth_rate, growth_table,
                            rate_comparison_bounds, rational_growth_series,
@@ -112,8 +114,53 @@ def test_validation_is_mandatory(monkeypatch, dihedral_inf):
         rational_growth_series(System(dihedral_inf), per_class=False)
 
 
+@pytest.mark.parametrize("name", ["pentagon", "triangle_732"])
+def test_series_predicts_counts_past_validation_depth(name, request):
+    # the series is validated through DEFAULT_VALIDATION_DEPTH; its next two
+    # lengths are checked against an independent enumeration
+    M = request.getfixturevalue(name)
+    s = System(M).series(True)
+    assert s.validated_depth == DEFAULT_VALIDATION_DEPTH
+    depth = DEFAULT_VALIDATION_DEPTH + 2
+    expanded = s.expand(depth)
+    counts = ball_enumerate(M, depth).class_counts()
+    for k in range(DEFAULT_VALIDATION_DEPTH + 1, depth + 1):
+        assert expanded[k] == counts[k]
+
+
+def test_pentagon_series_coefficients_are_ints(pentagon_system):
+    s = pentagon_system.series(True)
+    assert (len(s.numerator.terms), len(s.denominator.terms)) == (1024, 834)
+    for poly in (s.numerator, s.denominator):
+        assert all(type(c) is int for c in poly.terms.values())
+    for layer in s.expand(DEFAULT_VALIDATION_DEPTH):
+        assert all(type(c) is int for c in layer.values())
+
+
 # ---------------------------------------------------------------------------
 # exact root isolation
+
+def _exact(values):
+    return all(type(c) in (int, Fraction) for c in values)
+
+
+def test_univariate_helpers_exact_on_int_input():
+    # a = (3t - 1)(2t - 1)^2 and b = (2t - 1)(5t + 3), lowest degree first;
+    # each division below has a leading quotient that is not an integer or
+    # divides two ints, where / would give a float
+    a = [-1, 7, -16, 12]
+    b = [-3, 1, 10]
+    assert _exact(_p1_rem(a, b))
+    g = _p1_gcd(a, b)
+    assert g == [Fraction(-1, 2), 1] and _exact(g)
+    q = _p1_exact_div(a, [-1, 2])
+    assert q == [1, -5, 6] and _exact(q)
+    poly = PolyQ(1, {(k,): c for k, c in enumerate(a)})
+    for p in (a, poly):
+        lo, hi = smallest_positive_root(p, 1)
+        assert _exact((lo, hi))
+        assert lo <= Fraction(1, 3) <= hi < Fraction(1, 2)
+
 
 def test_smallest_positive_root_simple():
     # 4x^2 - 1: exact rational root 1/2
