@@ -167,9 +167,11 @@ def cmd_growth(system, thickness, weights, args):
         fit = growth_rate(system, w_arg, method="enumeration",
                           radius=args.radius)
         out["enumeration_rate"] = _rate_json(fit)
+        # the fit bracket already includes its uncertainty; a bracket
+        # straddling 0 cannot confirm a positive rate
         out["routes_consistent"] = (
-            fit.bracket[0] - fit.uncertainty <= rate.value
-            <= fit.bracket[1] + fit.uncertainty)
+            fit.contains(rate.value)
+            and (fit.bracket[0] > 0) == (rate.value > 0))
     return out
 
 

@@ -12,9 +12,14 @@ of the elements; both give the same per-length class counts:
   O(length) and reports whether it shortened the word.
 
 A ball records only the conjugacy-class vector of each element.  For
-right-angled systems a counting recurrence over descent sets extends
-per-length class-type counts far beyond what explicit enumeration can
-store; growth-series code cross-validates it against true BFS layers.
+right-angled systems a counting recurrence over descent sets gives the
+per-length class counts, and so the exact ball sizes, to any depth
+without storing elements.  growth.counting_route reads those sizes to
+choose the counting route before any ball is built: BFS to the requested
+depth when that ball fits the caps, else BFS to the validation depth as
+a check of the recurrence.  The source tag ("bfs" or "recurrence") is
+therefore a function of the counts and the caps in force, and the layer
+cache derives it on every hit instead of storing it.
 """
 
 import os

@@ -21,6 +21,7 @@ the denominator as the sum of c_w * w^-x over its monomials merged by w.
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from itertools import accumulate
 from operator import add
 
 import mpmath
@@ -195,29 +196,54 @@ class WeightVector:
 # ---------------------------------------------------------------------------
 # enumeration-backed counting (BFS, extended by the descent recurrence)
 
-def layer_class_counts(M, depth, caps=None, validate_depth=DEFAULT_VALIDATION_DEPTH):
+def ball_sizes(counts):
+    """Ball size through each length, from per-length class counts."""
+    return list(accumulate(sum(layer.values()) for layer in counts))
+
+
+def counting_route(M, counts, caps):
+    """How a fresh run under caps obtains these per-length counts.
+
+    "bfs" when the ball through the last layer fits max_elements;
+    "recurrence" for a right-angled system whose ball fits only through
+    the validation depth.  Otherwise raises ResourceExceeded exactly as
+    ball_enumerate does, at the first radius past the cap.
+    """
+    sizes = ball_sizes(counts)
+    cap = caps.max_elements
+    # like ball_enumerate, never hold the identity against the cap
+    past = next((k for k in range(1, len(sizes)) if sizes[k] > cap), None)
+    if past is None:
+        return "bfs"
+    if past > DEFAULT_VALIDATION_DEPTH and M.is_right_angled():
+        return "recurrence"
+    raise ResourceExceeded(f"ball size exceeds cap {cap} at radius {past}")
+
+
+def layer_class_counts(M, depth, caps=None):
     """Per-length dict {class_vector: count} for lengths 0..depth.
 
-    Uses true BFS when the ball fits the caps; for right-angled systems a
-    depth beyond BFS reach falls back to the descent-set recurrence, which is
-    first cross-validated against BFS on a shared prefix.
+    A right-angled system is counted by the descent-set recurrence first,
+    whose exact ball sizes choose the route (counting_route) before any
+    ball is built; BFS then runs to depth on "bfs" and to the validation
+    depth on "recurrence", and must agree with the recurrence on the
+    shared prefix.  Other systems are counted by BFS, which raises
+    ResourceExceeded when the ball outgrows the caps.
     Returns (counts, source) with source in {"bfs", "recurrence"}.
     """
     caps = caps or Caps.from_env()
-    try:
-        ball = ball_enumerate(M, depth, caps=caps)
-        return ball.class_counts(), "bfs"
-    except ResourceExceeded:
-        if not M.is_right_angled():
-            raise
-    check_depth = validate_depth
-    ball = ball_enumerate(M, check_depth, caps=caps)
+    if not M.is_right_angled():
+        return ball_enumerate(M, depth, caps=caps).class_counts(), "bfs"
     rec = racg_layer_counts(M, depth)
-    bfs_counts = ball.class_counts()
-    if rec[:len(bfs_counts)] != bfs_counts:
+    route = counting_route(M, rec, caps)
+    bfs_depth = depth if route == "bfs" else DEFAULT_VALIDATION_DEPTH
+    bfs = ball_enumerate(M, bfs_depth, caps=caps).class_counts()
+    if rec[:len(bfs)] != bfs:
         raise ValidationMismatch(
             "descent recurrence disagrees with BFS class counts")
-    return rec, "recurrence"
+    # BFS layers stop at a finite group's longest element, which marks its
+    # cache record exhausted; the recurrence counts zeros past it
+    return (bfs if route == "bfs" else rec), route
 
 
 @dataclass
@@ -237,13 +263,6 @@ class GrowthTable:
     degenerate: bool
     breakpoints: list = dc_field(default_factory=list)   # sorted v values
     q_values: list = dc_field(default_factory=list)      # Q at breakpoints
-
-    def ball_sizes(self):
-        out, tot = [], 0
-        for d in self.counts:
-            tot += sum(d.values())
-            out.append(tot)
-        return out
 
 
 def growth_table(system, weights, radius):
@@ -523,10 +542,7 @@ def smallest_positive_root(poly, hi, tol=ROOT_TOL):
     the exact root as (r, r), or None.  Exact rational arithmetic only.
     """
     if isinstance(poly, PolyQ):
-        deg = poly.max_degrees()[0]
-        p = [Fraction(0)] * (deg + 1)
-        for (k,), c in poly.terms.items():
-            p[k] = c
+        p = _poly1_list(poly)
     else:
         p = [Fraction(c) for c in poly]
     _p1_trim(p)
@@ -534,18 +550,7 @@ def smallest_positive_root(poly, hi, tol=ROOT_TOL):
         return None
     g = _p1_gcd(p, _p1_deriv(p))
     if len(g) > 1:
-        # squarefree part, exact division
-        q = []
-        a = list(p)
-        while len(a) >= len(g):
-            c = a[-1] / g[-1]
-            q.append(c)
-            shift = len(a) - len(g)
-            for i, gc in enumerate(g):
-                a[shift + i] -= c * gc
-            a.pop()
-            _p1_trim(a)
-        p = list(reversed(q))
+        p = _p1_exact_div(p, g)       # squarefree part
     chain = _sturm_chain(p)
     hi = Fraction(hi)
 
@@ -598,11 +603,8 @@ class GrowthRateEstimate:
 def _series_rate_constant_weight(series, logq):
     """e_t from the smallest positive denominator root when every class has
     the same weight: the curve substitution is univariate."""
-    den = series.denominator.collapse()
-    num = series.numerator.collapse()
-    g = _p1_gcd(
-        _poly1_list(den), _poly1_list(num))
-    denl = _poly1_list(den)
+    denl = _poly1_list(series.denominator.collapse())
+    g = _p1_gcd(denl, _poly1_list(series.numerator.collapse()))
     if len(g) > 1:
         denl = _p1_exact_div(denl, g)
     bracket = smallest_positive_root(denl, Fraction(1))
@@ -876,11 +878,7 @@ def growth_rate(system, weights=None, method="series", radius=None):
             radius = 20 if M.is_right_angled() else 12
         if weights is None:
             counts, _src = system.layer_counts(radius)
-            sizes = []
-            tot = 0
-            for d in counts:
-                tot += sum(d.values())
-                sizes.append(tot)
+            sizes = ball_sizes(counts)
             pts = [(float(k), sizes[k]) for k in range(1, len(sizes))]
             return enumeration_fit(pts)
         table = growth_table(system, weights, radius)

@@ -49,6 +49,11 @@ def inputs(tmp_path_factory):
         p = d / f"{name}.json"
         p.write_text(json.dumps(payload))
         paths[name] = str(p)
+    weighted = dict(PENTAGON, weights=dict(zip("abcde", (2, 2, 3, 2, 2))))
+    del weighted["thickness"]
+    p = d / "pentagon_w22322.json"
+    p.write_text(json.dumps(weighted))
+    paths["pentagon_w22322"] = str(p)
     bad = d / "bad.json"
     bad.write_text('{"generators": ["a","b"], "matrix": [[1,3],[4,1]]}')
     paths["bad"] = str(bad)
@@ -84,6 +89,16 @@ class TestSubcommands:
         assert abs(r["rate"]["value"] - e) < 1e-6
         assert r["routes_consistent"] is True
         assert r["weighted"] is True
+
+    def test_growth_routes_inconsistent_on_straddling_fit(self, inputs):
+        # the weighted fit at radius 12 straddles 0 (-2.05 +- 7.53), so it
+        # cannot confirm the positive series rate
+        r = machine_result(run_cli("growth", "--input",
+                                   inputs["pentagon_w22322"], "--radius",
+                                   "12", "--format", "machine"))
+        lo, hi = r["enumeration_rate"]["bracket"]
+        assert lo < 0 < r["rate"]["value"] < hi
+        assert r["routes_consistent"] is False
 
     def test_exponents(self, inputs):
         r = machine_result(run_cli("exponents", "--input", inputs["pentagon"],

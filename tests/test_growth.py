@@ -189,6 +189,18 @@ def test_smallest_positive_root_multiplicity():
     assert smallest_positive_root(p, 1) == (Fraction(1, 2), Fraction(1, 2))
 
 
+def test_smallest_positive_root_repeated_factor_with_gaps():
+    # the squarefree part of an even polynomial has zero odd coefficients,
+    # which the division must keep: (1-2t^2)^2 (1-3t^2) has its smallest
+    # positive root at 1/sqrt(3), and (x^2-2)^2 (x^2-3) at sqrt(2)
+    lo, hi = smallest_positive_root([1, 0, -7, 0, 16, 0, -12], 1)
+    assert lo <= Fraction(57735026918, 10 ** 11) <= hi
+    assert hi - lo <= Fraction(1, 10 ** 9)
+    lo, hi = smallest_positive_root([-12, 0, 16, 0, -7, 0, 1], 2)
+    assert lo <= Fraction(14142135623, 10 ** 10) <= hi
+    assert hi - lo <= Fraction(1, 10 ** 9)
+
+
 def test_no_root_returns_none():
     assert smallest_positive_root([Fraction(1), Fraction(1)], 1) is None
 

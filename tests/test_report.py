@@ -4,16 +4,18 @@ import hashlib
 import json
 import math
 import sys
+import tempfile
 from fractions import Fraction
 from functools import partial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coxinv.building import ThicknessVector
 from coxinv.cache import (cached_layer_counts, load_layers, store_layers)
 from coxinv.elements import Caps, racg_layer_counts
 from coxinv.errors import ResourceExceeded
-from coxinv.growth import WeightVector
+from coxinv.growth import WeightVector, layer_class_counts
 from coxinv.report import (build_report, decode_json_value,
                            encode_json_value, report_from_json,
                            report_to_json, report_to_text)
@@ -231,42 +233,72 @@ class TestSharedSystem:
         assert calls == dict.fromkeys(calls, 1)
 
 
+class TestCountingWork:
+    """The route is chosen from the recurrence's exact ball sizes, so no
+    ball that cannot be used is built."""
+
+    def test_deep_report_enumerates_through_validation_depth_only(
+            self, monkeypatch, pentagon):
+        calls = _counting(monkeypatch, sys.modules["coxinv.growth"],
+                          "ball_enumerate", keep=lambda N, *a: N is pentagon)
+        q = ThicknessVector.constant(pentagon, 2)
+        r = build_report(System(pentagon), thickness=q, depth=20)
+        assert r["growth"]["layer_source"] == "recurrence"
+        assert len(r["growth"]["layer_sizes"]) == 21
+        assert calls and all(radius <= 10 for _, radius in calls)
+
+    def test_cap_refuses_before_any_enumeration(self, monkeypatch, pentagon):
+        calls = _counting(monkeypatch, sys.modules["coxinv.growth"],
+                          "ball_enumerate")
+        system = System(pentagon, caps=Caps.from_env(max_elements=1000))
+        with pytest.raises(ResourceExceeded,
+                           match="exceeds cap 1000 at radius 6$"):
+            build_report(system, thickness=ThicknessVector.constant(
+                pentagon, 2))
+        assert calls == []
+
+
 class TestCache:
     def test_miss_on_empty(self, tmp_path, pentagon):
         assert load_layers(tmp_path, pentagon.digest(), 4) is None
 
     def test_store_and_slice(self, tmp_path):
         layers = [{(0,): 1}, {(1,): 3}, {(2,): 5}, {(3,): 9}]
-        store_layers(tmp_path, "d1", 3, layers, "bfs")
-        got, method = load_layers(tmp_path, "d1", 2)
-        assert method == "bfs"
+        store_layers(tmp_path, "d1", 3, layers)
+        got = load_layers(tmp_path, "d1", 2)
         assert got == layers[:3]
         assert load_layers(tmp_path, "d1", 5) is None    # too shallow
         assert load_layers(tmp_path, "other", 2) is None
 
     def test_deepest_record_wins(self, tmp_path):
         # the layers differ only so that the answering record shows
-        store_layers(tmp_path, "d1", 1, [{(0,): 1}, {(1,): 3}], "bfs")
+        store_layers(tmp_path, "d1", 1, [{(0,): 1}, {(1,): 3}])
         store_layers(tmp_path, "d1", 2,
-                     [{(0,): 1}, {(1,): 4}, {(2,): 5}], "bfs")
-        got, method = load_layers(tmp_path, "d1", 1)
-        assert got == [{(0,): 1}, {(1,): 4}] and method == "bfs"
+                     [{(0,): 1}, {(1,): 4}, {(2,): 5}])
+        got = load_layers(tmp_path, "d1", 1)
+        assert got == [{(0,): 1}, {(1,): 4}]
 
-    def test_recurrence_record_answers_only_its_radius(self, tmp_path):
-        store_layers(tmp_path, "d1", 2,
-                     [{(0,): 1}, {(1,): 3}, {(2,): 5}], "recurrence")
-        assert load_layers(tmp_path, "d1", 1) is None
-        got, method = load_layers(tmp_path, "d1", 2)
-        assert len(got) == 3 and method == "recurrence"
-        store_layers(tmp_path, "d1", 1, [{(0,): 1}, {(1,): 3}], "bfs")
-        assert load_layers(tmp_path, "d1", 1)[1] == "bfs"
+    def test_deep_record_answers_shallower_radius_tagged_by_caps(
+            self, tmp_path, pentagon):
+        # a record stores counts only: a deep one answers any shallower
+        # radius, and the tag is the one the caps in force give a cold run
+        counts = racg_layer_counts(pentagon, 12)
+        store_layers(tmp_path, pentagon.digest(), 12, counts)
+        assert load_layers(tmp_path, pentagon.digest(), 4) == counts[:5]
+        warm = partial(cached_layer_counts, pentagon, cache_dir=tmp_path)
+        roomy = Caps.from_env(max_elements=2_000_000)
+        tight = Caps.from_env(max_elements=60_000)
+        assert warm(12, caps=roomy) == (counts, "bfs")
+        assert warm(12, caps=tight) == (counts, "recurrence")
+        assert warm(8, caps=tight) == (counts[:9], "bfs")
+        assert len((tmp_path / "layers.jsonl").read_text().splitlines()) == 1
 
     def test_exhausted_record_answers_any_radius(self, tmp_path):
         layers = [{(0,): 1}, {(1,): 2}, {(2,): 2}, {(3,): 1}]
-        store_layers(tmp_path, "d1", 10, layers, "bfs")
+        store_layers(tmp_path, "d1", 10, layers)
         assert '"exhausted": true' in (tmp_path / "layers.jsonl").read_text()
-        assert load_layers(tmp_path, "d1", 2) == (layers[:3], "bfs")
-        assert load_layers(tmp_path, "d1", 50) == (layers, "bfs")
+        assert load_layers(tmp_path, "d1", 2) == layers[:3]
+        assert load_layers(tmp_path, "d1", 50) == layers
 
     def test_finite_group_hits(self, monkeypatch, tmp_path, a2):
         calls = _counting(monkeypatch, sys.modules["coxinv.growth"],
@@ -302,9 +334,9 @@ class TestCache:
         # the same method, or the same ResourceExceeded
         counts = racg_layer_counts(pentagon, 12)
         digest = pentagon.digest()
-        store_layers(tmp_path, digest, 12, counts, "recurrence")
-        store_layers(tmp_path, digest, 6, counts[:7], "bfs")
-        store_layers(tmp_path, digest, 3, counts[:4], "recurrence")
+        store_layers(tmp_path, digest, 12, counts)
+        store_layers(tmp_path, digest, 6, counts[:7])
+        store_layers(tmp_path, digest, 3, counts[:4])
         warm = partial(cached_layer_counts, pentagon, cache_dir=tmp_path)
         # ball(12) exceeds the cap and ball(10) fits it: a hit
         assert warm(12, caps=Caps.from_env(max_elements=60_000)) == \
@@ -319,12 +351,12 @@ class TestCache:
         assert warm(3, caps=small) == (counts[:4], "bfs")
 
     def test_corrupt_lines_skipped(self, tmp_path):
-        store_layers(tmp_path, "d1", 1, [{(0,): 1}, {(1,): 3}], "bfs")
+        store_layers(tmp_path, "d1", 1, [{(0,): 1}, {(1,): 3}])
         path = tmp_path / "layers.jsonl"
         content = path.read_text()
         path.write_text("not json at all\n" + '{"v": 99, "digest": "d1"}\n'
                         + content + '{"v": 1, "digest": "d1", "radius": 9'.strip())
-        got, _ = load_layers(tmp_path, "d1", 1)
+        got = load_layers(tmp_path, "d1", 1)
         assert got == [{(0,): 1}, {(1,): 3}]
 
     def test_cached_layer_counts_round_trip(self, tmp_path, pentagon):
@@ -337,3 +369,35 @@ class TestCache:
     def test_cache_dir_none_is_passthrough(self, pentagon):
         layers, src = cached_layer_counts(pentagon, 4, cache_dir=None)
         assert sum(layers[4].values()) == 105
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_warm_hit_answers_as_cold_run(data):
+    """On random right-angled systems, a hit served from a deeper record
+    gives what a cold run under the same caps gives: the same counts and
+    source tag, or the same ResourceExceeded message."""
+    n = data.draw(st.integers(3, 5))
+    rows = [[1] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = data.draw(st.sampled_from((2, math.inf)))
+    M = mat(rows)
+    radius = data.draw(st.integers(0, 14))
+    caps = Caps.from_env(max_elements=data.draw(st.integers(50, 20_000)))
+    deep = radius + data.draw(st.integers(1, 4))
+    record = racg_layer_counts(M, deep)
+    while not record[-1]:
+        record.pop()        # as BFS records a finite group: exhausted
+
+    def answer(run):
+        try:
+            return run()
+        except ResourceExceeded as exc:
+            return str(exc)
+    cold = answer(lambda: layer_class_counts(M, radius, caps=caps))
+    with tempfile.TemporaryDirectory() as d:
+        store_layers(d, M.digest(), deep, record)
+        warm = answer(lambda: cached_layer_counts(M, radius, caps=caps,
+                                                  cache_dir=d))
+    assert warm == cold
