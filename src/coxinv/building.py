@@ -198,7 +198,9 @@ class BuildingBall:
 def building_ball(M, thickness, radius, caps=None):
     """Enumerate the ball and verify the two panel axioms on it: every
     panel meeting the interior has exactly q_s + 1 chambers, and each has a
-    unique gate (its shortest chamber) with all others one step longer."""
+    unique gate (its shortest chamber) with all others one step longer.
+    The search skips each s already ending a word up to commuting
+    syllables, where every s^e merges or cancels."""
     if not M.is_right_angled():
         raise NotRightAngled("building model requires a right-angled system")
     caps = caps or Caps.from_env()
@@ -219,9 +221,15 @@ def building_ball(M, thickness, radius, caps=None):
         nxt = []
         for w in frontier:
             for s in range(n):
+                row = commute[s]
+                for t, _e in reversed(w):
+                    if t == s or not row[t]:
+                        break
+                if w and t == s:
+                    continue
                 for e in range(1, qmod[s]):
-                    w2, delta = append_syllable(w, s, e, commute, qmod)
-                    if delta == 1 and w2 not in seen:
+                    w2, _d = append_syllable(w, s, e, commute, qmod)
+                    if w2 not in seen:
                         seen[w2] = r + 1
                         nxt.append(w2)
                         if len(seen) > caps.max_elements:
@@ -509,30 +517,36 @@ class JensenResult:
     p: Fraction
 
 
-def jensen_check(ball, apartment, chain_coeffs, p, max_prec=1024):
-    """Does ||rho^* rho_* eta||_p <= ||eta||_p hold for this chain?
+def jensen_check(ball, apartment, chain_coeffs, p_values, max_prec=1024):
+    """Does ||rho^* rho_* eta||_p <= ||eta||_p hold for this chain?  One
+    JensenResult per p in p_values; theta = rho^* rho_* eta is built once.
 
     Exact for integer and half-integer p; otherwise certified intervals,
     with None when the two sides cannot be separated (e.g. equality at
     irrational p).
     """
-    p = Fraction(p)
-    if p < 1:
+    p_values = [Fraction(p) for p in p_values]
+    if any(p < 1 for p in p_values):
         raise SchemaError("p must be >= 1")
     theta = pullback(ball, apartment,
                      pushforward(ball, apartment, chain_coeffs))
     clean = {k: v for k, v in chain_coeffs.items() if v}
     if theta == clean:
-        return JensenResult(True, "equal", p)
-    lhs = lp_power_sum(theta.values(), p)
-    rhs = lp_power_sum(clean.values(), p)
+        return [JensenResult(True, "equal", p) for p in p_values]
+    return [_compare_norms(theta.values(), clean.values(), p, max_prec)
+            for p in p_values]
+
+
+def _compare_norms(lhs_values, rhs_values, p, max_prec):
+    lhs = lp_power_sum(lhs_values, p)
+    rhs = lp_power_sum(rhs_values, p)
     if lhs is not None and rhs is not None:
         sign = compare_radical_sums(lhs, rhs)
         return JensenResult(sign <= 0, "equal" if sign == 0 else "strict", p)
     prec = 64
     while prec <= max_prec:
-        lo = _interval_power_sum(theta.values(), p, prec)
-        hi = _interval_power_sum(clean.values(), p, prec)
+        lo = _interval_power_sum(lhs_values, p, prec)
+        hi = _interval_power_sum(rhs_values, p, prec)
         if lo.b < hi.a:
             return JensenResult(True, "interval", p)
         if lo.a > hi.b:
@@ -615,32 +629,49 @@ def critical_exponents(system, thickness):
 # ---------------------------------------------------------------------------
 # sampling helpers for the verification battery
 
-def random_simplices(ball, rng, count, max_dim=2):
-    """Margin-valid simplices sampled uniformly-ish for the test battery."""
+def _randbelow(getrandbits, n):
+    """random.Random.randrange(n) for n > 0: the same getrandbits calls,
+    so the same draws, without randrange's argument handling."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def random_simplices(ball, rng, count):
+    """Margin-valid simplices for the test battery, drawn uniformly as
+    rng.randrange draws.  A draw with len(word) - |T_0| + |top| + 2 > radius
+    never reaches make_simplex: the generators of the spherical T_0 commute
+    pairwise, so the gate drops at most one syllable per generator."""
     sph = sorted(ball.spherical_types, key=lambda t: (len(t), t))
-    bigger = {T: [U for U in sph if set(U) > set(T)] for T in sph}
+    bigger = [[j for j, U in enumerate(sph) if set(U) > set(T)] for T in sph]
+    bits = rng.getrandbits
+    chambers, radius = ball.chambers, ball.radius
     out = []
     attempts = 0
     while len(out) < count and attempts < count * 200:
         attempts += 1
-        word = ball.chambers[rng.randrange(len(ball.chambers))]
-        k = rng.randint(0, max_dim)
-        chain = [sph[rng.randrange(len(sph))]]
+        word = chambers[_randbelow(bits, len(chambers))]
+        k = _randbelow(bits, 3)     # dimension 0, 1 or 2
+        chain = [_randbelow(bits, len(sph))]
         while len(chain) < k + 1:
             above = bigger[chain[-1]]
             if not above:
                 break
-            chain.append(above[rng.randrange(len(above))])
+            chain.append(above[_randbelow(bits, len(above))])
+        if len(word) - len(sph[chain[0]]) + len(sph[chain[-1]]) + 2 > radius:
+            continue
         try:
-            out.append(make_simplex(ball, word, chain))
+            out.append(make_simplex(ball, word, [sph[j] for j in chain]))
         except MarginViolation:
             continue
     return out
 
 
-def random_chain(ball, rng, size, max_dim=2):
+def random_chain(ball, rng, size):
     """Random homogeneous-degree chain with small rational coefficients."""
-    simplices = random_simplices(ball, rng, size * 3, max_dim)
+    simplices = random_simplices(ball, rng, size * 3)
     if not simplices:
         raise ResourceExceeded("no margin-valid simplices at this radius")
     deg = simplices[0].dim
@@ -664,8 +695,15 @@ def oracle_battery(M, thickness, radius, p_values=(Fraction(3, 2),
     commutation identities, and the p-norm comparison between a chain and
     its retraction for each requested exponent.  Any failed identity
     raises ValidationMismatch; the return value summarizes what was
-    checked and is JSON-ready.
+    checked and is JSON-ready.  Bad arguments raise SchemaError before
+    any ball is built.
     """
+    if radius < 0:
+        raise SchemaError(f"radius must be >= 0, got {radius}")
+    if chains < 1:
+        raise SchemaError(f"chains must be >= 1, got {chains}")
+    if not p_values or any(Fraction(p) < 1 for p in p_values):
+        raise SchemaError("p grid must be non-empty, with every p >= 1")
     ball = building_ball(M, thickness, radius, caps=caps)
     apartment = building_ball(M, ThicknessVector.constant(M, 1), radius,
                               caps=caps)
@@ -680,11 +718,10 @@ def oracle_battery(M, thickness, radius, p_values=(Fraction(3, 2),
                 pushforward(ball, apartment, boundary(ball, ch)):
             raise ValidationMismatch(
                 f"pushforward does not commute with boundary on trial {trial}")
-        for p in p_values:
-            res = jensen_check(ball, apartment, ch, p)
+        for res in jensen_check(ball, apartment, ch, p_values):
             if res.holds is False:
                 raise ValidationMismatch(
-                    f"norm comparison failed at p={p} on trial {trial}")
+                    f"norm comparison failed at p={res.p} on trial {trial}")
             jensen[res.comparison if res.holds else "indeterminate"] += 1
         ch_ap = random_chain(apartment, rng, chain_size)
         if boundary(apartment, boundary(apartment, ch_ap)) != {}:

@@ -92,8 +92,8 @@ def load_system(path):
 def _parse_p_grid(text):
     try:
         return [Fraction(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise SchemaError(f"bad p grid {text!r}: {exc}")
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"bad p grid {text!r}: {exc}")
 
 
 def _require_thickness(thickness):
@@ -212,7 +212,7 @@ def cmd_confdim(system, thickness, weights, args):
 
 def cmd_verify_oracle(system, thickness, weights, args):
     thickness = _require_thickness(thickness)
-    radius = args.radius or 4
+    radius = 4 if args.radius is None else args.radius
     return oracle_battery(system.M, thickness, radius,
                           p_values=tuple(args.p_grid), chains=args.chains,
                           seed=args.seed, caps=system.caps)

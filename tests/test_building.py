@@ -15,13 +15,15 @@ from fractions import Fraction
 
 import pytest
 
+import coxinv.building as building_mod
 from coxinv.building import (Simplex, ThicknessVector, _interval_power_sum,
-                             append_syllable, boundary, building_ball,
-                             compare_radical_sums, critical_exponents,
-                             gate_drops, gate_word, jensen_check,
-                             lp_power_sum, lp_pullback_partial_sums,
-                             make_simplex, oracle_battery, pullback,
-                             pushforward, random_chain, word_gens)
+                             _randbelow, append_syllable, boundary,
+                             building_ball, compare_radical_sums,
+                             critical_exponents, gate_drops, gate_word,
+                             jensen_check, lp_power_sum,
+                             lp_pullback_partial_sums, make_simplex,
+                             oracle_battery, pullback, pushforward,
+                             random_chain, word_gens)
 from coxinv.errors import (MarginViolation, NotRightAngled,
                            ThicknessClassError)
 from coxinv.system import System
@@ -187,7 +189,7 @@ class TestJensen:
         for _ in range(40):
             ch = random_chain(pent_ball, rng, 5)
             for p in (Fraction(3, 2), Fraction(2), Fraction(3)):
-                r = jensen_check(pent_ball, pent_apartment, ch, p)
+                r = jensen_check(pent_ball, pent_apartment, ch, [p])[0]
                 assert r.holds is True
                 verdicts[r.comparison] = verdicts.get(r.comparison, 0) + 1
         assert verdicts.get("strict", 0) > 0
@@ -196,13 +198,13 @@ class TestJensen:
         rng = random.Random(14)
         ch_ap = random_chain(pent_apartment, rng, 4)
         up = pullback(pent_ball, pent_apartment, ch_ap)
-        r = jensen_check(pent_ball, pent_apartment, up, Fraction(2))
+        r = jensen_check(pent_ball, pent_apartment, up, [Fraction(2)])[0]
         assert r.holds is True and r.comparison == "equal"
 
     def test_irrational_exponent_interval_route(self, pent_ball, pent_apartment):
         rng = random.Random(15)
         ch = random_chain(pent_ball, rng, 5)
-        r = jensen_check(pent_ball, pent_apartment, ch, Fraction(22, 7))
+        r = jensen_check(pent_ball, pent_apartment, ch, [Fraction(22, 7)])[0]
         assert r.holds is True
         assert r.comparison in ("strict", "equal", "interval")
 
@@ -489,7 +491,7 @@ class TestIrrationalExponentVerdicts:
 
     def test_random_chain(self, tree_ball, tree_apartment):
         ch = random_chain(tree_ball, random.Random(16), 5)
-        r = jensen_check(tree_ball, tree_apartment, ch, Fraction(5, 3))
+        r = jensen_check(tree_ball, tree_apartment, ch, [Fraction(5, 3)])[0]
         assert (r.holds, r.comparison) == (True, "interval")
 
     def test_near_equality(self, tree_ball, tree_apartment):
@@ -499,5 +501,67 @@ class TestIrrationalExponentVerdicts:
         up = pullback(tree_ball, tree_apartment, ch_ap)
         face = max(up, key=lambda sx: (len(sx.gate), sx.gate, sx.chain))
         up[face] += Fraction(1, 10 ** 6)
-        r = jensen_check(tree_ball, tree_apartment, up, Fraction(5, 3))
+        r = jensen_check(tree_ball, tree_apartment, up, [Fraction(5, 3)])[0]
         assert (r.holds, r.comparison) == (True, "interval")
+
+
+# ---------------------------------------------------------------------------
+# the sampler: margin pre-test, draw helper and work counts
+
+def _nested_chains(ball, length):
+    types = sorted(ball.spherical_types, key=lambda t: (len(t), t))
+    return [c for k in range(1, length + 1)
+            for c in itertools.combinations(types, k)
+            if all(set(a) < set(b) for a, b in zip(c, c[1:]))]
+
+
+def _pretest_rejections(ball):
+    """Check every chamber x nested spherical chain (length <= 3) that the
+    pre-test of random_simplices rejects: make_simplex must refuse it."""
+    rejected = 0
+    for chain in _nested_chains(ball, 3):
+        for w in ball.chambers:
+            if len(w) - len(chain[0]) + len(chain[-1]) + 2 > ball.radius:
+                with pytest.raises(MarginViolation):
+                    make_simplex(ball, w, chain)
+                rejected += 1
+    return rejected
+
+
+class TestSampler:
+    def test_pretest_exact_on_pentagon(self, pent_ball):
+        assert len(_nested_chains(pent_ball, 3)) == 41
+        assert _pretest_rejections(pent_ball) == 83950
+
+    def test_pretest_exact_on_tree(self, dihedral_inf):
+        ball = building_ball(dihedral_inf,
+                             ThicknessVector.constant(dihedral_inf, 3), 7)
+        assert _pretest_rejections(ball) == 30132
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+    def test_draw_helper_matches_randrange(self, seed):
+        mine, ref = random.Random(seed), random.Random(seed)
+        for n in range(1, 5001):
+            assert _randbelow(mine.getrandbits, n) == ref.randrange(n), n
+        for n in (1, 2, 3):
+            assert _randbelow(mine.getrandbits, n) == ref.randint(0, n - 1)
+        assert mine.getstate() == ref.getstate()
+
+    def test_battery_work_counts(self, pentagon, monkeypatch):
+        calls = {"make_simplex": 0, "pullback": 0}
+
+        def counted(name):
+            inner = getattr(building_mod, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            return wrapper
+        for name in calls:
+            monkeypatch.setattr(building_mod, name, counted(name))
+        oracle_battery(pentagon, ThicknessVector.constant(pentagon, 2), 4,
+                       chains=100, seed=0)
+        # 304,872 and 500 when every draw reached make_simplex and theta
+        # was rebuilt for each p
+        assert calls["make_simplex"] <= 11000
+        assert calls["pullback"] == 300

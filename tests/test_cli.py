@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, formats, determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -28,6 +29,12 @@ SQUARE = {
     "thickness": 2,
 }
 
+TREE_Q3 = {
+    "generators": ["a", "b"],
+    "matrix": [[1, "inf"], ["inf", 1]],
+    "thickness": 3,
+}
+
 TRIANGLE_333 = {
     "generators": ["a", "b", "c"],
     "matrix": [[1, 3, 3], [3, 1, 3], [3, 3, 1]],
@@ -45,7 +52,7 @@ def inputs(tmp_path_factory):
     d = tmp_path_factory.mktemp("cli_inputs")
     paths = {}
     for name, payload in (("pentagon", PENTAGON), ("square", SQUARE),
-                          ("t333", TRIANGLE_333)):
+                          ("t333", TRIANGLE_333), ("tree_q3", TREE_Q3)):
         p = d / f"{name}.json"
         p.write_text(json.dumps(payload))
         paths[name] = str(p)
@@ -188,6 +195,57 @@ class TestExitCodes:
         proc = run_cli("confdim", "--input", inputs["pentagon"],
                        "--lambda", "fast")
         assert proc.returncode == 2
+
+    def test_oracle_radius_zero_is_not_radius_four(self, inputs):
+        # radius 0 holds no margin-valid simplex; it used to run radius 4
+        proc = run_cli("verify-oracle", "--input", inputs["pentagon"],
+                       "--radius", "0", "--format", "machine")
+        assert proc.returncode == 3
+        assert "no margin-valid simplices" in proc.stderr
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--radius", "-2"), "radius must be >= 0"),
+        (("--chains", "-3"), "chains must be >= 1"),
+        (("--chains", "0"), "chains must be >= 1"),
+        (("--p-grid", ","), "p grid must be non-empty"),
+        (("--p-grid", "1/2"), "every p >= 1"),
+    ])
+    def test_oracle_bad_arguments(self, inputs, argv, message):
+        # a one-chamber cap: building any ball first would exit 3
+        proc = run_cli("verify-oracle", "--input", inputs["pentagon"],
+                       "--max-elements", "1", *argv)
+        assert proc.returncode == 2
+        assert message in proc.stderr
+
+    @pytest.mark.parametrize("grid", ["abc", "1/0"])
+    def test_unparseable_p_grid(self, inputs, grid):
+        proc = run_cli("verify-oracle", "--input", inputs["pentagon"],
+                       "--p-grid", grid)
+        assert proc.returncode == 2
+        assert "bad p grid" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+GOLDEN_ORACLE = {
+    "pentagon": (4, "50b0a2d9408c6c546c069420dabe2d56"
+                    "d140d860d638e5bc5b657b7deb246f1d"),
+    "tree_q3": (8, "b8ce935b6dc30c69d8b71ed1d99144c7"
+                   "c0af3bee52371ba8dc95e90d0d2cbb13"),
+}
+
+
+class TestOracleGolden:
+    """sha256 of `verify-oracle --format machine` on the two benchmark
+    inputs (100 chains, seed 0): the bytes and the RNG draws are pinned."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_ORACLE))
+    def test_machine_digest(self, inputs, name):
+        radius, digest = GOLDEN_ORACLE[name]
+        proc = run_cli("verify-oracle", "--input", inputs[name],
+                       "--radius", str(radius), "--chains", "100",
+                       "--seed", "0", "--format", "machine")
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
 
 class TestDeterminism:
