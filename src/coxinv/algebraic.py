@@ -166,9 +166,6 @@ class CycloField:
     def add(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
 
-    def sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
-
     def neg(self, a):
         return tuple(-x for x in a)
 
@@ -252,17 +249,6 @@ class CycloField:
                 return -1
             prec *= 2
         raise AssertionError("sign refinement failed to converge on a nonzero element")
-
-    def to_mpf(self, a, dps=30):
-        with mpmath.workdps(dps):
-            x = 2 * mpmath.cos(mpmath.pi / self.N)
-            val = mpmath.mpf(0)
-            for c in reversed(a):
-                val = val * x + mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
-            return val
-
-    def to_float(self, a):
-        return float(self.to_mpf(a))
 
     def __repr__(self):
         return f"CycloField(N={self.N}, degree={self.degree})"

@@ -26,6 +26,15 @@ from .coxeter import spherical_subsets
 from .elements import Caps, commutation_table
 from .errors import (MarginViolation, NotRightAngled, ResourceExceeded,
                      SchemaError, ThicknessClassError, ValidationMismatch)
+from .growth import WeightVector, exact_rational
+
+
+def _exact_integer(v):
+    """A thickness as an int; SchemaError unless v is exactly an integer."""
+    q = exact_rational(v, "thickness")
+    if q.denominator != 1:
+        raise SchemaError(f"thickness must be an integer, got {v!r}")
+    return q.numerator
 
 
 @dataclass(frozen=True)
@@ -38,7 +47,7 @@ class ThicknessVector:
     def from_generator_map(M, mapping):
         per_class = []
         for cls in M.conjugacy_classes():
-            vals = {int(mapping[M.generators[i]]) for i in cls}
+            vals = {_exact_integer(mapping[M.generators[i]]) for i in cls}
             if len(vals) != 1:
                 names = [M.generators[i] for i in cls]
                 raise ThicknessClassError(
@@ -52,19 +61,13 @@ class ThicknessVector:
 
     @staticmethod
     def validated(values):
-        vals = tuple(int(v) for v in values)
+        vals = tuple(map(_exact_integer, values))
         if any(v < 1 for v in vals):
             raise SchemaError("thickness must be >= 1")
         return ThicknessVector(vals)
 
     def is_thin(self):
         return all(v == 1 for v in self.values)
-
-    def q_of(self, class_vector):
-        out = 1
-        for q, k in zip(self.values, class_vector):
-            out *= q ** k
-        return out
 
     def per_generator(self, M):
         cls_of = M.class_of()
@@ -555,40 +558,6 @@ def _compare_norms(lhs_values, rhs_values, p, max_prec):
     return JensenResult(None, "indeterminate", p)
 
 
-def lp_pullback_partial_sums(M, thickness, p, radius, caps=None):
-    """Partial sums through each radius of sum_w q_w^(1-p): the p-th power
-    of the pullback norm of the apartment's chamber indicator, radius by
-    radius.  Exact Fractions for integer p, kernel maps for half-integer,
-    floats otherwise."""
-    from .growth import layer_class_counts
-    p = Fraction(p)
-    counts, _src = layer_class_counts(M, radius, caps=caps)
-    partials = []
-    if p.denominator == 1:
-        acc = Fraction(0)
-        for d in counts:
-            for cv, c in d.items():
-                acc += c * Fraction(thickness.q_of(cv)) ** (1 - int(p))
-            partials.append(acc)
-        return partials
-    if p.denominator == 2:
-        acc = {}
-        for d in counts:
-            for cv, c in d.items():
-                qw = Fraction(thickness.q_of(cv))
-                # q_w^(1-p) = |1/q_w|^(p-1), again half-integer
-                for k, v in lp_power_sum([Fraction(1) / qw], p - 1).items():
-                    acc[k] = acc.get(k, Fraction(0)) + c * v
-            partials.append({k: v for k, v in acc.items() if v})
-        return partials
-    acc = 0.0
-    for d in counts:
-        for cv, c in d.items():
-            acc += c * float(thickness.q_of(cv)) ** float(1 - p)
-        partials.append(acc)
-    return partials
-
-
 # ---------------------------------------------------------------------------
 # critical exponents
 
@@ -607,13 +576,11 @@ class CriticalExponents:
 
 
 def critical_exponents(system, thickness):
-    from .growth import WeightVector
     pm = system.type_pm.is_pm
     if thickness.is_thin():
         return CriticalExponents(math.inf, 1.0, (math.inf, math.inf),
                                  (1.0, 1.0), None, True, pm)
-    e_q = system.rate(
-        WeightVector(system.M, [Fraction(v) for v in thickness.values]))
+    e_q = system.rate(WeightVector.from_thickness(system.M, thickness))
     lo, hi = e_q.bracket
     if e_q.value == 0.0 and e_q.exact:
         return CriticalExponents(1.0, math.inf, (1.0, 1.0),

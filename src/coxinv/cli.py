@@ -24,7 +24,8 @@ from .errors import (CoxinvError, ResourceExceeded, SchemaError,
                      ValidationMismatch)
 from .growth import WeightVector, classify_convergence, growth_rate
 from .report import (build_report, report_to_json, report_to_text,
-                     _poly_str, _rate_json, _fmt)
+                     _components_json, _confdim_json, _exponents_json, _fmt,
+                     _rate_json, _series_json, _type_pm_json)
 from .system import System
 
 EXIT_OK = 0
@@ -73,7 +74,7 @@ def load_system(path):
                 raise SchemaError(f"thickness missing generators {missing}")
             thickness = ThicknessVector.from_generator_map(M, t)
         else:
-            thickness = ThicknessVector.constant(M, int(t))
+            thickness = ThicknessVector.constant(M, t)
 
     weights = None
     if "weights" in data:
@@ -82,18 +83,21 @@ def load_system(path):
             missing = [g for g in M.generators if g not in w]
             if missing:
                 raise SchemaError(f"weights missing generators {missing}")
-            weights = WeightVector.from_generator_map(
-                M, {g: Fraction(v) for g, v in w.items()})
+            weights = WeightVector.from_generator_map(M, w)
         else:
-            weights = WeightVector.constant(M, Fraction(w))
+            weights = WeightVector.constant(M, w)
     return M, thickness, weights
 
 
 def _parse_p_grid(text):
     try:
-        return [Fraction(tok) for tok in text.split(",") if tok.strip()]
+        grid = [Fraction(tok) for tok in text.split(",") if tok.strip()]
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"bad p grid {text!r}: {exc}")
+    if not grid or any(p < 1 for p in grid):
+        raise argparse.ArgumentTypeError(
+            "p grid must be non-empty, with every p >= 1")
+    return grid
 
 
 def _require_thickness(thickness):
@@ -115,9 +119,7 @@ def cmd_classify(system, thickness, weights, args):
         "rank": M.rank,
         "right_angled": M.is_right_angled(),
         "kind": cls.kind,
-        "components": [{"label": c.label, "kind": c.kind,
-                        "vertices": sorted(c.vertices)}
-                       for c in cls.components],
+        "components": _components_json(cls),
         "order": finite_group_order(M, range(M.rank))
                  if cls.is_finite() else None,
         "hyperbolic": system.hyperbolicity.hyperbolic,
@@ -132,13 +134,7 @@ def cmd_nerve(system, thickness, weights, args):
         "dim": N.dim,
         "face_counts": [len(N.k_faces(k)) for k in range(N.dim + 1)],
         "euler": N.euler_characteristic(),
-        "type_pm": {
-            "is_pm": pm.is_pm,
-            "purely_dimensional": pm.purely_dimensional,
-            "pseudomanifold": pm.pseudomanifold,
-            "gallery_connected": pm.gallery_connected,
-            "orientable": pm.orientable,
-        },
+        "type_pm": _type_pm_json(pm),
         "vcd": v.value,
         "vcd_spherical": v.spherical_value,
     }
@@ -146,16 +142,9 @@ def cmd_nerve(system, thickness, weights, args):
 
 def cmd_growth(system, thickness, weights, args):
     if weights is None and thickness is not None:
-        weights = WeightVector(system.M,
-                               [Fraction(q) for q in thickness.values])
+        weights = WeightVector.from_thickness(system.M, thickness)
     series = system.series(per_class=True)
-    out = {
-        "series": {
-            "numerator": _poly_str(series.numerator.collapse(), ["t"]),
-            "denominator": _poly_str(series.denominator.collapse(), ["t"]),
-            "validated_depth": series.validated_depth,
-        },
-    }
+    out = {"series": _series_json(series)}
     w_arg = None if weights is None or weights.all_one() else weights
     rate = system.rate(w_arg)
     out["rate"] = _rate_json(rate)
@@ -181,10 +170,7 @@ def cmd_exponents(system, thickness, weights, args):
     return {
         "thickness": list(thickness.per_generator(system.M)),
         "thin": ce.thin,
-        "p_hom": ce.p_hom,
-        "p_cohom": ce.p_cohom,
-        "p_hom_bracket": list(ce.p_hom_bracket),
-        "p_cohom_bracket": list(ce.p_cohom_bracket),
+        **_exponents_json(ce),
         "nerve_is_pm": ce.nerve_is_pm,
     }
 
@@ -193,16 +179,7 @@ def cmd_confdim(system, thickness, weights, args):
     thickness = _require_thickness(thickness)
     b = confdim_bounds(system, thickness, lam=args.lam,
                        apartment_confdim=args.apartment_confdim)
-    out = {
-        "lower": b.lower,
-        "upper": b.upper,
-        "lower_provenance": b.lower_provenance,
-        "upper_provenance": b.upper_provenance,
-        "lambda": b.lam,
-        "lambda_provenance": b.lambda_provenance,
-        "hausdim": b.hausdim,
-        "fuchsian": b.fuchsian,
-    }
+    out = _confdim_json(b)
     if b.fuchsian:
         fr = fuchsian_report(system, thickness, p_grid=args.p_grid)
         out["vanishing"] = [{"p": p, "degree_1": d1, "degree_2": d2}
@@ -307,10 +284,7 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    caps = Caps.from_env()
-    if args.max_elements is not None:
-        caps = Caps(max_elements=args.max_elements,
-                    max_simplices=caps.max_simplices)
+    caps = Caps.from_env(max_elements=args.max_elements)
     if args.lam is not None and args.lam != "bourdon":
         try:
             args.lam = float(args.lam)

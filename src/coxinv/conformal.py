@@ -18,12 +18,12 @@ collapses to the exact value 1 + 1/e_q.
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .coxeter import classify_parabolic
 from .davis import nerve_complex
 from .errors import (AffineDegenerate, NotHyperbolic, ResourceExceeded,
                      SchemaError, ThinBuilding)
+from .growth import WeightVector
 
 MAX_SUBSET_SCAN_RANK = 14
 
@@ -58,7 +58,7 @@ def moussong_hyperbolic(M):
         if len(T) < 3:
             continue
         cls = classify_parabolic(M, T)
-        if cls.kind == "affine" and len(cls.components) == 1:
+        if cls.is_affine() and len(cls.components) == 1:
             return HyperbolicityReport(False, AffineRank3(tuple(T)))
     # commuting pair of infinite subsets
     for T1 in subsets:
@@ -94,42 +94,13 @@ def resolve_lambda(lam, e_q):
 
 
 def _require_thick_growing(system, thickness):
-    from .growth import WeightVector
     if thickness.is_thin():
         raise ThinBuilding("conformal data needs thickness >= 2 somewhere")
-    e_q = system.rate(
-        WeightVector(system.M, [Fraction(v) for v in thickness.values]))
+    e_q = system.rate(WeightVector.from_thickness(system.M, thickness))
     if e_q.value <= 0:
         raise AffineDegenerate("chamber growth is not exponential; the "
                                "boundary carries no visual dimension data")
     return e_q
-
-
-def coornaert_hausdim(system, thickness, lam=None):
-    """Hausdorff dimension e_q / log(lambda) of the visual boundary.
-
-    Requires hyperbolicity, exponential chamber growth, and an actually
-    thick building.
-    """
-    hyp = system.hyperbolicity
-    if not hyp.hyperbolic:
-        raise NotHyperbolic(f"obstruction: {hyp.witness}")
-    e_q = _require_thick_growing(system, thickness)
-    lam_val, lam_prov = resolve_lambda(lam, e_q)
-    value = e_q.value / math.log(lam_val)
-    lo, hi = e_q.bracket
-    return HausdorffReport(value, (lo / math.log(lam_val),
-                                   hi / math.log(lam_val)),
-                           lam_val, lam_prov, e_q)
-
-
-@dataclass
-class HausdorffReport:
-    value: float
-    bracket: tuple
-    lam: float
-    lambda_provenance: str
-    e_q: object
 
 
 def is_nerve_circle(M):
@@ -163,15 +134,6 @@ class ConfdimBounds:
     hausdim: float
     fuchsian: bool
     e_q: object
-
-    @property
-    def width(self):
-        return self.upper - self.lower
-
-    @property
-    def relative_width(self):
-        mid = (self.upper + self.lower) / 2
-        return self.width / mid if mid else math.inf
 
 
 def confdim_bounds(system, thickness, lam=None, apartment_confdim=None):

@@ -64,9 +64,6 @@ class CoxeterMatrix:
     def entry(self, i, j):
         return self.m[i][j]
 
-    def index(self, name):
-        return self.generators.index(name)
-
     def submatrix(self, subset):
         """Induced system on a subset of generator indices (sorted)."""
         idx = sorted(subset)
@@ -407,12 +404,6 @@ def classify_parabolic(M, subset=None):
 
 def is_spherical(M, subset):
     return classify_parabolic(M, subset).is_finite()
-
-
-def is_affine_system(M):
-    """Affine as a system: infinite, and a product of finite and irreducible
-    affine factors with at least one affine factor."""
-    return classify_parabolic(M).is_affine()
 
 
 def spherical_subsets(M):

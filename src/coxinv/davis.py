@@ -9,9 +9,10 @@ splits over group elements into relative pairs (D, D^T), so the real
 nonzero for some T; the witnesses record which subsets realize it.
 """
 
+import itertools
 from dataclasses import dataclass
 
-from .coxeter import classify_parabolic, spherical_subsets
+from .coxeter import spherical_subsets
 from .errors import NoWitness, ResourceExceeded
 from .homology import (SimplicialComplexQ, betti_numbers, order_complex,
                        pm_verdict)
@@ -74,24 +75,19 @@ def _top_nonzero_degree(b):
     return None
 
 
-def vcd_real(M, subsets="all"):
+def vcd_real(M):
     """Real virtual cohomological dimension with realizing subsets.
 
-    subsets "all" scans every T <= S (rank-capped); "spherical" restricts to
-    spherical T, which is cheaper and realizes the maximum in the systems
-    treated here, but is reported separately rather than assumed equal.
+    Scans every T <= S, so the rank is capped at MAX_ALL_SUBSETS_RANK.  The
+    maximum over spherical T alone is reported as spherical_value, next to
+    the full maximum rather than assumed equal to it.
     """
-    if subsets == "all" and M.rank > MAX_ALL_SUBSETS_RANK:
-        raise ResourceExceeded(
-            f"2^{M.rank} mirror unions; use subsets='spherical'")
+    if M.rank > MAX_ALL_SUBSETS_RANK:
+        raise ResourceExceeded(f"2^{M.rank} mirror unions")
     ch = davis_chamber(M)
     spherical_set = {frozenset(T) for T in ch.sphericals}
-    if subsets == "all":
-        import itertools
-        cand = [frozenset(c) for r in range(M.rank + 1)
-                for c in itertools.combinations(range(M.rank), r)]
-    else:
-        cand = sorted(spherical_set, key=lambda T: (len(T), tuple(sorted(T))))
+    cand = [frozenset(c) for r in range(M.rank + 1)
+            for c in itertools.combinations(range(M.rank), r)]
     best = 0
     spherical_best = 0
     hits = []

@@ -25,7 +25,6 @@ cache derives it on every hit instead of storing it.
 import os
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
 from math import inf
 
 from .algebraic import CycloField
@@ -95,12 +94,6 @@ class ReflectionRep:
         """l(ws) < l(w) iff w(alpha_s) has every coordinate <= 0."""
         return all(self.field.sign(x) <= 0 for x in cols[s])
 
-    def word_matrix(self, word):
-        m = self.identity
-        for s in word:
-            m = self.apply_gen(m, s)
-        return m
-
 
 def commutation_table(M):
     n = M.rank
@@ -146,12 +139,6 @@ class BallEnumeration:
     def __init__(self, layers, group_exhausted):
         self.layers = layers
         self.group_exhausted = group_exhausted
-
-    def layer_sizes(self):
-        return [len(l) for l in self.layers]
-
-    def ball_sizes(self):
-        return list(accumulate(self.layer_sizes()))
 
     def class_counts(self):
         """Per length: dict class_vector -> element count, keys sorted as

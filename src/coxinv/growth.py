@@ -57,13 +57,6 @@ class PolyQ:
     def const(nvars, c):
         return PolyQ(nvars, {(0,) * nvars: c})
 
-    @staticmethod
-    def monomial(nvars, expo, c=1):
-        return PolyQ(nvars, {tuple(expo): c})
-
-    def is_zero(self):
-        return not self.terms
-
     def __add__(self, other):
         out = dict(self.terms)
         for e, c in other.terms.items():
@@ -73,9 +66,6 @@ class PolyQ:
             elif e in out:
                 del out[e]
         return PolyQ(self.nvars, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
 
     def scale(self, c):
         c = _int_or_fraction(c)
@@ -145,17 +135,34 @@ class PolyQ:
 # ---------------------------------------------------------------------------
 # weights
 
+def exact_rational(v, what):
+    """v as a Fraction: an int, a finite float or a rational string such
+    as "3/2".  Anything else raises SchemaError."""
+    try:
+        return Fraction(v)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise SchemaError(
+            f"{what} must be an exact rational, got {v!r}") from None
+
+
 class WeightVector:
-    """Per-conjugacy-class weights >= 1 (exact rationals)."""
+    """Per-conjugacy-class weights >= 1 (exact rationals small enough to
+    convert to float)."""
 
     def __init__(self, M, per_class):
         classes = M.conjugacy_classes()
         if len(per_class) != len(classes):
             raise SchemaError(
                 f"expected {len(classes)} class weights, got {len(per_class)}")
-        vals = tuple(Fraction(v) for v in per_class)
+        vals = tuple(exact_rational(v, "weight") for v in per_class)
         if any(v < 1 for v in vals):
             raise SchemaError("weights must be >= 1")
+        for raw, v in zip(per_class, vals):
+            try:
+                float(v)
+            except OverflowError:
+                raise SchemaError(
+                    f"weight {raw!r} is too large for a float") from None
         self.M = M
         self.values = vals
 
@@ -165,7 +172,8 @@ class WeightVector:
         classes = M.conjugacy_classes()
         per_class = []
         for cls in classes:
-            vals = {Fraction(mapping[M.generators[i]]) for i in cls}
+            vals = {exact_rational(mapping[M.generators[i]], "weight")
+                    for i in cls}
             if len(vals) != 1:
                 names = [M.generators[i] for i in cls]
                 raise SchemaError(
@@ -175,7 +183,12 @@ class WeightVector:
 
     @staticmethod
     def constant(M, value):
-        return WeightVector(M, [Fraction(value)] * len(M.conjugacy_classes()))
+        return WeightVector(M, [value] * len(M.conjugacy_classes()))
+
+    @staticmethod
+    def from_thickness(M, thickness):
+        """The chamber weights q_s of a building with this thickness."""
+        return WeightVector(M, thickness.values)
 
     def weight_of(self, class_vec):
         out = Fraction(1)
@@ -387,14 +400,13 @@ def _parabolic_poly(M, T, nclasses, class_of, caps):
     return PolyQ(nclasses, out)
 
 
-def rational_growth_series(system, per_class=True, validate_depth=None):
+def rational_growth_series(system, per_class=True):
     """Weighted growth series as an exact rational function, validated
-    against the system's BFS counts through validate_depth (mandatory)."""
+    against the system's BFS counts through DEFAULT_VALIDATION_DEPTH
+    (mandatory)."""
     M = system.M
     nclasses = len(M.conjugacy_classes()) if per_class else 1
     cls = system.classification
-    if validate_depth is None:
-        validate_depth = DEFAULT_VALIDATION_DEPTH
 
     def parabolic(T):
         poly = system.parabolic_poly(T)
@@ -403,8 +415,8 @@ def rational_growth_series(system, per_class=True, validate_depth=None):
     if cls.is_finite():
         poly = parabolic(range(M.rank))
         series = RationalGrowthSeries(M, poly, PolyQ.const(nclasses, 1),
-                                      per_class, validate_depth)
-        _validate_series(series, system, validate_depth)
+                                      per_class, DEFAULT_VALIDATION_DEPTH)
+        _validate_series(series, system)
         return series
 
     # accumulate sum over T of (-1)^|T| / W_T as an exact fraction, reusing
@@ -437,13 +449,16 @@ def rational_growth_series(system, per_class=True, validate_depth=None):
         raise ValidationMismatch("growth series denominator lost its constant term")
     W_num = W_num.scale(Fraction(1) / c0)
     W_den = W_den.scale(Fraction(1) / c0)
-    series = RationalGrowthSeries(M, W_num, W_den, per_class, validate_depth)
-    _validate_series(series, system, validate_depth)
+    series = RationalGrowthSeries(M, W_num, W_den, per_class,
+                                  DEFAULT_VALIDATION_DEPTH)
+    _validate_series(series, system)
     return series
 
 
-def _validate_series(series, system, depth):
-    """Mandatory: Taylor coefficients must equal BFS class counts exactly."""
+def _validate_series(series, system):
+    """Mandatory: Taylor coefficients must equal BFS class counts exactly,
+    through the series' validated_depth."""
+    depth = series.validated_depth
     counts, _src = system.layer_counts(depth)
     if series.per_class:
         expanded = series.expand(depth)
@@ -460,7 +475,6 @@ def _validate_series(series, system, depth):
             if expanded[k] != sizes[k]:
                 raise ValidationMismatch(
                     f"series expansion disagrees with BFS at length {k}")
-    series.validated_depth = depth
 
 
 # ---------------------------------------------------------------------------
@@ -900,12 +914,3 @@ def classify_convergence(system, weights, x):
         return "diverges"
     return "boundary"
 
-
-def rate_comparison_bounds(system, weights):
-    """e(W)/log t_max <= e_t <= e(W)/log t_min for weights > 1."""
-    if any(v == 1 for v in weights.values):
-        raise DegenerateWeights("comparison bounds require weights > 1")
-    e_univ = system.rate(None)
-    ltmax = math.log(float(max(weights.values)))
-    ltmin = math.log(float(min(weights.values)))
-    return (e_univ.bracket[0] / ltmax, e_univ.bracket[1] / ltmin)

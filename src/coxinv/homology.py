@@ -67,9 +67,6 @@ class SimplicialComplexQ:
     def __len__(self):
         return len(self._faces)
 
-    def vertices(self):
-        return [f[0] for f in self._by_dim.get(0, [])]
-
     def maximal_faces(self):
         out = []
         for f in self._faces:
@@ -80,14 +77,6 @@ class SimplicialComplexQ:
 
     def euler_characteristic(self):
         return sum((-1) ** k * len(fs) for k, fs in self._by_dim.items())
-
-    def is_cone(self):
-        """True when some vertex belongs to every maximal face."""
-        verts = self.vertices()
-        if not verts:
-            return False
-        maxes = self.maximal_faces()
-        return any(all(v in f for f in maxes) for v in verts)
 
 
 def order_complex(elements, strictly_less, key=None):
@@ -203,24 +192,6 @@ def betti_numbers(X, relative_to=None, reduced=False):
     if reduced and out:
         out[0] -= 1
     return out
-
-
-def verify_boundary_squares_to_zero(X):
-    """Exact check that the composite boundary map vanishes in every degree."""
-    for k in range(1, X.dim + 1):
-        kf = X.k_faces(k + 1)
-        for f in kf:
-            acc = {}
-            for i in range(len(f)):
-                sub = f[:i] + f[i + 1:]
-                si = Fraction(-1 if i % 2 else 1)
-                for j in range(len(sub)):
-                    sub2 = sub[:j] + sub[j + 1:]
-                    sj = Fraction(-1 if j % 2 else 1)
-                    acc[sub2] = acc.get(sub2, Fraction(0)) + si * sj
-            if any(v != 0 for v in acc.values()):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

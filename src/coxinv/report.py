@@ -3,10 +3,12 @@
 A report is a plain JSON-able dict assembled in a fixed order with exact
 values rendered as strings and floats kept as floats.  Infinite values
 are carried as the string token "Infinity" ("-Infinity") in the machine
-format and restored on load, so reports survive a JSON round trip
-byte-for-byte.  Optional sections that fail a precondition (confdim on a
-non-hyperbolic system, support refinement without a witness) record the
-error inline rather than failing the whole report.
+format, so the rendering is plain JSON.  Restoring the infinities on load
+is left to the reader: the test suite holds that decoder and checks that
+reports survive a JSON round trip byte-for-byte.  Optional sections that
+fail a precondition (confdim on a non-hyperbolic system, support
+refinement without a witness) record the error inline rather than failing
+the whole report.
 
 Timings are collected only on request and live outside the deterministic
 payload.
@@ -49,27 +51,11 @@ def encode_json_value(x):
     return x
 
 
-def decode_json_value(x):
-    if x == INF_TOKEN:
-        return math.inf
-    if x == NEG_INF_TOKEN:
-        return -math.inf
-    if isinstance(x, dict):
-        return {k: decode_json_value(v) for k, v in x.items()}
-    if isinstance(x, list):
-        return [decode_json_value(v) for v in x]
-    return x
-
-
 def report_to_json(report):
     """Canonical machine rendering: sorted keys, no whitespace, infinity
     tokens."""
     return json.dumps(encode_json_value(report), sort_keys=True,
                       separators=(",", ":"), allow_nan=False)
-
-
-def report_from_json(text):
-    return decode_json_value(json.loads(text))
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +88,15 @@ def _matrix_json(M):
     return [[("inf" if v == math.inf else v) for v in row] for row in M.m]
 
 
+def _series_json(series):
+    """The series collapsed to one variable t."""
+    return {
+        "numerator": _poly_str(series.numerator.collapse(), ["t"]),
+        "denominator": _poly_str(series.denominator.collapse(), ["t"]),
+        "validated_depth": series.validated_depth,
+    }
+
+
 def _rate_json(rate):
     return {
         "value": rate.value,
@@ -109,6 +104,43 @@ def _rate_json(rate):
         "method": rate.method,
         "uncertainty": rate.uncertainty,
         "exact": rate.exact,
+    }
+
+
+def _components_json(cls):
+    return [{"label": c.label, "kind": c.kind, "vertices": sorted(c.vertices)}
+            for c in cls.components]
+
+
+def _type_pm_json(pm):
+    return {
+        "is_pm": pm.is_pm,
+        "purely_dimensional": pm.purely_dimensional,
+        "pseudomanifold": pm.pseudomanifold,
+        "gallery_connected": pm.gallery_connected,
+        "orientable": pm.orientable,
+    }
+
+
+def _exponents_json(ce):
+    return {
+        "p_hom": ce.p_hom,
+        "p_cohom": ce.p_cohom,
+        "p_hom_bracket": list(ce.p_hom_bracket),
+        "p_cohom_bracket": list(ce.p_cohom_bracket),
+    }
+
+
+def _confdim_json(b):
+    return {
+        "lower": b.lower,
+        "upper": b.upper,
+        "lower_provenance": b.lower_provenance,
+        "upper_provenance": b.upper_provenance,
+        "lambda": b.lam,
+        "lambda_provenance": b.lambda_provenance,
+        "hausdim": b.hausdim,
+        "fuchsian": b.fuchsian,
     }
 
 
@@ -161,9 +193,7 @@ def build_report(system, thickness=None, weights=None, depth=8, radius=None,
         },
         "classification": {
             "kind": cls.kind,
-            "components": [{"label": c.label, "kind": c.kind,
-                            "vertices": sorted(c.vertices)}
-                           for c in cls.components],
+            "components": _components_json(cls),
             "finite": cls.is_finite(),
             "order": order,
         },
@@ -183,14 +213,7 @@ def build_report(system, thickness=None, weights=None, depth=8, radius=None,
         "euler": nerve.euler_characteristic(),
         "is_circle": system.nerve_is_circle,
     }
-    report["type_pm"] = {
-        "is_pm": pm.is_pm,
-        "dim": pm.dim,
-        "purely_dimensional": pm.purely_dimensional,
-        "pseudomanifold": pm.pseudomanifold,
-        "gallery_connected": pm.gallery_connected,
-        "orientable": pm.orientable,
-    }
+    report["type_pm"] = {"dim": pm.dim, **_type_pm_json(pm)}
     v = timed("vcd", lambda: system.vcd)
     report["vcd"] = {
         "value": v.value,
@@ -212,9 +235,9 @@ def build_report(system, thickness=None, weights=None, depth=8, radius=None,
     # weighted growth
     if weights is None:
         if thickness is not None:
-            weights = WeightVector(M, [Fraction(q) for q in thickness.values])
+            weights = WeightVector.from_thickness(M, thickness)
         else:
-            weights = WeightVector(M, [Fraction(1)] * len(M.conjugacy_classes()))
+            weights = WeightVector.constant(M, 1)
     layers, source = timed("layers", lambda: system.layer_counts(depth))
     class_of = M.class_of()
     growth = {
@@ -229,12 +252,7 @@ def build_report(system, thickness=None, weights=None, depth=8, radius=None,
         series = timed("series", lambda: system.series(per_class=True))
         # the report carries the collapsed univariate form; the per-class
         # function stays a library-level object
-        growth["series"] = {
-            "variables": ["t"],
-            "numerator": _poly_str(series.numerator.collapse(), ["t"]),
-            "denominator": _poly_str(series.denominator.collapse(), ["t"]),
-            "validated_depth": series.validated_depth,
-        }
+        growth["series"] = {"variables": ["t"], **_series_json(series)}
         # trivial weights fall back to the plain rate e(W)
         w_arg = None if weights.all_one() else weights
         rate = timed("rate", lambda: system.rate(w_arg))
@@ -254,12 +272,7 @@ def build_report(system, thickness=None, weights=None, depth=8, radius=None,
             report["building"] = {
                 "thickness": list(thickness.per_generator(M)),
                 "thin": ce.thin,
-                "exponents": {
-                    "p_hom": ce.p_hom,
-                    "p_cohom": ce.p_cohom,
-                    "p_hom_bracket": list(ce.p_hom_bracket),
-                    "p_cohom_bracket": list(ce.p_cohom_bracket),
-                },
+                "exponents": _exponents_json(ce),
                 "nerve_is_pm": ce.nerve_is_pm,
             }
         except CoxinvError as exc:
@@ -268,16 +281,7 @@ def build_report(system, thickness=None, weights=None, depth=8, radius=None,
             b = timed("confdim",
                       lambda: confdim_bounds(system, thickness, lam=lam,
                                              apartment_confdim=apartment_confdim))
-            report["confdim"] = {
-                "lower": b.lower,
-                "upper": b.upper,
-                "lower_provenance": b.lower_provenance,
-                "upper_provenance": b.upper_provenance,
-                "lambda": b.lam,
-                "lambda_provenance": b.lambda_provenance,
-                "hausdim": b.hausdim,
-                "fuchsian": b.fuchsian,
-            }
+            report["confdim"] = _confdim_json(b)
         except (NotHyperbolic, ThinBuilding, AffineDegenerate) as exc:
             report["confdim"] = _error_json(exc)
     else:

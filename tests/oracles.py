@@ -4,10 +4,21 @@ Each function recomputes a quantity by a method unrelated to the library
 implementation: fraction-free Bareiss elimination for matrix ranks, a
 brute-force rewriting search for right-angled canonical forms, plain long
 division for series coefficients, and reflection-matrix enumeration for
-parabolic finiteness.  Deliberately simple and slow.
+parabolic finiteness.  Deliberately simple and slow.  The rest are checks
+the library does not run: d∘d = 0 on a whole complex, the cone test, the
+rate comparison bounds, the count side of the pullback norms, and the
+inverse of the machine report encoding.
 """
 
+import json
+import math
 from fractions import Fraction
+
+from coxinv.building import lp_power_sum
+from coxinv.elements import ReflectionRep
+from coxinv.errors import DegenerateWeights
+from coxinv.growth import layer_class_counts
+from coxinv.report import INF_TOKEN, NEG_INF_TOKEN
 
 
 def bareiss_rank(rows):
@@ -139,8 +150,6 @@ def bn_poincare(n):
 def parabolic_is_finite_by_enumeration(M, subset, bound=20000):
     """Finiteness of a standard parabolic checked by enumerating reflection
     matrices until exhaustion or the bound; no diagram tables involved."""
-    from coxinv.elements import ReflectionRep
-
     sub = M.submatrix(subset)
     rep = ReflectionRep(sub)
     seen = {rep.identity}
@@ -191,3 +200,108 @@ def lex_least_trace(syllables, commute):
         i = min(free, key=lambda k: rest[k][0])
         out.append(rest.pop(i))
     return tuple(out)
+
+
+def word_matrix(rep, word):
+    """Reflection matrix of a word, folded letter by letter through
+    rep.apply_gen from the identity."""
+    m = rep.identity
+    for s in word:
+        m = rep.apply_gen(m, s)
+    return m
+
+
+def verify_boundary_squares_to_zero(X):
+    """Exact check that the composite boundary map vanishes in every degree."""
+    for k in range(1, X.dim + 1):
+        kf = X.k_faces(k + 1)
+        for f in kf:
+            acc = {}
+            for i in range(len(f)):
+                sub = f[:i] + f[i + 1:]
+                si = Fraction(-1 if i % 2 else 1)
+                for j in range(len(sub)):
+                    sub2 = sub[:j] + sub[j + 1:]
+                    sj = Fraction(-1 if j % 2 else 1)
+                    acc[sub2] = acc.get(sub2, Fraction(0)) + si * sj
+            if any(v != 0 for v in acc.values()):
+                return False
+    return True
+
+
+def is_cone(X):
+    """True when some vertex of the complex belongs to every maximal face."""
+    verts = [f[0] for f in X.k_faces(0)]
+    if not verts:
+        return False
+    maxes = X.maximal_faces()
+    return any(all(v in f for f in maxes) for v in verts)
+
+
+def rate_comparison_bounds(system, weights):
+    """e(W)/log t_max <= e_t <= e(W)/log t_min for weights > 1."""
+    if any(v == 1 for v in weights.values):
+        raise DegenerateWeights("comparison bounds require weights > 1")
+    e_univ = system.rate(None)
+    ltmax = math.log(float(max(weights.values)))
+    ltmin = math.log(float(min(weights.values)))
+    return (e_univ.bracket[0] / ltmax, e_univ.bracket[1] / ltmin)
+
+
+def _q_of(thickness, class_vector):
+    """q_w = prod_i q_i^k_i for an element of class vector k."""
+    out = 1
+    for q, k in zip(thickness.values, class_vector):
+        out *= q ** k
+    return out
+
+
+def lp_pullback_partial_sums(M, thickness, p, radius, caps=None):
+    """Partial sums through each radius of sum_w q_w^(1-p): the p-th power
+    of the pullback norm of the apartment's chamber indicator, radius by
+    radius, from the Weyl class counts.  Exact Fractions for integer p,
+    kernel maps for half-integer, floats otherwise."""
+    p = Fraction(p)
+    counts, _src = layer_class_counts(M, radius, caps=caps)
+    partials = []
+    if p.denominator == 1:
+        acc = Fraction(0)
+        for d in counts:
+            for cv, c in d.items():
+                acc += c * Fraction(_q_of(thickness, cv)) ** (1 - int(p))
+            partials.append(acc)
+        return partials
+    if p.denominator == 2:
+        acc = {}
+        for d in counts:
+            for cv, c in d.items():
+                qw = Fraction(_q_of(thickness, cv))
+                # q_w^(1-p) = |1/q_w|^(p-1), again half-integer
+                for k, v in lp_power_sum([Fraction(1) / qw], p - 1).items():
+                    acc[k] = acc.get(k, Fraction(0)) + c * v
+            partials.append({k: v for k, v in acc.items() if v})
+        return partials
+    acc = 0.0
+    for d in counts:
+        for cv, c in d.items():
+            acc += c * float(_q_of(thickness, cv)) ** float(1 - p)
+        partials.append(acc)
+    return partials
+
+
+def decode_json_value(x):
+    """Inverse of coxinv.report.encode_json_value on JSON data: the
+    infinity tokens become floats again."""
+    if x == INF_TOKEN:
+        return math.inf
+    if x == NEG_INF_TOKEN:
+        return -math.inf
+    if isinstance(x, dict):
+        return {k: decode_json_value(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [decode_json_value(v) for v in x]
+    return x
+
+
+def report_from_json(text):
+    return decode_json_value(json.loads(text))

@@ -203,7 +203,6 @@ class TestCriterion08ConformalDimension:
         expect = 1.0 + math.log(2) / PENTAGON_RATE
         assert b.lower == b.upper
         assert abs(b.lower - expect) < 1e-6
-        assert b.relative_width < 1e-6
 
     def test_generic_bracket_width(self, pentagon):
         # the same bracket rebuilt from the rate interval, without the

@@ -20,15 +20,14 @@ from coxinv.building import (Simplex, ThicknessVector, _interval_power_sum,
                              _randbelow, append_syllable, boundary,
                              building_ball, compare_radical_sums,
                              critical_exponents, gate_drops, gate_word,
-                             jensen_check, lp_power_sum,
-                             lp_pullback_partial_sums, make_simplex,
+                             jensen_check, lp_power_sum, make_simplex,
                              oracle_battery, pullback, pushforward,
                              random_chain, word_gens)
 from coxinv.errors import (MarginViolation, NotRightAngled,
                            ThicknessClassError)
 from coxinv.system import System
 
-from .oracles import iterative_gate
+from .oracles import iterative_gate, lp_pullback_partial_sums
 
 
 @pytest.fixture(scope="module")

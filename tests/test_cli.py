@@ -225,6 +225,68 @@ class TestExitCodes:
         assert "bad p grid" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @staticmethod
+    def _refused(*argv):
+        proc = run_cli(*argv)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        return proc
+
+    def test_confdim_empty_p_grid(self, inputs):
+        proc = self._refused("confdim", "--input", inputs["pentagon"],
+                             "--p-grid", ",")
+        assert "p grid must be non-empty" in proc.stderr
+
+    def test_confdim_p_below_one(self, inputs):
+        proc = self._refused("confdim", "--input", inputs["pentagon"],
+                             "--p-grid", "1/2")
+        assert "every p >= 1" in proc.stderr
+
+    def test_report_empty_p_grid(self, inputs):
+        self._refused("report", "--input", inputs["pentagon"],
+                      "--p-grid", ",")
+
+    @staticmethod
+    def _write(tmp_path, **entries):
+        payload = {k: v for k, v in PENTAGON.items() if k != "thickness"}
+        payload.update(entries)
+        p = tmp_path / "input.json"
+        p.write_text(json.dumps(payload))
+        return str(p)
+
+    def test_fractional_thickness_float(self, tmp_path):
+        # int() used to truncate it to 2 silently
+        proc = self._refused("exponents", "--input",
+                             self._write(tmp_path, thickness=2.5))
+        assert "thickness must be an integer" in proc.stderr
+
+    def test_fractional_thickness_string(self, tmp_path):
+        proc = self._refused("exponents", "--input",
+                             self._write(tmp_path, thickness="3/2"))
+        assert "thickness must be an integer" in proc.stderr
+
+    def test_non_numeric_generator_thickness(self, tmp_path):
+        thickness = dict.fromkeys("abcde", 2)
+        thickness["c"] = "x"
+        proc = self._refused("exponents", "--input",
+                             self._write(tmp_path, thickness=thickness))
+        assert "'x'" in proc.stderr
+
+    def test_non_numeric_weights(self, tmp_path):
+        proc = self._refused("growth", "--input",
+                             self._write(tmp_path, weights="abc"))
+        assert "weight must be an exact rational" in proc.stderr
+
+    def test_nan_weights(self, tmp_path):
+        proc = self._refused("growth", "--input",
+                             self._write(tmp_path, weights="nan"))
+        assert "weight must be an exact rational" in proc.stderr
+
+    def test_weights_beyond_float_range(self, tmp_path):
+        proc = self._refused("growth", "--input",
+                             self._write(tmp_path, weights="1e400"))
+        assert "too large for a float" in proc.stderr
+
 
 GOLDEN_ORACLE = {
     "pentagon": (4, "50b0a2d9408c6c546c069420dabe2d56"

@@ -6,8 +6,7 @@ import pytest
 
 from coxinv.building import ThicknessVector
 from coxinv.conformal import (AffineRank3, CommutingInfinitePair,
-                              confdim_bounds, coornaert_hausdim,
-                              fuchsian_report, is_nerve_circle,
+                              confdim_bounds, fuchsian_report, is_nerve_circle,
                               moussong_hyperbolic, resolve_lambda)
 from coxinv.errors import (AffineDegenerate, NotHyperbolic, ResourceExceeded,
                            SchemaError, ThinBuilding)
@@ -69,29 +68,31 @@ class TestNerveCircle:
 
 
 class TestHausdorff:
+    """The Hausdorff dimension e_q / log(lambda) that confdim_bounds
+    reports next to the bracket."""
+
     def test_bourdon_preset_normalizes_to_one(self, pentagon):
         q = ThicknessVector.constant(pentagon, 2)
-        hd = coornaert_hausdim(System(pentagon), q)
-        assert abs(hd.value - 1.0) < 1e-8
-        assert hd.lambda_provenance == "BourdonPreset"
-        assert hd.bracket[0] <= hd.value <= hd.bracket[1]
+        b = confdim_bounds(System(pentagon), q)
+        assert abs(b.hausdim - 1.0) < 1e-8
+        assert b.lambda_provenance == "BourdonPreset"
 
     def test_lambda_covariance(self, pentagon):
         q = ThicknessVector.constant(pentagon, 2)
         S = System(pentagon)
-        hd = coornaert_hausdim(S, q)
-        hd2 = coornaert_hausdim(S, q, lam=hd.lam ** 2)
-        assert abs(hd2.value - hd.value / 2) < 1e-9
-        assert hd2.lambda_provenance == "UserSupplied"
+        b = confdim_bounds(S, q)
+        b2 = confdim_bounds(S, q, lam=b.lam ** 2)
+        assert abs(b2.hausdim - b.hausdim / 2) < 1e-9
+        assert b2.lambda_provenance == "UserSupplied"
 
     def test_lambda_must_exceed_one(self, pentagon):
         q = ThicknessVector.constant(pentagon, 2)
         with pytest.raises(SchemaError):
-            coornaert_hausdim(System(pentagon), q, lam=0.5)
+            confdim_bounds(System(pentagon), q, lam=0.5)
 
     def test_finite_group_degenerate(self, a2):
         with pytest.raises(AffineDegenerate):
-            coornaert_hausdim(System(a2), ThicknessVector.constant(a2, 2))
+            confdim_bounds(System(a2), ThicknessVector.constant(a2, 2))
 
 
 class TestConfdimBounds:
@@ -103,7 +104,6 @@ class TestConfdimBounds:
         assert b.lower == b.upper
         assert abs(b.lower - expect) < 1e-6
         assert b.lower_provenance == "FuchsianExact"
-        assert b.relative_width < 1e-6
 
     def test_free_product_cantor_floor(self, free_product_3):
         q = ThicknessVector.constant(free_product_3, 2)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coxinv.coxeter import (CoxeterMatrix, classify_parabolic, finite_group_order,
-                            is_affine_system, is_spherical, spherical_subsets)
+                            is_spherical, spherical_subsets)
 from coxinv.errors import AsymmetryError, BadEntry, DiagonalError, SchemaError
 
 from .oracles import parabolic_is_finite_by_enumeration
@@ -120,9 +120,9 @@ def test_affine_times_hyperbolic_not_affine():
 
 
 def test_is_affine_system(triangle_333, square_product):
-    assert is_affine_system(triangle_333)
+    assert classify_parabolic(triangle_333).is_affine()
     # product of two affines: still polynomial growth, counts as affine
-    assert is_affine_system(square_product)
+    assert classify_parabolic(square_product).is_affine()
 
 
 # ---------------------------------------------------------------------------

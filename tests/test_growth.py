@@ -12,12 +12,11 @@ from coxinv.growth import (DEFAULT_VALIDATION_DEPTH, CurveTerms,
                            _series_rate_constant_weight,
                            _series_rate_curve, classify_convergence,
                            enumeration_fit, growth_rate, growth_table,
-                           rate_comparison_bounds, rational_growth_series,
-                           smallest_positive_root)
+                           rational_growth_series, smallest_positive_root)
 from coxinv.system import System
 
 from .conftest import mat
-from .oracles import bn_poincare, series_quotient
+from .oracles import bn_poincare, rate_comparison_bounds, series_quotient
 
 E_PENTAGON = math.log((3 + math.sqrt(5)) / 2)   # 0.9624236501...
 
@@ -49,8 +48,7 @@ def test_a2_polynomial(a2):
 
 
 def test_pentagon_expansion_frozen(pentagon):
-    s = rational_growth_series(System(pentagon), per_class=False,
-                               validate_depth=12)
+    s = rational_growth_series(System(pentagon), per_class=False)
     got = [int(c) for c in s.expand_univariate(12)]
     assert got == [1, 5, 15, 40, 105, 275, 720, 1885, 4935, 12920, 33825,
                    88555, 231840]
@@ -69,7 +67,7 @@ def test_pentagon_expansion_matches_long_division(pentagon):
 
 def test_multivariate_expansion_matches_counts(dihedral_inf, square_product):
     for M in (dihedral_inf, square_product):
-        s = rational_growth_series(System(M), per_class=True, validate_depth=8)
+        s = rational_growth_series(System(M), per_class=True)
         expanded = s.expand(8)
         ball = ball_enumerate(M, 8)
         counts = ball.class_counts()

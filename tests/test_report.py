@@ -16,12 +16,12 @@ from coxinv.cache import (cached_layer_counts, load_layers, store_layers)
 from coxinv.elements import Caps, racg_layer_counts
 from coxinv.errors import ResourceExceeded
 from coxinv.growth import WeightVector, layer_class_counts
-from coxinv.report import (build_report, decode_json_value,
-                           encode_json_value, report_from_json,
-                           report_to_json, report_to_text)
+from coxinv.report import (build_report, encode_json_value, report_to_json,
+                           report_to_text)
 from coxinv.system import System
 
 from .conftest import mat
+from .oracles import decode_json_value, report_from_json
 
 # sha256 of report_to_json(build_report(System(M), thickness=q=2, depth=8)),
 # recorded before reports were assembled from a shared System
