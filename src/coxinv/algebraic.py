@@ -4,7 +4,9 @@ The minimal polynomial of 2cos(pi/N) is derived at runtime: Phi_2N is built
 by exact integer polynomial division of z^2N - 1 by lower cyclotomics, then
 rewritten through the basis z^d(z^j + z^-j) = z^d * D_j(z + 1/z) where D_j
 are the degree-j Dickson polynomials (D_j(2cos a) = 2cos(ja)).  The result is
-checked numerically to 1e-30 before any element arithmetic is allowed.
+checked numerically to 1e-30 before any element arithmetic is allowed, at
+60 digits beyond the size of the terms that cancel in that evaluation.
+A field for N above MAX_FIELD_N is refused before any polynomial is built.
 
 Field elements are coordinate tuples in the power basis of x = 2cos(pi/N).
 The minimal polynomial is monic over Z, so algebraic integers such as every
@@ -23,7 +25,12 @@ from math import lcm
 import mpmath
 from mpmath import libmp
 
+from .errors import ResourceExceeded
+
 VALIDATION_DIGITS = 60
+# every system whose finite labels have lcm <= 1000 builds its field in a
+# few seconds; cyclotomic() holds a list of length 2N
+MAX_FIELD_N = 1000
 SIGN_START_PREC = 64
 SIGN_DOUBLINGS = 12
 
@@ -87,7 +94,10 @@ def minimal_poly_2cos_pi_over(N):
 
 
 def _validate_minpoly(psi, N):
-    with mpmath.workdps(VALIDATION_DIGITS):
+    # |x| <= 2, so no term c_i x^i exceeds |c_i| 2^i: the terms can reach
+    # this size and cancel to the residual, which needs its digits on top
+    size = sum(abs(c) << i for i, c in enumerate(psi))
+    with mpmath.workdps(VALIDATION_DIGITS + len(str(size))):
         x = 2 * mpmath.cos(mpmath.pi / N)
         val = mpmath.polyval([mpmath.mpf(c) for c in reversed(psi)], x)
         if not abs(val) < mpmath.mpf("1e-30"):
@@ -108,6 +118,10 @@ class CycloField:
     def __new__(cls, N):
         if N in cls._cache:
             return cls._cache[N]
+        if N > MAX_FIELD_N:
+            raise ResourceExceeded(
+                f"finite labels with lcm {N} exceed the field bound "
+                f"{MAX_FIELD_N}")
         self = super().__new__(cls)
         self.N = N
         self.minpoly = minimal_poly_2cos_pi_over(N)

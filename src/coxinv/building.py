@@ -26,52 +26,24 @@ from .coxeter import spherical_subsets
 from .elements import Caps, commutation_table
 from .errors import (MarginViolation, NotRightAngled, ResourceExceeded,
                      SchemaError, ThicknessClassError, ValidationMismatch)
-from .growth import WeightVector, exact_rational
+from .growth import WeightVector
 
 
-def _exact_integer(v):
-    """A thickness as an int; SchemaError unless v is exactly an integer."""
-    q = exact_rational(v, "thickness")
-    if q.denominator != 1:
-        raise SchemaError(f"thickness must be an integer, got {v!r}")
-    return q.numerator
-
-
-@dataclass(frozen=True)
-class ThicknessVector:
+class ThicknessVector(WeightVector):
     """Per-conjugacy-class chamber multiplicities q >= 1 (q + 1 chambers
-    per panel).  Thickness must be constant on conjugacy classes."""
-    values: tuple
+    per panel), exact integers.  A chamber over w carries the weight
+    q_w = prod q_s, so the thickness is itself the weight vector of the
+    chamber growth."""
 
-    @staticmethod
-    def from_generator_map(M, mapping):
-        per_class = []
-        for cls in M.conjugacy_classes():
-            vals = {_exact_integer(mapping[M.generators[i]]) for i in cls}
-            if len(vals) != 1:
-                names = [M.generators[i] for i in cls]
-                raise ThicknessClassError(
-                    f"thickness must be constant on the conjugacy class {names}")
-            per_class.append(vals.pop())
-        return ThicknessVector.validated(per_class)
+    what = "thickness"
+    class_error = ThicknessClassError
 
-    @staticmethod
-    def constant(M, q):
-        return ThicknessVector.validated([q] * len(M.conjugacy_classes()))
-
-    @staticmethod
-    def validated(values):
-        vals = tuple(map(_exact_integer, values))
-        if any(v < 1 for v in vals):
-            raise SchemaError("thickness must be >= 1")
-        return ThicknessVector(vals)
-
-    def is_thin(self):
-        return all(v == 1 for v in self.values)
-
-    def per_generator(self, M):
-        cls_of = M.class_of()
-        return [self.values[cls_of[s]] for s in range(M.rank)]
+    @classmethod
+    def exact(cls, v):
+        q = super().exact(v)
+        if q.denominator != 1:
+            raise SchemaError(f"thickness must be an integer, got {v!r}")
+        return q.numerator
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +163,7 @@ class BuildingBall:
         return out
 
     def q_of_word(self, w_word):
-        per = self.thickness.per_generator(self.M)
+        per = self.thickness.per_generator()
         out = 1
         for s in w_word:
             out *= per[s]
@@ -207,13 +179,8 @@ def building_ball(M, thickness, radius, caps=None):
     if not M.is_right_angled():
         raise NotRightAngled("building model requires a right-angled system")
     caps = caps or Caps.from_env()
-    if not isinstance(thickness, ThicknessVector):
-        thickness = ThicknessVector.validated(thickness)
-    if len(thickness.values) != len(M.conjugacy_classes()):
-        raise SchemaError(
-            f"expected {len(M.conjugacy_classes())} thickness classes")
     commute = commutation_table(M)
-    per = thickness.per_generator(M)
+    per = thickness.per_generator()
     qmod = tuple(q + 1 for q in per)
     n = M.rank
 
@@ -378,7 +345,7 @@ def pullback(ball, apartment, chain_coeffs):
     Simplices with the same Weyl word and chain spread over the same
     chambers, so their coefficients are merged first and each fiber is
     written once, every chamber holding the one shared value."""
-    per = ball.thickness.per_generator(ball.M)
+    per = ball.thickness.per_generator()
     merged = {}
     for sx, c in chain_coeffs.items():
         key = (word_gens(sx.gate), sx.chain)
@@ -577,10 +544,10 @@ class CriticalExponents:
 
 def critical_exponents(system, thickness):
     pm = system.type_pm.is_pm
-    if thickness.is_thin():
+    if thickness.all_one():
         return CriticalExponents(math.inf, 1.0, (math.inf, math.inf),
                                  (1.0, 1.0), None, True, pm)
-    e_q = system.rate(WeightVector.from_thickness(system.M, thickness))
+    e_q = system.rate(thickness)
     lo, hi = e_q.bracket
     if e_q.value == 0.0 and e_q.exact:
         return CriticalExponents(1.0, math.inf, (1.0, 1.0),

@@ -17,7 +17,8 @@ import sys
 from fractions import Fraction
 
 from .building import (ThicknessVector, critical_exponents, oracle_battery)
-from .conformal import confdim_bounds, fuchsian_report
+from .conformal import (checked_apartment_confdim, checked_lambda,
+                        confdim_bounds, fuchsian_report)
 from .coxeter import CoxeterMatrix, finite_group_order
 from .elements import Caps
 from .errors import (CoxinvError, ResourceExceeded, SchemaError,
@@ -64,29 +65,22 @@ def load_system(path):
     if not isinstance(rows, list):
         raise SchemaError("matrix must be a list of rows")
     M = CoxeterMatrix(gens, [[_parse_entry(v) for v in row] for row in rows])
+    return (M, _load_vector(M, data, "thickness", ThicknessVector),
+            _load_vector(M, data, "weights", WeightVector))
 
-    thickness = None
-    if "thickness" in data:
-        t = data["thickness"]
-        if isinstance(t, dict):
-            missing = [g for g in M.generators if g not in t]
-            if missing:
-                raise SchemaError(f"thickness missing generators {missing}")
-            thickness = ThicknessVector.from_generator_map(M, t)
-        else:
-            thickness = ThicknessVector.constant(M, t)
 
-    weights = None
-    if "weights" in data:
-        w = data["weights"]
-        if isinstance(w, dict):
-            missing = [g for g in M.generators if g not in w]
-            if missing:
-                raise SchemaError(f"weights missing generators {missing}")
-            weights = WeightVector.from_generator_map(M, w)
-        else:
-            weights = WeightVector.constant(M, w)
-    return M, thickness, weights
+def _load_vector(M, data, key, vector_type):
+    """The entry under key, a single value or a per-generator map, as a
+    vector_type; None when the entry is absent."""
+    if key not in data:
+        return None
+    v = data[key]
+    if not isinstance(v, dict):
+        return vector_type.constant(M, v)
+    missing = [g for g in M.generators if g not in v]
+    if missing:
+        raise SchemaError(f"{key} missing generators {missing}")
+    return vector_type.from_generator_map(M, v)
 
 
 def _parse_p_grid(text):
@@ -98,6 +92,19 @@ def _parse_p_grid(text):
         raise argparse.ArgumentTypeError(
             "p grid must be non-empty, with every p >= 1")
     return grid
+
+
+def _option_type(check):
+    """An argparse type from a library check that raises SchemaError, so
+    a bad value exits 2 before any work."""
+    def parse(text):
+        try:
+            return check(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+        except SchemaError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+    return parse
 
 
 def _require_thickness(thickness):
@@ -141,8 +148,8 @@ def cmd_nerve(system, thickness, weights, args):
 
 
 def cmd_growth(system, thickness, weights, args):
-    if weights is None and thickness is not None:
-        weights = WeightVector.from_thickness(system.M, thickness)
+    if weights is None:
+        weights = thickness
     series = system.series(per_class=True)
     out = {"series": _series_json(series)}
     w_arg = None if weights is None or weights.all_one() else weights
@@ -168,7 +175,7 @@ def cmd_exponents(system, thickness, weights, args):
     thickness = _require_thickness(thickness)
     ce = critical_exponents(system, thickness)
     return {
-        "thickness": list(thickness.per_generator(system.M)),
+        "thickness": thickness.per_generator(),
         "thin": ce.thin,
         **_exponents_json(ce),
         "nerve_is_pm": ce.nerve_is_pm,
@@ -261,8 +268,10 @@ def build_parser():
                        default=[Fraction(3, 2), Fraction(2), Fraction(3)],
                        help="comma-separated exponents, e.g. 3/2,2,3")
         p.add_argument("--lambda", dest="lam", default=None,
+                       type=_option_type(checked_lambda),
                        help='visual parameter > 1, or "bourdon"')
-        p.add_argument("--apartment-confdim", type=float, default=None,
+        p.add_argument("--apartment-confdim", default=None,
+                       type=_option_type(checked_apartment_confdim),
                        help="known conformal dimension of the apartment "
                             "boundary (lower-bound floor)")
         p.add_argument("--format", choices=("text", "machine"),
@@ -285,12 +294,6 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     caps = Caps.from_env(max_elements=args.max_elements)
-    if args.lam is not None and args.lam != "bourdon":
-        try:
-            args.lam = float(args.lam)
-        except ValueError:
-            print(f"error: bad lambda {args.lam!r}", file=sys.stderr)
-            return EXIT_INPUT
     try:
         M, thickness, weights = load_system(args.input)
         system = System(M, caps=caps, cache_dir=args.cache_dir)

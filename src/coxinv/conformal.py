@@ -23,7 +23,7 @@ from .coxeter import classify_parabolic
 from .davis import nerve_complex
 from .errors import (AffineDegenerate, NotHyperbolic, ResourceExceeded,
                      SchemaError, ThinBuilding)
-from .growth import WeightVector
+from .homology import pm_verdict
 
 MAX_SUBSET_SCAN_RANK = 14
 
@@ -79,6 +79,25 @@ def moussong_hyperbolic(M):
 LAMBDA_PRESET_BOURDON = "bourdon"
 
 
+def checked_lambda(lam):
+    """The "bourdon" preset as is, else a finite float > 1."""
+    if lam == LAMBDA_PRESET_BOURDON:
+        return lam
+    lam = float(lam)
+    if not 1.0 < lam < math.inf:
+        raise SchemaError("lambda must be a finite number > 1")
+    return lam
+
+
+def checked_apartment_confdim(value):
+    """An apartment conformal dimension: a finite float >= 1."""
+    value = float(value)
+    if not 1.0 <= value < math.inf:
+        raise SchemaError(
+            "apartment conformal dimension must be a finite number >= 1")
+    return value
+
+
 def resolve_lambda(lam, e_q):
     """Visual-metric parameter: a number > 1 or the "bourdon" preset
     exp(e_q), which normalizes the Hausdorff dimension to 1 + 1/e_q...
@@ -87,16 +106,13 @@ def resolve_lambda(lam, e_q):
         if e_q.value <= 0:
             raise AffineDegenerate("preset lambda needs positive growth")
         return math.exp(e_q.value), "BourdonPreset"
-    lam = float(lam)
-    if not lam > 1.0:
-        raise SchemaError("lambda must be > 1")
-    return lam, "UserSupplied"
+    return checked_lambda(lam), "UserSupplied"
 
 
 def _require_thick_growing(system, thickness):
-    if thickness.is_thin():
+    if thickness.all_one():
         raise ThinBuilding("conformal data needs thickness >= 2 somewhere")
-    e_q = system.rate(WeightVector.from_thickness(system.M, thickness))
+    e_q = system.rate(thickness)
     if e_q.value <= 0:
         raise AffineDegenerate("chamber growth is not exponential; the "
                                "boundary carries no visual dimension data")
@@ -104,23 +120,10 @@ def _require_thick_growing(system, thickness):
 
 
 def is_nerve_circle(M):
-    """Nerve a triangulated circle: connected graph, every vertex of
-    degree 2, at least three vertices."""
+    """Nerve a triangulated circle: a connected 1-dimensional
+    pseudomanifold, which is a cycle on at least three vertices."""
     N = nerve_complex(M)
-    if N.dim != 1:
-        return False
-    verts = N.k_faces(0)
-    edges = N.k_faces(1)
-    if len(verts) < 3 or len(edges) != len(verts):
-        return False
-    deg = {}
-    for e in edges:
-        for v in e:
-            deg[v] = deg.get(v, 0) + 1
-    if any(deg.get(v[0], 0) != 2 for v in verts):
-        return False
-    from .homology import betti_numbers
-    return betti_numbers(N) == [1, 1]
+    return N.dim == 1 and pm_verdict(N).is_pm
 
 
 @dataclass
@@ -157,10 +160,8 @@ def confdim_bounds(system, thickness, lam=None, apartment_confdim=None):
     hausdim = e_q.value / math.log(lam_val)
     fuch = system.nerve_is_circle
     if apartment_confdim is not None:
-        base = float(apartment_confdim)
+        base = checked_apartment_confdim(apartment_confdim)
         lower_prov = "UserSupplied"
-        if base < 1.0:
-            raise SchemaError("apartment conformal dimension must be >= 1")
     else:
         # vcd - 1 bounds the topological dimension of the boundary from
         # below; it can be 0 (totally disconnected boundary)

@@ -104,15 +104,6 @@ class PolyQ:
         return PolyQ(self.nvars, {tuple(e[i] - g[i] for i in range(self.nvars)): c
                                   for e, c in self.terms.items()})
 
-    def eval_frac(self, point):
-        tot = Fraction(0)
-        for e, c in self.terms.items():
-            v = c
-            for x, k in zip(point, e):
-                v *= Fraction(x) ** k
-            tot += v
-        return tot
-
     def collapse(self):
         """Substitute every variable by a single one."""
         out = {}
@@ -147,57 +138,61 @@ def exact_rational(v, what):
 
 class WeightVector:
     """Per-conjugacy-class weights >= 1 (exact rationals small enough to
-    convert to float)."""
+    convert to float).  Subclasses narrow the entries through exact()."""
+
+    what = "weight"
+    class_error = SchemaError   # raised for a map not constant on a class
+
+    @classmethod
+    def exact(cls, v):
+        return exact_rational(v, cls.what)
 
     def __init__(self, M, per_class):
+        what = self.what
         classes = M.conjugacy_classes()
         if len(per_class) != len(classes):
             raise SchemaError(
-                f"expected {len(classes)} class weights, got {len(per_class)}")
-        vals = tuple(exact_rational(v, "weight") for v in per_class)
+                f"expected {len(classes)} class {what} values, "
+                f"got {len(per_class)}")
+        vals = tuple(map(self.exact, per_class))
         if any(v < 1 for v in vals):
-            raise SchemaError("weights must be >= 1")
+            raise SchemaError(f"{what} must be >= 1")
         for raw, v in zip(per_class, vals):
             try:
                 float(v)
             except OverflowError:
                 raise SchemaError(
-                    f"weight {raw!r} is too large for a float") from None
+                    f"{what} {raw!r} is too large for a float") from None
         self.M = M
         self.values = vals
 
-    @staticmethod
-    def from_generator_map(M, mapping):
-        """Build from a generator-name -> weight map, enforcing class constancy."""
-        classes = M.conjugacy_classes()
+    @classmethod
+    def from_generator_map(cls, M, mapping):
+        """Build from a generator-name -> value map, enforcing class
+        constancy."""
         per_class = []
-        for cls in classes:
-            vals = {exact_rational(mapping[M.generators[i]], "weight")
-                    for i in cls}
+        for c in M.conjugacy_classes():
+            vals = {cls.exact(mapping[M.generators[i]]) for i in c}
             if len(vals) != 1:
-                names = [M.generators[i] for i in cls]
-                raise SchemaError(
-                    f"weight must be constant on the conjugacy class {names}")
+                names = [M.generators[i] for i in c]
+                raise cls.class_error(f"{cls.what} must be constant on the "
+                                      f"conjugacy class {names}")
             per_class.append(vals.pop())
-        return WeightVector(M, per_class)
+        return cls(M, per_class)
 
-    @staticmethod
-    def constant(M, value):
-        return WeightVector(M, [value] * len(M.conjugacy_classes()))
+    @classmethod
+    def constant(cls, M, value):
+        return cls(M, [value] * len(M.conjugacy_classes()))
 
-    @staticmethod
-    def from_thickness(M, thickness):
-        """The chamber weights q_s of a building with this thickness."""
-        return WeightVector(M, thickness.values)
+    def per_generator(self):
+        cls_of = self.M.class_of()
+        return [self.values[cls_of[s]] for s in range(self.M.rank)]
 
     def weight_of(self, class_vec):
         out = Fraction(1)
         for v, k in zip(self.values, class_vec):
             out *= v ** k
         return out
-
-    def log_values(self):
-        return [math.log(v) for v in self.values]
 
     def is_constant(self):
         return len(set(self.values)) == 1
@@ -259,74 +254,19 @@ def layer_class_counts(M, depth, caps=None):
     return (bfs if route == "bfs" else rec), route
 
 
-@dataclass
-class GrowthTable:
-    """Counting function of a weight vector against enumerated lengths.
-
-    breakpoints are the distinct values v = log t_w realized within the
-    complete range; Q(v) counts elements with log t_w <= v.  Q is complete
-    for v <= radius * min_i log t_i, and entries beyond that bound are
-    never reported.
-    """
-    M: object
-    weights: WeightVector
-    radius: int
-    counts: list            # per length: {class_vec: count}
-    source: str
-    degenerate: bool
-    breakpoints: list = dc_field(default_factory=list)   # sorted v values
-    q_values: list = dc_field(default_factory=list)      # Q at breakpoints
-
-
-def growth_table(system, weights, radius):
-    counts, source = system.layer_counts(radius)
-    logs = weights.log_values()
-    degenerate = weights.all_one()
-    table = GrowthTable(system.M, weights, radius, counts, source, degenerate)
-    if degenerate:
-        return table
-    if any(l == 0 for l in logs):
-        # weight-1 classes contribute unbounded counts at fixed v unless the
-        # classes span a finite parabolic; callers decide, we only mark it
-        table.degenerate = True
-        return table
-    # group by the exact weight value; elements above t_min^radius may have
-    # unenumerated peers of larger length, so the count stops there
-    wmax = min(weights.values) ** radius
-    acc = {}
-    for d in counts:
-        for cv, c in d.items():
-            w = weights.weight_of(cv)
-            if w <= wmax:
-                acc[w] = acc.get(w, 0) + c
-    ws = sorted(acc)
-    table.breakpoints = [math.log(w) for w in ws]
-    tot = 0
-    qv = []
-    for w in ws:
-        tot += acc[w]
-        qv.append(tot)
-    table.q_values = qv
-    return table
-
-
 # ---------------------------------------------------------------------------
 # rational growth series
 
 @dataclass
 class RationalGrowthSeries:
-    M: object
     numerator: PolyQ
     denominator: PolyQ          # constant term 1
     per_class: bool
     validated_depth: int
 
-    @property
-    def nvars(self):
-        return self.numerator.nvars
-
     def expand(self, depth):
-        """Series coefficients by total degree: list of {expo: int}."""
+        """Series coefficients by total degree: list of {expo: int}; in the
+        univariate form each holds the one exponent (k,)."""
         num, den = self.numerator, self.denominator
         assert den.constant() == 1
         # (total degree, exponent, coefficient), lowest total first
@@ -352,26 +292,6 @@ class RationalGrowthSeries:
                     elif tgt in cur:
                         del cur[tgt]
         return coeffs
-
-    def expand_univariate(self, depth):
-        num = self.numerator.collapse()
-        den = self.denominator.collapse()
-        a = [0] * (depth + 1)
-        for (k,), c in num.terms.items():
-            if k <= depth:
-                a[k] += c
-        d = [0] * (depth + 1)
-        for (k,), c in den.terms.items():
-            if k <= depth:
-                d[k] += c
-        assert d[0] == 1
-        out = [0] * (depth + 1)
-        for k in range(depth + 1):
-            v = a[k]
-            for j in range(1, k + 1):
-                v -= d[j] * out[k - j]
-            out[k] = v
-        return out
 
 
 def _parabolic_poly(M, T, nclasses, class_of, caps):
@@ -414,7 +334,7 @@ def rational_growth_series(system, per_class=True):
 
     if cls.is_finite():
         poly = parabolic(range(M.rank))
-        series = RationalGrowthSeries(M, poly, PolyQ.const(nclasses, 1),
+        series = RationalGrowthSeries(poly, PolyQ.const(nclasses, 1),
                                       per_class, DEFAULT_VALIDATION_DEPTH)
         _validate_series(series, system)
         return series
@@ -449,7 +369,7 @@ def rational_growth_series(system, per_class=True):
         raise ValidationMismatch("growth series denominator lost its constant term")
     W_num = W_num.scale(Fraction(1) / c0)
     W_den = W_den.scale(Fraction(1) / c0)
-    series = RationalGrowthSeries(M, W_num, W_den, per_class,
+    series = RationalGrowthSeries(W_num, W_den, per_class,
                                   DEFAULT_VALIDATION_DEPTH)
     _validate_series(series, system)
     return series
@@ -460,21 +380,15 @@ def _validate_series(series, system):
     through the series' validated_depth."""
     depth = series.validated_depth
     counts, _src = system.layer_counts(depth)
-    if series.per_class:
-        expanded = series.expand(depth)
-        for k in range(min(depth + 1, len(counts))):
-            want = {tuple(cv): c for cv, c in counts[k].items()}
-            got = expanded[k]
-            if want != got:
-                raise ValidationMismatch(
-                    f"series expansion disagrees with BFS at length {k}")
-    else:
-        expanded = series.expand_univariate(depth)
-        sizes = [sum(d.values()) for d in counts]
-        for k in range(min(depth + 1, len(sizes))):
-            if expanded[k] != sizes[k]:
-                raise ValidationMismatch(
-                    f"series expansion disagrees with BFS at length {k}")
+    expanded = series.expand(depth)
+    for k, layer in enumerate(counts):
+        want = {}
+        for cv, c in layer.items():
+            e = tuple(cv) if series.per_class else (k,)
+            want[e] = want.get(e, 0) + c
+        if want != expanded[k]:
+            raise ValidationMismatch(
+                f"series expansion disagrees with BFS at length {k}")
 
 
 # ---------------------------------------------------------------------------
@@ -501,8 +415,6 @@ def _p1_rem(a, b):
     a = list(a)
     lead = Fraction(b[-1])      # exact division for int coefficients too
     while len(a) >= len(b) and _p1_trim(a):
-        if not a:
-            break
         q = a[-1] / lead
         shift = len(a) - len(b)
         for i, c in enumerate(b):
@@ -550,15 +462,13 @@ def _variations(chain, x):
 
 
 def smallest_positive_root(poly, hi, tol=ROOT_TOL):
-    """Smallest root of a univariate PolyQ (or Fraction list) in (0, hi].
+    """Smallest root in (0, hi] of a polynomial given as its coefficient
+    list, lowest degree first.
 
     Returns (lo, hi) as Fractions bracketing the root to width <= tol, or
     the exact root as (r, r), or None.  Exact rational arithmetic only.
     """
-    if isinstance(poly, PolyQ):
-        p = _poly1_list(poly)
-    else:
-        p = [Fraction(c) for c in poly]
+    p = [Fraction(c) for c in poly]
     _p1_trim(p)
     if len(p) <= 1:
         return None
@@ -731,10 +641,11 @@ def _series_rate_curve(series, weights):
 
     On the curve t_i -> t_i^-x the denominator is evaluated as the sum of
     c_w * w^-x over its monomials merged by exact weight w (CurveTerms)."""
-    den, num = series.denominator, series.numerator
-    # exact rational check at x = 0
-    if den.eval_frac([Fraction(1)] * den.nvars) == 0:
-        if num.eval_frac([Fraction(1)] * num.nvars) != 0:
+    den_curve = CurveTerms(series.denominator, weights)
+    num_curve = CurveTerms(series.numerator, weights)
+    # exact check at x = 0, where every w^-x is 1
+    if sum(den_curve.terms.values()) == 0:
+        if sum(num_curve.terms.values()) != 0:
             return GrowthRateEstimate(0.0, "SeriesSingularity", 0.0, (0.0, 0.0),
                                       exact=True, details={"root_at": 0.0})
     e_univ = _series_rate_constant_weight(series, None)
@@ -742,7 +653,6 @@ def _series_rate_curve(series, weights):
     xmax = Fraction(int((e_univ.bracket[1] / logmin + 1) * 100), 100) if logmin > 0 else Fraction(2)
     step = Fraction(1, 100)
     x = Fraction(0)
-    den_curve = CurveTerms(den, weights)
     s_prev = _iv_sign(den_curve, x + step / 10)  # just off zero
     found = None
     while x < xmax:
@@ -766,8 +676,7 @@ def _series_rate_curve(series, weights):
             hi = mid
         else:
             lo = mid
-    num_sign = _iv_sign(CurveTerms(num, weights), (lo + hi) / 2,
-                        max_prec=512)
+    num_sign = _iv_sign(num_curve, (lo + hi) / 2, max_prec=512)
     details = {}
     if num_sign == 0:
         details["note"] = "numerator small at root; possible removable point"
@@ -880,25 +789,35 @@ def growth_rate(system, weights=None, method="series", radius=None):
                                       exact=True, details={"finite": True})
         per_class = weights is not None and not weights.is_constant()
         series = system.series(per_class)
-        if weights is None:
-            return _series_rate_constant_weight(series, None)
-        if weights.is_constant():
-            logq = math.log(float(weights.values[0]))
-            return _series_rate_constant_weight(series, logq)
-        return _series_rate_curve(series, weights)
+        if per_class:
+            return _series_rate_curve(series, weights)
+        logq = None if weights is None else math.log(float(weights.values[0]))
+        return _series_rate_constant_weight(series, logq)
 
     if method == "enumeration":
         if radius is None:
             radius = 20 if M.is_right_angled() else 12
+        counts, _src = system.layer_counts(radius)
         if weights is None:
-            counts, _src = system.layer_counts(radius)
             sizes = ball_sizes(counts)
             pts = [(float(k), sizes[k]) for k in range(1, len(sizes))]
             return enumeration_fit(pts)
-        table = growth_table(system, weights, radius)
-        if table.degenerate:
+        if any(math.log(v) == 0 for v in weights.values):
+            # a class of weight 1 (to float precision) puts elements of
+            # every length at one v = log t_w, so no count is complete
             raise DegenerateWeights("degenerate weights: no usable counting function")
-        pts = list(zip(table.breakpoints, table.q_values))
+        # Q(v) counts the elements with log t_w <= v, grouped by the exact
+        # weight; it is complete only up to t_min^radius, since heavier
+        # elements may have unenumerated peers of larger length
+        wmax = min(weights.values) ** radius
+        acc = {}
+        for layer in counts:
+            for cv, c in layer.items():
+                w = weights.weight_of(cv)
+                if w <= wmax:
+                    acc[w] = acc.get(w, 0) + c
+        ws = sorted(acc)
+        pts = list(zip(map(math.log, ws), accumulate(acc[w] for w in ws)))
         return enumeration_fit(pts)
     raise SchemaError(f"unknown growth-rate method {method!r}")
 

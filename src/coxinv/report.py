@@ -166,7 +166,7 @@ def build_report(system, thickness=None, weights=None, depth=8, radius=None,
     """Full invariant report for one System.
 
     thickness: ThicknessVector or None (no building sections).
-    weights: WeightVector or None (thickness-induced, else all-one).
+    weights: WeightVector or None (the thickness, else all-one).
     timings: per-stage wall clock outside the deterministic payload; work
     the System shares between stages is charged to the first stage that
     asks for it.
@@ -234,16 +234,12 @@ def build_report(system, thickness=None, weights=None, depth=8, radius=None,
 
     # weighted growth
     if weights is None:
-        if thickness is not None:
-            weights = WeightVector.from_thickness(M, thickness)
-        else:
-            weights = WeightVector.constant(M, 1)
+        weights = thickness or WeightVector.constant(M, 1)
     layers, source = timed("layers", lambda: system.layer_counts(depth))
-    class_of = M.class_of()
     growth = {
-        "weights": {M.generators[i]:
-                    encode_json_value(weights.values[class_of[i]])
-                    for i in range(M.rank)},
+        # weights print as exact rationals, integer thickness included
+        "weights": {g: encode_json_value(Fraction(v))
+                    for g, v in zip(M.generators, weights.per_generator())},
         "weighted": not weights.all_one(),
         "layer_source": source,
         "layer_sizes": [sum(layer.values()) for layer in layers],
@@ -270,7 +266,7 @@ def build_report(system, thickness=None, weights=None, depth=8, radius=None,
             ce = timed("exponents",
                        lambda: critical_exponents(system, thickness))
             report["building"] = {
-                "thickness": list(thickness.per_generator(M)),
+                "thickness": thickness.per_generator(),
                 "thin": ce.thin,
                 "exponents": _exponents_json(ce),
                 "nerve_is_pm": ce.nerve_is_pm,

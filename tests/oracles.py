@@ -3,8 +3,10 @@
 Each function recomputes a quantity by a method unrelated to the library
 implementation: fraction-free Bareiss elimination for matrix ranks, a
 brute-force rewriting search for right-angled canonical forms, plain long
-division for series coefficients, and reflection-matrix enumeration for
-parabolic finiteness.  Deliberately simple and slow.  The rest are checks
+division for series coefficients, reflection-matrix enumeration for
+parabolic finiteness, vertex degrees with Betti numbers for circle
+nerves, and term-by-term evaluation of a polynomial at a rational point.
+Deliberately simple and slow.  The rest are checks
 the library does not run: d∘d = 0 on a whole complex, the cone test, the
 rate comparison bounds, the count side of the pullback norms, and the
 inverse of the machine report encoding.
@@ -15,9 +17,11 @@ import math
 from fractions import Fraction
 
 from coxinv.building import lp_power_sum
+from coxinv.davis import nerve_complex
 from coxinv.elements import ReflectionRep
 from coxinv.errors import DegenerateWeights
 from coxinv.growth import layer_class_counts
+from coxinv.homology import betti_numbers
 from coxinv.report import INF_TOKEN, NEG_INF_TOKEN
 
 
@@ -97,6 +101,17 @@ def brute_canonical(word, commute):
     return min(w for w in seen if len(w) == best_len)
 
 
+def eval_frac(poly, point):
+    """Exact value of a multivariate PolyQ at a rational point."""
+    tot = Fraction(0)
+    for e, c in poly.terms.items():
+        v = c
+        for x, k in zip(point, e):
+            v *= Fraction(x) ** k
+        tot += v
+    return tot
+
+
 def series_quotient(num, den, depth):
     """Coefficients of num/den to order `depth` by long division.
 
@@ -111,6 +126,26 @@ def series_quotient(num, den, depth):
             v -= den[j] * out[k - j]
         out.append(v / den[0])
     return out
+
+
+def nerve_circle_by_degrees(M):
+    """Nerve a triangulated circle, from vertex degrees, edge counts and
+    Betti numbers: a 1-dimensional complex on at least three vertices with
+    as many edges as vertices, every vertex of degree 2, and b = [1, 1]."""
+    N = nerve_complex(M)
+    if N.dim != 1:
+        return False
+    verts = N.k_faces(0)
+    edges = N.k_faces(1)
+    if len(verts) < 3 or len(edges) != len(verts):
+        return False
+    deg = {}
+    for e in edges:
+        for v in e:
+            deg[v] = deg.get(v, 0) + 1
+    if any(deg.get(v[0], 0) != 2 for v in verts):
+        return False
+    return betti_numbers(N) == [1, 1]
 
 
 def degree_product(degrees):

@@ -5,8 +5,9 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coxinv.algebraic import (CycloField, cyclotomic, dickson,
+from coxinv.algebraic import (MAX_FIELD_N, CycloField, cyclotomic, dickson,
                               minimal_poly_2cos_pi_over)
+from coxinv.errors import ResourceExceeded
 
 
 def _sub(F, a, b):
@@ -50,6 +51,21 @@ def test_minpoly_numeric_root(N):
         x = mpmath.mpf(2) * mpmath.cos(mpmath.pi / N)
         val = mpmath.polyval(list(reversed([mpmath.mpf(c) for c in p])), x)
         assert abs(val) < mpmath.mpf("1e-25")
+
+
+@pytest.mark.parametrize("N, degree", [(173, 86), (504, 144)])
+def test_field_validates_large_cancelling_minpoly(N, degree):
+    # psi's terms reach about 10^90 at N = 173 and cancel; the check used
+    # to run at a fixed 60 digits and rejected the correct polynomial
+    F = CycloField(N)
+    assert F.degree == degree       # phi(2N) / 2
+
+
+def test_field_above_label_bound_is_refused():
+    with pytest.raises(ResourceExceeded, match="field bound"):
+        CycloField(MAX_FIELD_N + 1)
+    with pytest.raises(ResourceExceeded, match="field bound"):
+        CycloField(10 ** 30)
 
 
 def test_field_golden_identity():

@@ -49,10 +49,10 @@ class TestThicknessVector:
     def test_constant(self, pentagon):
         t = ThicknessVector.constant(pentagon, 3)
         assert t.values == (3, 3, 3, 3, 3)
-        assert not t.is_thin()
+        assert not t.all_one()
 
     def test_thin(self, pentagon):
-        assert ThicknessVector.constant(pentagon, 1).is_thin()
+        assert ThicknessVector.constant(pentagon, 1).all_one()
 
     def test_from_generator_map(self, pentagon):
         t = ThicknessVector.from_generator_map(
@@ -67,7 +67,7 @@ class TestThicknessVector:
     def test_validated_rejects_zero(self, pentagon):
         from coxinv.errors import SchemaError
         with pytest.raises(SchemaError):
-            ThicknessVector.validated([2, 2, 0, 2, 2])
+            ThicknessVector(pentagon, [2, 2, 0, 2, 2])
 
 
 class TestChamberCounts:
@@ -89,7 +89,7 @@ class TestChamberCounts:
         assert pent_apartment.sphere_sizes() == [1, 5, 15, 40, 105]
 
     def test_mixed_thickness(self, pentagon):
-        b = building_ball(pentagon, ThicknessVector.validated([2, 3, 2, 2, 2]), 3)
+        b = building_ball(pentagon, ThicknessVector(pentagon, [2, 3, 2, 2, 2]), 3)
         # sphere k = sum over words of prod q_s^(multiplicity)
         expect = [1]
         for k in (1, 2, 3):
@@ -371,7 +371,7 @@ class TestOnePassGate:
 # references
 
 def naive_pullback(ball, chain_coeffs):
-    per = ball.thickness.per_generator(ball.M)
+    per = ball.thickness.per_generator()
     out = {}
     for sx, c in chain_coeffs.items():
         gens = word_gens(sx.gate)

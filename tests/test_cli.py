@@ -41,6 +41,28 @@ TRIANGLE_333 = {
     "thickness": 2,
 }
 
+TRIANGLE_732 = {
+    "generators": ["a", "b", "c"],
+    "matrix": [[1, 7, 3], [7, 1, 2], [3, 2, 1]],
+    "thickness": 2,
+}
+
+FREE_PRODUCT_3 = {
+    "generators": ["a", "b", "c"],
+    "matrix": [[1, "inf", "inf"], ["inf", 1, "inf"], ["inf", "inf", 1]],
+    "thickness": 2,
+}
+
+I2_173 = {"generators": ["a", "b"], "matrix": [[1, 173], [173, 1]]}
+
+# a finite label far beyond any field the matrix backend can build
+HUGE_LABEL = {
+    "generators": ["a", "b", "c"],
+    "matrix": [[1, 10 ** 30, "inf"], [10 ** 30, 1, "inf"],
+               ["inf", "inf", 1]],
+    "thickness": 2,
+}
+
 
 def run_cli(*argv):
     return subprocess.run([sys.executable, "-m", "coxinv.cli", *argv],
@@ -52,7 +74,10 @@ def inputs(tmp_path_factory):
     d = tmp_path_factory.mktemp("cli_inputs")
     paths = {}
     for name, payload in (("pentagon", PENTAGON), ("square", SQUARE),
-                          ("t333", TRIANGLE_333), ("tree_q3", TREE_Q3)):
+                          ("t333", TRIANGLE_333), ("tree_q3", TREE_Q3),
+                          ("t732", TRIANGLE_732),
+                          ("free3", FREE_PRODUCT_3), ("i2_173", I2_173),
+                          ("huge_label", HUGE_LABEL)):
         p = d / f"{name}.json"
         p.write_text(json.dumps(payload))
         paths[name] = str(p)
@@ -61,6 +86,14 @@ def inputs(tmp_path_factory):
     p = d / "pentagon_w22322.json"
     p.write_text(json.dumps(weighted))
     paths["pentagon_w22322"] = str(p)
+    weighted = dict(weighted, weights=dict(zip("abcde", (2, 2, 2, 2, 3))))
+    p = d / "pentagon_w22223.json"
+    p.write_text(json.dumps(weighted))
+    paths["pentagon_w22223"] = str(p)
+    p = d / "pentagon_t23222.json"
+    p.write_text(json.dumps(
+        dict(PENTAGON, thickness=dict(zip("abcde", (2, 3, 2, 2, 2))))))
+    paths["pentagon_t23222"] = str(p)
     bad = d / "bad.json"
     bad.write_text('{"generators": ["a","b"], "matrix": [[1,3],[4,1]]}')
     paths["bad"] = str(bad)
@@ -246,6 +279,34 @@ class TestExitCodes:
         self._refused("report", "--input", inputs["pentagon"],
                       "--p-grid", ",")
 
+    def test_large_cancelling_minpoly(self, inputs):
+        # the field check used to reject the correct minimal polynomial
+        proc = run_cli("growth", "--input", inputs["i2_173"])
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("command", ["growth", "report"])
+    def test_finite_label_above_field_bound(self, inputs, command):
+        # report used to exit 1 with an OverflowError in cyclotomic()
+        proc = run_cli(command, "--input", inputs["huge_label"])
+        assert proc.returncode == 3
+        assert "resource cap" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command", ["confdim", "report"])
+    @pytest.mark.parametrize("argv, message", [
+        (("--apartment-confdim", "nan"), "finite number >= 1"),
+        (("--apartment-confdim", "inf"), "finite number >= 1"),
+        (("--lambda", "inf"), "finite number > 1"),
+        (("--lambda", "nan"), "finite number > 1"),
+    ], ids=["apartment-nan", "apartment-inf", "lambda-inf", "lambda-nan"])
+    def test_non_finite_confdim_parameters(self, inputs, command, argv,
+                                           message):
+        # nan used to print "lower: nan" (a traceback in machine format),
+        # inf a lower bound above the upper one or a Hausdorff dimension 0
+        proc = self._refused(command, "--input", inputs["free3"],
+                             "--format", "machine", *argv)
+        assert message in proc.stderr
+
     @staticmethod
     def _write(tmp_path, **entries):
         payload = {k: v for k, v in PENTAGON.items() if k != "thickness"}
@@ -294,6 +355,46 @@ GOLDEN_ORACLE = {
     "tree_q3": (8, "b8ce935b6dc30c69d8b71ed1d99144c7"
                    "c0af3bee52371ba8dc95e90d0d2cbb13"),
 }
+
+
+# sha256 of `<command> --format machine` stdout, recorded before the
+# thickness became a weight vector: the pentagon with constant, per-class
+# thickness and per-class weights, the (7,3,2) triangle (CycloField route)
+# and the free product of three Z/2 (the non-Fuchsian confdim path)
+GOLDEN_SUBCOMMANDS = {
+    ("growth", "pentagon"): "72997af0e206a005dea4a9bd3363ba19"
+                            "cea5855566ee5d3570893d4bbabae357",
+    ("exponents", "pentagon"): "7c170f63a0ff40f3ac6fc3e3143c7865"
+                               "c7b182708c264146562efe0ea1c11d44",
+    ("confdim", "pentagon"): "8b227420ad25629ed580d68c647c3447"
+                             "39972efd3848a15d76f708f4463c39b6",
+    ("growth", "pentagon_t23222"): "c12c0fb48c0ba4e354268cdfe60493e4"
+                                   "9e890dc405ee6ed427de2952cac0e49c",
+    ("exponents", "pentagon_t23222"): "07092f571102300b867b3ac6c7b396df"
+                                      "a9691273671fd2cbb054e14fb0c7545c",
+    ("confdim", "pentagon_t23222"): "b65711edd2cd54a6815e6897097e2f96"
+                                    "9e9e6e531c07654ff41eebb8d82cb69a",
+    ("growth", "pentagon_w22223"): "c12c0fb48c0ba4e354268cdfe60493e4"
+                                   "9e890dc405ee6ed427de2952cac0e49c",
+    ("growth", "t732"): "a2e72f03243c9c11d767c1965c240856"
+                        "ce1e3cbe6256bcbc5dda0b384be12211",
+    ("exponents", "t732"): "a3abcd500fb0c93db087de9f4c63a7a2"
+                           "27c30d64c58d4fe004cdb1d29206e475",
+    ("confdim", "t732"): "4073ea9d94690a642ca7e6155c52a839"
+                         "e54d265e1ca41ae87dfe32b6a138ce1d",
+    ("confdim", "free3"): "6196381cbc321e98b70296fe9bb0cbb7"
+                          "15bc0231b7e5b65cd29fc3f84c61b35c",
+}
+
+
+class TestSubcommandGolden:
+    @pytest.mark.parametrize("command, name", sorted(GOLDEN_SUBCOMMANDS))
+    def test_machine_digest(self, inputs, command, name):
+        proc = run_cli(command, "--input", inputs[name],
+                       "--format", "machine")
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == \
+            GOLDEN_SUBCOMMANDS[command, name]
 
 
 class TestOracleGolden:

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coxinv.building import ThicknessVector
 from coxinv.conformal import (AffineRank3, CommutingInfinitePair,
@@ -12,6 +13,7 @@ from coxinv.errors import (AffineDegenerate, NotHyperbolic, ResourceExceeded,
                            SchemaError, ThinBuilding)
 from coxinv.system import System
 from .conftest import INF, mat
+from .oracles import nerve_circle_by_degrees
 
 PENT_RATE = math.log((3 + math.sqrt(5)) / 2)   # e(W) of the 5-cycle system
 
@@ -65,6 +67,18 @@ class TestNerveCircle:
         assert not is_nerve_circle(a2)
         assert not is_nerve_circle(path_2edge)
         assert not is_nerve_circle(free_product_3)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_agrees_with_degree_count(self, data):
+        n = data.draw(st.integers(1, 7))
+        labels = st.sampled_from([2, 3, 4, 5, 6, INF])
+        rows = [[1] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = data.draw(labels)
+        M = mat(rows)
+        assert is_nerve_circle(M) == nerve_circle_by_degrees(M)
 
 
 class TestHausdorff:

@@ -11,12 +11,13 @@ from coxinv.growth import (DEFAULT_VALIDATION_DEPTH, CurveTerms,
                            _p1_exact_div, _p1_gcd, _p1_rem,
                            _series_rate_constant_weight,
                            _series_rate_curve, classify_convergence,
-                           enumeration_fit, growth_rate, growth_table,
+                           enumeration_fit, growth_rate,
                            rational_growth_series, smallest_positive_root)
 from coxinv.system import System
 
 from .conftest import mat
-from .oracles import bn_poincare, rate_comparison_bounds, series_quotient
+from .oracles import (bn_poincare, eval_frac, rate_comparison_bounds,
+                      series_quotient)
 
 E_PENTAGON = math.log((3 + math.sqrt(5)) / 2)   # 0.9624236501...
 
@@ -49,7 +50,7 @@ def test_a2_polynomial(a2):
 
 def test_pentagon_expansion_frozen(pentagon):
     s = rational_growth_series(System(pentagon), per_class=False)
-    got = [int(c) for c in s.expand_univariate(12)]
+    got = [sum(layer.values()) for layer in s.expand(12)]
     assert got == [1, 5, 15, 40, 105, 275, 720, 1885, 4935, 12920, 33825,
                    88555, 231840]
 
@@ -62,7 +63,8 @@ def test_pentagon_expansion_matches_long_division(pentagon):
     den = [Fraction(0)] * (s.denominator.max_degrees()[0] + 1)
     for (k,), c in s.denominator.terms.items():
         den[k] = c
-    assert s.expand_univariate(15) == series_quotient(num, den, 15)
+    got = [sum(layer.values()) for layer in s.expand(15)]
+    assert got == series_quotient(num, den, 15)
 
 
 def test_multivariate_expansion_matches_counts(dihedral_inf, square_product):
@@ -153,11 +155,9 @@ def test_univariate_helpers_exact_on_int_input():
     assert g == [Fraction(-1, 2), 1] and _exact(g)
     q = _p1_exact_div(a, [-1, 2])
     assert q == [1, -5, 6] and _exact(q)
-    poly = PolyQ(1, {(k,): c for k, c in enumerate(a)})
-    for p in (a, poly):
-        lo, hi = smallest_positive_root(p, 1)
-        assert _exact((lo, hi))
-        assert lo <= Fraction(1, 3) <= hi < Fraction(1, 2)
+    lo, hi = smallest_positive_root(a, 1)
+    assert _exact((lo, hi))
+    assert lo <= Fraction(1, 3) <= hi < Fraction(1, 2)
 
 
 def test_smallest_positive_root_simple():
@@ -283,7 +283,7 @@ def test_curve_terms_exact_at_integer_x(pentagon_system, pentagon, x):
         assert (len(poly.terms), len(curve.terms)) == sizes
         assert 0 not in curve.terms.values()
         merged = sum(c * wt ** -x for wt, c in curve.terms.items())
-        assert merged == poly.eval_frac(point)
+        assert merged == eval_frac(poly, point)
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -321,13 +321,22 @@ def test_affine_fit_bracket_contains_zero(triangle_333):
     assert e.bracket[0] <= 0.0 <= e.bracket[1]
 
 
-def test_growth_table_complete_range(pentagon):
+def test_enumeration_fit_points_in_complete_range(pentagon, monkeypatch):
+    import coxinv.growth as G
+    seen = []
+
+    def recording_fit(points):
+        seen.extend(points)
+        return enumeration_fit(points)
+
+    monkeypatch.setattr(G, "enumeration_fit", recording_fit)
     w = WeightVector(pentagon, [2, 2, 2, 2, 4])
-    t = growth_table(System(pentagon), w, 10)
-    # every reported point lies within the completeness bound
+    growth_rate(System(pentagon), w, method="enumeration", radius=10)
+    # every fitted point lies within the completeness bound
     vmax = 10 * math.log(2)
-    assert all(v <= vmax + 1e-9 for v in t.breakpoints)
-    assert t.q_values == sorted(t.q_values)
+    vs, qs = zip(*seen)
+    assert all(v <= vmax + 1e-9 for v in vs)
+    assert list(vs) == sorted(vs) and list(qs) == sorted(qs)
 
 
 def test_fit_requires_points():

@@ -179,7 +179,7 @@ class TestSharedSystem:
                              weights=WeightVector(pentagon, values))
         else:
             r = build_report(System(pentagon),
-                             thickness=ThicknessVector.validated(values))
+                             thickness=ThicknessVector(pentagon, values))
         digest = hashlib.sha256(report_to_json(r).encode()).hexdigest()
         assert digest == GOLDEN_MIXED[name]
 
