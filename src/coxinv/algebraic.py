@@ -84,11 +84,17 @@ def minimal_poly_2cos_pi_over(N):
         assert phi[d - j] == phi[d + j]
     psi = [0] * (d + 1)
     psi[0] = phi[d]
+    # walk D_j = x*D_{j-1} - D_{j-2} once, from D_0 = 2 and D_1 = x
+    prev, cur = [2], [0, 1]
     for j in range(1, d + 1):
         e = phi[d + j]
         if e:
-            for i, v in enumerate(dickson(j)):
+            for i, v in enumerate(cur):
                 psi[i] += e * v
+        nxt = [0] + cur
+        for i, v in enumerate(prev):
+            nxt[i] -= v
+        prev, cur = cur, nxt
     assert psi[d] == 1
     return psi
 

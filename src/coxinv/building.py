@@ -325,7 +325,7 @@ def boundary(ball, chain_coeffs):
     return out
 
 
-def pushforward(ball, apartment, chain_coeffs):
+def pushforward(chain_coeffs):
     """rho_*: erase exponents, map onto the q = 1 apartment ball."""
     out = {}
     for sx, c in chain_coeffs.items():
@@ -338,7 +338,7 @@ def pushforward(ball, apartment, chain_coeffs):
     return out
 
 
-def pullback(ball, apartment, chain_coeffs):
+def pullback(ball, chain_coeffs):
     """rho^*: spread each apartment simplex over its fiber with weight
     1/q_w; a section of rho_* (rho_* rho^* = identity).
 
@@ -487,7 +487,7 @@ class JensenResult:
     p: Fraction
 
 
-def jensen_check(ball, apartment, chain_coeffs, p_values, max_prec=1024):
+def jensen_check(ball, chain_coeffs, p_values, max_prec=1024):
     """Does ||rho^* rho_* eta||_p <= ||eta||_p hold for this chain?  One
     JensenResult per p in p_values; theta = rho^* rho_* eta is built once.
 
@@ -498,8 +498,7 @@ def jensen_check(ball, apartment, chain_coeffs, p_values, max_prec=1024):
     p_values = [Fraction(p) for p in p_values]
     if any(p < 1 for p in p_values):
         raise SchemaError("p must be >= 1")
-    theta = pullback(ball, apartment,
-                     pushforward(ball, apartment, chain_coeffs))
+    theta = pullback(ball, pushforward(chain_coeffs))
     clean = {k: v for k, v in chain_coeffs.items() if v}
     if theta == clean:
         return [JensenResult(True, "equal", p) for p in p_values]
@@ -647,12 +646,11 @@ def oracle_battery(M, thickness, radius, p_values=(Fraction(3, 2),
         ch = random_chain(ball, rng, chain_size)
         if boundary(ball, boundary(ball, ch)) != {}:
             raise ValidationMismatch(f"boundary^2 != 0 on trial {trial}")
-        push = pushforward(ball, apartment, ch)
-        if boundary(apartment, push) != \
-                pushforward(ball, apartment, boundary(ball, ch)):
+        if boundary(apartment, pushforward(ch)) != \
+                pushforward(boundary(ball, ch)):
             raise ValidationMismatch(
                 f"pushforward does not commute with boundary on trial {trial}")
-        for res in jensen_check(ball, apartment, ch, p_values):
+        for res in jensen_check(ball, ch, p_values):
             if res.holds is False:
                 raise ValidationMismatch(
                     f"norm comparison failed at p={res.p} on trial {trial}")
@@ -661,12 +659,12 @@ def oracle_battery(M, thickness, radius, p_values=(Fraction(3, 2),
         if boundary(apartment, boundary(apartment, ch_ap)) != {}:
             raise ValidationMismatch(
                 f"apartment boundary^2 != 0 on trial {trial}")
-        up = pullback(ball, apartment, ch_ap)
-        if pushforward(ball, apartment, up) != ch_ap:
+        up = pullback(ball, ch_ap)
+        if pushforward(up) != ch_ap:
             raise ValidationMismatch(
                 f"retraction section identity failed on trial {trial}")
         if boundary(ball, up) != \
-                pullback(ball, apartment, boundary(apartment, ch_ap)):
+                pullback(ball, boundary(apartment, ch_ap)):
             raise ValidationMismatch(
                 f"pullback does not commute with boundary on trial {trial}")
     return {

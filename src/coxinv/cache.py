@@ -11,19 +11,21 @@ is derived from its exact ball sizes and the caps in force
 and raises the cold run's ResourceExceeded when the caps refuse it.  A
 warm cache therefore never lifts a cap.  A "method" field written by
 earlier versions is ignored.
-Records that fail to parse, carry an unknown version, or are structurally
-wrong are skipped silently; a truncated tail (interrupted write) therefore
-costs a rebuild, never an error.
+Each record carries the sha256 of its canonical layers.  Records that
+fail to parse, carry an unknown version, are structurally wrong or fail
+their hash are skipped silently; a truncated tail (interrupted write) or
+an edited count therefore costs a rebuild, never an error.
 """
 
+import hashlib
 import json
 import os
 from pathlib import Path
 
 from . import growth
-from .elements import Caps
+from .elements import Caps, check_layer_width
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 CACHE_FILENAME = "layers.jsonl"
 
 
@@ -36,6 +38,12 @@ def _encode_layers(layers):
     for layer in layers:
         out.append(sorted([list(cv), c] for cv, c in layer.items()))
     return out
+
+
+def _sha256(encoded):
+    """sha256 of the compact JSON of encoded layers."""
+    text = json.dumps(encoded, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _decode_layers(raw):
@@ -77,6 +85,8 @@ def load_layers(cache_dir, digest, radius):
             # an exhausted record stops short of its radius, others reach it
             if (n > r) if rec.get("exhausted") else (n != r + 1):
                 continue
+            if rec.get("sha256") != _sha256(_encode_layers(layers)):
+                continue
             best = (r, layers)
         except (ValueError, KeyError, TypeError):
             continue        # corrupt or foreign line: rebuild instead
@@ -90,8 +100,9 @@ def store_layers(cache_dir, digest, radius, layers):
     if cache_dir is None:
         return
     os.makedirs(cache_dir, exist_ok=True)
+    encoded = _encode_layers(layers)
     rec = {"v": CACHE_VERSION, "digest": digest, "radius": radius,
-           "layers": _encode_layers(layers)}
+           "layers": encoded, "sha256": _sha256(encoded)}
     if len(layers) <= radius:
         rec["exhausted"] = True
     with open(cache_file(cache_dir), "a") as fh:
@@ -110,7 +121,10 @@ def cached_layer_counts(M, radius, caps=None, cache_dir=None):
     digest = M.digest()
     hit = load_layers(cache_dir, digest, radius)
     if hit is not None:
-        return hit, growth.counting_route(M, hit, caps)
+        route = growth.counting_route(M, growth.ball_sizes(hit), caps)
+        for k, layer in enumerate(hit):
+            check_layer_width(layer, k, caps)
+        return hit, route
     layers, source = growth.layer_class_counts(M, radius, caps=caps)
     store_layers(cache_dir, digest, radius, layers)
     return layers, source

@@ -150,8 +150,7 @@ def cmd_nerve(system, thickness, weights, args):
 def cmd_growth(system, thickness, weights, args):
     if weights is None:
         weights = thickness
-    series = system.series(per_class=True)
-    out = {"series": _series_json(series)}
+    out = {"series": _series_json(system.series)}
     w_arg = None if weights is None or weights.all_one() else weights
     rate = system.rate(w_arg)
     out["rate"] = _rate_json(rate)

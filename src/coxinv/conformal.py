@@ -19,11 +19,10 @@ import itertools
 import math
 from dataclasses import dataclass
 
+from .building import critical_exponents
 from .coxeter import classify_parabolic
-from .davis import nerve_complex
 from .errors import (AffineDegenerate, NotHyperbolic, ResourceExceeded,
                      SchemaError, ThinBuilding)
-from .homology import pm_verdict
 
 MAX_SUBSET_SCAN_RANK = 14
 
@@ -109,21 +108,22 @@ def resolve_lambda(lam, e_q):
     return checked_lambda(lam), "UserSupplied"
 
 
-def _require_thick_growing(system, thickness):
-    if thickness.all_one():
+def _boundary_exponents(system, thickness):
+    """critical_exponents of a thick building with exponential chamber
+    growth, the only case whose boundary has visual dimension data."""
+    ce = critical_exponents(system, thickness)
+    if ce.thin:
         raise ThinBuilding("conformal data needs thickness >= 2 somewhere")
-    e_q = system.rate(thickness)
-    if e_q.value <= 0:
+    if ce.p_cohom == math.inf:
         raise AffineDegenerate("chamber growth is not exponential; the "
                                "boundary carries no visual dimension data")
-    return e_q
+    return ce
 
 
-def is_nerve_circle(M):
+def is_nerve_circle(system):
     """Nerve a triangulated circle: a connected 1-dimensional
     pseudomanifold, which is a cycle on at least three vertices."""
-    N = nerve_complex(M)
-    return N.dim == 1 and pm_verdict(N).is_pm
+    return system.nerve.dim == 1 and system.type_pm.is_pm
 
 
 @dataclass
@@ -136,7 +136,6 @@ class ConfdimBounds:
     lambda_provenance: str  # "UserSupplied" | "BourdonPreset"
     hausdim: float
     fuchsian: bool
-    e_q: object
 
 
 def confdim_bounds(system, thickness, lam=None, apartment_confdim=None):
@@ -146,17 +145,16 @@ def confdim_bounds(system, thickness, lam=None, apartment_confdim=None):
     (1 + 1/e_q); upper: Hausdorff dimension times (1 + 1/e_q).  With the
     preset lambda the Hausdorff dimension is 1, so a circle nerve (where
     the apartment boundary is itself a circle, confdim 1) pinches the
-    bracket to the exact value 1 + 1/e_q.
+    bracket to the exact value 1 + 1/e_q.  The factor 1 + 1/e_q and its
+    bracket are critical_exponents' p_cohom and p_cohom_bracket.
     """
     hyp = system.hyperbolicity
     if not hyp.hyperbolic:
         raise NotHyperbolic(f"obstruction: {hyp.witness}")
-    e_q = _require_thick_growing(system, thickness)
+    ce = _boundary_exponents(system, thickness)
+    e_q = ce.e_q
     lam_val, lam_prov = resolve_lambda(lam, e_q)
-    inv = 1.0 / e_q.value
-    lo_eq, hi_eq = e_q.bracket
-    factor_lo = 1.0 + (1.0 / hi_eq if hi_eq > 0 else math.inf)
-    factor_hi = 1.0 + (1.0 / lo_eq if lo_eq > 0 else math.inf)
+    factor_lo, factor_hi = ce.p_cohom_bracket
     hausdim = e_q.value / math.log(lam_val)
     fuch = system.nerve_is_circle
     if apartment_confdim is not None:
@@ -169,14 +167,14 @@ def confdim_bounds(system, thickness, lam=None, apartment_confdim=None):
         base = max(d - 1, 0)
         lower_prov = "VcdFloor"
     lower = base * factor_lo
-    upper = (hi_eq / math.log(lam_val)) * factor_hi
+    upper = (e_q.bracket[1] / math.log(lam_val)) * factor_hi
     if fuch:
         # exact: boundary of a Fuchsian-type building
-        exact = 1.0 + inv
-        return ConfdimBounds(exact, exact, "FuchsianExact", "FuchsianExact",
-                             lam_val, lam_prov, hausdim, True, e_q)
+        return ConfdimBounds(ce.p_cohom, ce.p_cohom, "FuchsianExact",
+                             "FuchsianExact", lam_val, lam_prov, hausdim,
+                             True)
     return ConfdimBounds(lower, upper, lower_prov, "HausdorffBound",
-                         lam_val, lam_prov, hausdim, fuch, e_q)
+                         lam_val, lam_prov, hausdim, fuch)
 
 
 @dataclass
@@ -184,26 +182,23 @@ class FuchsianReport:
     confdim: float
     p_hom: float            # conjugate exponent 1 + e_q
     table: list             # (p, degree-1 verdict, degree-2 verdict)
-    e_q: object
 
 
 def fuchsian_report(system, thickness, p_grid=(1.25, 1.5, 2.0, 3.0, 5.0)):
     """Degreewise l^p-cohomology vanishing for circle-nerve systems.
 
-    Degree 1 is nonzero exactly above the boundary conformal dimension;
-    degree 2 behaves dually (nonzero below the conjugate exponent
-    1 + e_q).  Grid points inside the uncertainty bracket are "critical".
+    Degree 1 is nonzero exactly above the boundary conformal dimension
+    p_cohom; degree 2 behaves dually (nonzero below the conjugate exponent
+    p_hom).  Grid points inside the uncertainty bracket are "critical".
     """
     if not system.nerve_is_circle:
         raise SchemaError("vanishing table requires a circle nerve")
     hyp = system.hyperbolicity
     if not hyp.hyperbolic:
         raise NotHyperbolic(f"obstruction: {hyp.witness}")
-    e_q = _require_thick_growing(system, thickness)
-    lo, hi = e_q.bracket
-    confdim = 1.0 + 1.0 / e_q.value
-    conf_lo, conf_hi = 1.0 + 1.0 / hi, 1.0 + 1.0 / lo
-    dual_lo, dual_hi = 1.0 + lo, 1.0 + hi
+    ce = _boundary_exponents(system, thickness)
+    conf_lo, conf_hi = ce.p_cohom_bracket
+    dual_lo, dual_hi = ce.p_hom_bracket
     table = []
     for p in p_grid:
         p = float(p)
@@ -220,4 +215,4 @@ def fuchsian_report(system, thickness, p_grid=(1.25, 1.5, 2.0, 3.0, 5.0)):
         else:
             d2 = "critical"
         table.append((p, d1, d2))
-    return FuchsianReport(confdim, 1.0 + e_q.value, table, e_q)
+    return FuchsianReport(ce.p_cohom, ce.p_hom, table)

@@ -13,18 +13,21 @@ of the elements; both give the same per-length class counts:
 
 A ball records only the conjugacy-class vector of each element.  For
 right-angled systems a counting recurrence over descent sets gives the
-per-length class counts, and so the exact ball sizes, to any depth
-without storing elements.  growth.counting_route reads those sizes to
-choose the counting route before any ball is built: BFS to the requested
-depth when that ball fits the caps, else BFS to the validation depth as
-a check of the recurrence.  The source tag ("bfs" or "recurrence") is
-therefore a function of the counts and the caps in force, and the layer
-cache derives it on every hit instead of storing it.
+per-length class counts to any depth without storing elements; run with
+all generators in one class it gives the exact ball sizes from at most
+2^rank states per length.  growth.counting_route reads those sizes to
+choose the counting route before any per-class layer or ball is built:
+BFS to the requested depth when that ball fits the caps, else BFS to the
+validation depth as a check of the recurrence.  The source tag ("bfs" or
+"recurrence") is therefore a function of the counts and the caps in
+force, and the layer cache derives it on every hit instead of storing
+it.
 """
 
 import os
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from math import inf
 
 from .algebraic import CycloField
@@ -210,9 +213,34 @@ def ball_enumerate(M, radius, caps=None, backend="auto"):
     return BallEnumeration(layers, exhausted)
 
 
-def racg_layer_counts(M, depth):
+def check_layer_width(layer, k, caps):
+    """Refuse length k when its counts hold more than max_elements class
+    vectors: this bounds the descent recurrence's (descent set, class
+    vector) states, and a cached record of the counts replays it."""
+    if len(layer) > caps.max_elements:
+        raise ResourceExceeded(f"length {k} holds more than "
+                               f"{caps.max_elements} class vectors")
+
+
+def racg_layer_counts(M, depth, caps=None):
     """Per-length dict {class_vector: count} for a right-angled system via
-    the descent-set recurrence, no element storage.
+    the descent-set recurrence, no element storage; check_layer_width
+    holds each length against the caps."""
+    return _descent_recurrence(M, depth, M.class_of(),
+                               caps or Caps.from_env())
+
+
+def racg_ball_sizes(M, depth):
+    """Ball sizes through lengths 0..depth of a right-angled system: the
+    descent-set recurrence with every generator in one class, so at most
+    2^rank states per length."""
+    layers = _descent_recurrence(M, depth, [0] * M.rank, Caps())
+    return list(accumulate(sum(layer.values()) for layer in layers))
+
+
+def _descent_recurrence(M, depth, class_of, caps):
+    """Per-length {class_vector: count}, generator s counted in class
+    class_of[s].
 
     Each element of length k+1 has a unique canonical parent: strip the least
     descent.  So counting states (descent set D, appended letter s) with
@@ -222,8 +250,6 @@ def racg_layer_counts(M, depth):
         raise NotRightAngled("counting recurrence requires a right-angled system")
     n = M.rank
     commute = commutation_table(M)
-    class_of = M.class_of()
-    nclasses = len(M.conjugacy_classes())
     # transitions: state bitmask D -> list of (s, D')
     trans = {}
 
@@ -248,10 +274,10 @@ def racg_layer_counts(M, depth):
         trans[D] = out
         return out
 
-    zero = (0,) * nclasses
+    zero = (0,) * (max(class_of, default=0) + 1)
     states = {0: {zero: 1}}
     result = [{zero: 1}]
-    for _ in range(depth):
+    for k in range(depth):
         nxt = {}
         layer = {}
         for D, vecs in states.items():
@@ -262,6 +288,7 @@ def racg_layer_counts(M, depth):
                     cv2 = cv[:ci] + (cv[ci] + 1,) + cv[ci + 1:]
                     tgt[cv2] = tgt.get(cv2, 0) + cnt
                     layer[cv2] = layer.get(cv2, 0) + cnt
+        check_layer_width(layer, k + 1, caps)
         states = nxt
         result.append(layer)
     return result

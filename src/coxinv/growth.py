@@ -28,7 +28,8 @@ import mpmath
 
 from .algebraic import _int_or_fraction
 from .coxeter import finite_group_order, classify_parabolic
-from .elements import Caps, ball_enumerate, racg_layer_counts
+from .elements import (Caps, ball_enumerate, racg_ball_sizes,
+                       racg_layer_counts)
 from .errors import (DegenerateWeights, ResourceExceeded, SchemaError,
                      ValidationMismatch)
 
@@ -147,17 +148,17 @@ class WeightVector:
     def exact(cls, v):
         return exact_rational(v, cls.what)
 
-    def __init__(self, M, per_class):
+    def __init__(self, M, class_values):
         what = self.what
         classes = M.conjugacy_classes()
-        if len(per_class) != len(classes):
+        if len(class_values) != len(classes):
             raise SchemaError(
                 f"expected {len(classes)} class {what} values, "
-                f"got {len(per_class)}")
-        vals = tuple(map(self.exact, per_class))
+                f"got {len(class_values)}")
+        vals = tuple(map(self.exact, class_values))
         if any(v < 1 for v in vals):
             raise SchemaError(f"{what} must be >= 1")
-        for raw, v in zip(per_class, vals):
+        for raw, v in zip(class_values, vals):
             try:
                 float(v)
             except OverflowError:
@@ -170,15 +171,15 @@ class WeightVector:
     def from_generator_map(cls, M, mapping):
         """Build from a generator-name -> value map, enforcing class
         constancy."""
-        per_class = []
+        class_values = []
         for c in M.conjugacy_classes():
             vals = {cls.exact(mapping[M.generators[i]]) for i in c}
             if len(vals) != 1:
                 names = [M.generators[i] for i in c]
                 raise cls.class_error(f"{cls.what} must be constant on the "
                                       f"conjugacy class {names}")
-            per_class.append(vals.pop())
-        return cls(M, per_class)
+            class_values.append(vals.pop())
+        return cls(M, class_values)
 
     @classmethod
     def constant(cls, M, value):
@@ -209,15 +210,15 @@ def ball_sizes(counts):
     return list(accumulate(sum(layer.values()) for layer in counts))
 
 
-def counting_route(M, counts, caps):
-    """How a fresh run under caps obtains these per-length counts.
+def counting_route(M, sizes, caps):
+    """How a fresh run under caps obtains the counts whose ball sizes
+    through each length are sizes.
 
-    "bfs" when the ball through the last layer fits max_elements;
+    "bfs" when the ball through the last length fits max_elements;
     "recurrence" for a right-angled system whose ball fits only through
     the validation depth.  Otherwise raises ResourceExceeded exactly as
     ball_enumerate does, at the first radius past the cap.
     """
-    sizes = ball_sizes(counts)
     cap = caps.max_elements
     # like ball_enumerate, never hold the identity against the cap
     past = next((k for k in range(1, len(sizes)) if sizes[k] > cap), None)
@@ -231,19 +232,20 @@ def counting_route(M, counts, caps):
 def layer_class_counts(M, depth, caps=None):
     """Per-length dict {class_vector: count} for lengths 0..depth.
 
-    A right-angled system is counted by the descent-set recurrence first,
-    whose exact ball sizes choose the route (counting_route) before any
-    ball is built; BFS then runs to depth on "bfs" and to the validation
-    depth on "recurrence", and must agree with the recurrence on the
-    shared prefix.  Other systems are counted by BFS, which raises
+    A right-angled system is counted first by the descent-set recurrence
+    on element totals, whose exact ball sizes choose the route
+    (counting_route) before any per-class layer or ball is built.  The
+    per-class recurrence then runs to depth, and BFS to depth on "bfs"
+    and to the validation depth on "recurrence"; the two must agree on
+    the shared prefix.  Other systems are counted by BFS, which raises
     ResourceExceeded when the ball outgrows the caps.
     Returns (counts, source) with source in {"bfs", "recurrence"}.
     """
     caps = caps or Caps.from_env()
     if not M.is_right_angled():
         return ball_enumerate(M, depth, caps=caps).class_counts(), "bfs"
-    rec = racg_layer_counts(M, depth)
-    route = counting_route(M, rec, caps)
+    route = counting_route(M, racg_ball_sizes(M, depth), caps)
+    rec = racg_layer_counts(M, depth, caps=caps)
     bfs_depth = depth if route == "bfs" else DEFAULT_VALIDATION_DEPTH
     bfs = ball_enumerate(M, bfs_depth, caps=caps).class_counts()
     if rec[:len(bfs)] != bfs:
@@ -259,14 +261,14 @@ def layer_class_counts(M, depth, caps=None):
 
 @dataclass
 class RationalGrowthSeries:
+    """W(t) = numerator / denominator in one variable per conjugacy class."""
     numerator: PolyQ
     denominator: PolyQ          # constant term 1
-    per_class: bool
     validated_depth: int
 
     def expand(self, depth):
-        """Series coefficients by total degree: list of {expo: int}; in the
-        univariate form each holds the one exponent (k,)."""
+        """Series coefficients by total degree: list of {class vector:
+        coefficient}."""
         num, den = self.numerator, self.denominator
         assert den.constant() == 1
         # (total degree, exponent, coefficient), lowest total first
@@ -293,10 +295,24 @@ class RationalGrowthSeries:
                         del cur[tgt]
         return coeffs
 
+    def univariate(self):
+        """The series with every class variable set to one t, in lowest
+        terms: (numerator, denominator) coefficient lists, lowest degree
+        first, each divided by their greatest common divisor."""
+        num, den = ([p.terms.get((k,), 0)
+                     for k in range(p.max_degrees()[0] + 1)]
+                    for p in (self.numerator.collapse(),
+                              self.denominator.collapse()))
+        g = _p1_gcd(den, num)
+        if len(g) > 1:
+            num, den = _p1_exact_div(num, g), _p1_exact_div(den, g)
+        return num, den
 
-def _parabolic_poly(M, T, nclasses, class_of, caps):
+
+def _parabolic_poly(M, T, caps):
     """Exact weighted enumeration polynomial of the finite parabolic W_T,
     in the ambient class variables."""
+    nclasses = len(M.conjugacy_classes())
     if not T:
         return PolyQ.const(nclasses, 1)
     order = finite_group_order(M, T)
@@ -308,6 +324,7 @@ def _parabolic_poly(M, T, nclasses, class_of, caps):
     assert ball.group_exhausted
     # generators conjugate in W_T are conjugate in W: each class of the
     # parabolic lies in one ambient class
+    class_of = M.class_of()
     amb = [class_of[idx[cls[0]]] for cls in sub.conjugacy_classes()]
     out = {}
     for layer in ball.class_counts():
@@ -320,32 +337,39 @@ def _parabolic_poly(M, T, nclasses, class_of, caps):
     return PolyQ(nclasses, out)
 
 
-def rational_growth_series(system, per_class=True):
-    """Weighted growth series as an exact rational function, validated
-    against the system's BFS counts through DEFAULT_VALIDATION_DEPTH
-    (mandatory)."""
+def rational_growth_series(system):
+    """Weighted growth series, one variable per conjugacy class, as an
+    exact rational function validated against the system's BFS counts
+    through DEFAULT_VALIDATION_DEPTH (mandatory)."""
     M = system.M
-    nclasses = len(M.conjugacy_classes()) if per_class else 1
-    cls = system.classification
+    # count first: a ball the caps refuse stops the run before any
+    # parabolic is enumerated
+    counts, _src = system.layer_counts(DEFAULT_VALIDATION_DEPTH)
+    if system.classification.is_finite():
+        num = _parabolic_poly(M, range(M.rank), system.caps)
+        den = PolyQ.const(num.nvars, 1)
+    else:
+        num, den = _reciprocity(M, system.sphericals, system.caps)
+    series = RationalGrowthSeries(num, den, DEFAULT_VALIDATION_DEPTH)
+    expanded = series.expand(DEFAULT_VALIDATION_DEPTH)
+    for k, layer in enumerate(counts):
+        if layer != expanded[k]:
+            raise ValidationMismatch(
+                f"series expansion disagrees with BFS at length {k}")
+    return series
 
-    def parabolic(T):
-        poly = system.parabolic_poly(T)
-        return poly if per_class else poly.collapse()
 
-    if cls.is_finite():
-        poly = parabolic(range(M.rank))
-        series = RationalGrowthSeries(poly, PolyQ.const(nclasses, 1),
-                                      per_class, DEFAULT_VALIDATION_DEPTH)
-        _validate_series(series, system)
-        return series
-
+def _reciprocity(M, sphericals, caps):
+    """(numerator, denominator) of W(t) for infinite W by the reciprocity
+    sum over the spherical subsets, the denominator with constant term 1."""
+    nclasses = len(M.conjugacy_classes())
     # accumulate sum over T of (-1)^|T| / W_T as an exact fraction, reusing
     # syntactically identical parabolic polynomials
     num = PolyQ.const(nclasses, 0)
     den = PolyQ.const(nclasses, 1)
     seen_dens = {}
-    for T in system.sphericals:
-        poly = parabolic(T)
+    for T in sphericals:
+        poly = _parabolic_poly(M, T, caps)
         sign = -1 if len(T) % 2 else 1
         pk = tuple(sorted(poly.terms.items()))
         if pk in seen_dens:
@@ -367,28 +391,7 @@ def rational_growth_series(system, per_class=True):
     c0 = W_den.constant()
     if c0 == 0:
         raise ValidationMismatch("growth series denominator lost its constant term")
-    W_num = W_num.scale(Fraction(1) / c0)
-    W_den = W_den.scale(Fraction(1) / c0)
-    series = RationalGrowthSeries(W_num, W_den, per_class,
-                                  DEFAULT_VALIDATION_DEPTH)
-    _validate_series(series, system)
-    return series
-
-
-def _validate_series(series, system):
-    """Mandatory: Taylor coefficients must equal BFS class counts exactly,
-    through the series' validated_depth."""
-    depth = series.validated_depth
-    counts, _src = system.layer_counts(depth)
-    expanded = series.expand(depth)
-    for k, layer in enumerate(counts):
-        want = {}
-        for cv, c in layer.items():
-            e = tuple(cv) if series.per_class else (k,)
-            want[e] = want.get(e, 0) + c
-        if want != expanded[k]:
-            raise ValidationMismatch(
-                f"series expansion disagrees with BFS at length {k}")
+    return W_num.scale(Fraction(1) / c0), W_den.scale(Fraction(1) / c0)
 
 
 # ---------------------------------------------------------------------------
@@ -527,11 +530,7 @@ class GrowthRateEstimate:
 def _series_rate_constant_weight(series, logq):
     """e_t from the smallest positive denominator root when every class has
     the same weight: the curve substitution is univariate."""
-    denl = _poly1_list(series.denominator.collapse())
-    g = _p1_gcd(denl, _poly1_list(series.numerator.collapse()))
-    if len(g) > 1:
-        denl = _p1_exact_div(denl, g)
-    bracket = smallest_positive_root(denl, Fraction(1))
+    bracket = smallest_positive_root(series.univariate()[1], Fraction(1))
     if bracket is None:
         return GrowthRateEstimate(0.0, "SeriesSingularity", 0.0, (0.0, 0.0),
                                   exact=True, details={"note": "no singularity in (0,1]"})
@@ -551,14 +550,6 @@ def _series_rate_constant_weight(series, logq):
     return GrowthRateEstimate(e_val, "SeriesSingularity", unc, (e_lo, e_hi),
                               exact=(lo == hi),
                               details={"radius_bracket": (str(lo), str(hi))})
-
-
-def _poly1_list(p):
-    deg = p.max_degrees()[0] if p.terms else 0
-    out = [Fraction(0)] * (deg + 1)
-    for (k,), c in p.terms.items():
-        out[k] = c
-    return out
 
 
 def _p1_exact_div(a, b):
@@ -768,9 +759,9 @@ def growth_rate(system, weights=None, method="series", radius=None):
     unweighted rate e(W).
 
     method "series" locates the smallest positive singularity of the exact
-    rational series, per conjugacy class for non-constant weights and in a
-    single variable otherwise; "enumeration" regresses enumerated counting
-    data.  System.rate memoises the series route.
+    rational series: on the substitution curve for non-constant weights,
+    in its one-variable form otherwise; "enumeration" regresses enumerated
+    counting data.  System.rate memoises the series route.
     """
     M = system.M
     cls = system.classification
@@ -787,12 +778,10 @@ def growth_rate(system, weights=None, method="series", radius=None):
         if cls.is_finite():
             return GrowthRateEstimate(0.0, "SeriesSingularity", 0.0, (0.0, 0.0),
                                       exact=True, details={"finite": True})
-        per_class = weights is not None and not weights.is_constant()
-        series = system.series(per_class)
-        if per_class:
-            return _series_rate_curve(series, weights)
+        if weights is not None and not weights.is_constant():
+            return _series_rate_curve(system.series, weights)
         logq = None if weights is None else math.log(float(weights.values[0]))
-        return _series_rate_constant_weight(series, logq)
+        return _series_rate_constant_weight(system.series, logq)
 
     if method == "enumeration":
         if radius is None:

@@ -245,9 +245,9 @@ def build_report(system, thickness=None, weights=None, depth=8, radius=None,
         "layer_sizes": [sum(layer.values()) for layer in layers],
     }
     try:
-        series = timed("series", lambda: system.series(per_class=True))
-        # the report carries the collapsed univariate form; the per-class
-        # function stays a library-level object
+        series = timed("series", lambda: system.series)
+        # the report carries the collapsed form; the per-class function
+        # stays a library-level object
         growth["series"] = {"variables": ["t"], **_series_json(series)}
         # trivial weights fall back to the plain rate e(W)
         w_arg = None if weights.all_one() else weights

@@ -4,17 +4,15 @@ A System wraps a CoxeterMatrix together with the resource caps and the
 optional enumeration cache directory, and memoises on the instance what
 several pipeline stages read: classification, spherical subsets, nerve,
 type-PM verdict, vcd, hyperbolicity, the circle-nerve verdict, per-length
-class counts, the per-class polynomial of each spherical parabolic, the
-growth series of each form and the series-route rate of each weight
-vector.  The stage functions in growth, building, conformal, davis and
-report take a System, so one report builds each of these once however
-many sections read it.  The leaf computations they call keep taking a
-bare CoxeterMatrix.
+class counts, the per-class growth series and the series-route rate of
+each weight vector.  The stage functions in growth, building, conformal,
+davis and report take a System, so one report builds each of these once
+however many sections read it.  The leaf computations they call keep
+taking a bare CoxeterMatrix.
 """
 
 from functools import cached_property
 
-from . import growth
 from .cache import cached_layer_counts
 from .conformal import is_nerve_circle, moussong_hyperbolic
 from .coxeter import classify_parabolic, spherical_subsets
@@ -30,8 +28,6 @@ class System:
         self.caps = caps or Caps.from_env()
         self.cache_dir = cache_dir
         self._layers = None     # (depth, counts, source) of the deepest run
-        self._parabolics = {}   # sorted subset -> per-class PolyQ
-        self._series = {}       # per_class flag -> RationalGrowthSeries
         self._rates = {}        # weight values, or None -> GrowthRateEstimate
 
     @cached_property
@@ -60,7 +56,7 @@ class System:
 
     @cached_property
     def nerve_is_circle(self):
-        return is_nerve_circle(self.M)
+        return is_nerve_circle(self)
 
     def layer_counts(self, depth):
         """(per-length {class_vector: count} for lengths 0..depth, source).
@@ -79,24 +75,11 @@ class System:
         _, counts, source = self._layers
         return counts[:depth + 1], source
 
-    def parabolic_poly(self, T):
-        """Per-class enumeration polynomial of the finite parabolic W_T;
-        both series forms read it, the univariate one collapsed."""
-        key = tuple(sorted(T))
-        if key not in self._parabolics:
-            M = self.M
-            self._parabolics[key] = growth._parabolic_poly(
-                M, frozenset(key), len(M.conjugacy_classes()), M.class_of(),
-                self.caps)
-        return self._parabolics[key]
-
-    def series(self, per_class):
-        """Validated rational growth series, per conjugacy class or in a
-        single variable."""
-        if per_class not in self._series:
-            self._series[per_class] = rational_growth_series(
-                self, per_class=per_class)
-        return self._series[per_class]
+    @cached_property
+    def series(self):
+        """Validated rational growth series, one variable per conjugacy
+        class; univariate() gives its one-variable form."""
+        return rational_growth_series(self)
 
     def rate(self, weights=None):
         """Series-route growth rate; weights None means the plain e(W)."""

@@ -5,8 +5,9 @@ implementation: fraction-free Bareiss elimination for matrix ranks, a
 brute-force rewriting search for right-angled canonical forms, plain long
 division for series coefficients, reflection-matrix enumeration for
 parabolic finiteness, vertex degrees with Betti numbers for circle
-nerves, and term-by-term evaluation of a polynomial at a rational point.
-Deliberately simple and slow.  The rest are checks
+nerves, term-by-term evaluation of a polynomial at a rational point, and
+the minimal polynomial of 2cos(pi/N) with every Dickson polynomial built
+from scratch.  Deliberately simple and slow.  The rest are checks
 the library does not run: d∘d = 0 on a whole complex, the cone test, the
 rate comparison bounds, the count side of the pullback norms, and the
 inverse of the machine report encoding.
@@ -16,6 +17,7 @@ import json
 import math
 from fractions import Fraction
 
+from coxinv.algebraic import cyclotomic, dickson
 from coxinv.building import lp_power_sum
 from coxinv.davis import nerve_complex
 from coxinv.elements import ReflectionRep
@@ -340,3 +342,21 @@ def decode_json_value(x):
 
 def report_from_json(text):
     return decode_json_value(json.loads(text))
+
+
+def minimal_poly_2cos_pi_over_by_dickson(N):
+    """Monic integer minimal polynomial of 2cos(pi/N), low degree first:
+    Phi_2N rewritten through z^d(z^j + z^-j) = z^d * D_j(z + 1/z), with
+    each D_j built from scratch."""
+    if N == 1:
+        return [2, 1]  # x + 2, root -2
+    phi = cyclotomic(2 * N)
+    d = (len(phi) - 1) // 2
+    psi = [0] * (d + 1)
+    psi[0] = phi[d]
+    for j in range(1, d + 1):
+        e = phi[d + j]
+        if e:
+            for i, v in enumerate(dickson(j)):
+                psi[i] += e * v
+    return psi

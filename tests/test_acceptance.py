@@ -47,7 +47,7 @@ class TestCriterion01SeriesMatchesEnumeration:
 
     def _check(self, M):
         t0 = time.monotonic()
-        series = rational_growth_series(System(M), per_class=True)
+        series = rational_growth_series(System(M))
         expanded = series.expand(self.DEPTH)
         counts, _src = layer_class_counts(M, self.DEPTH)
         for k in range(self.DEPTH + 1):

@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -5,9 +6,13 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coxinv import algebraic
 from coxinv.algebraic import (MAX_FIELD_N, CycloField, cyclotomic, dickson,
                               minimal_poly_2cos_pi_over)
 from coxinv.errors import ResourceExceeded
+
+from . import oracles
+from .oracles import minimal_poly_2cos_pi_over_by_dickson
 
 
 def _sub(F, a, b):
@@ -42,6 +47,19 @@ def test_minpoly_small_cases():
     assert minimal_poly_2cos_pi_over(3) == [-1, 1]      # 2cos(pi/3) = 1
     assert minimal_poly_2cos_pi_over(4) == [-2, 0, 1]   # sqrt(2)
     assert minimal_poly_2cos_pi_over(6) == [-3, 0, 1]   # sqrt(3)
+
+
+def test_minpoly_recurrence_matches_dickson_from_scratch(monkeypatch):
+    # both routes build Phi_2N with the recursive cyclotomic(), and the
+    # oracle builds each D_j from scratch: memos keep both parts short
+    memo = functools.lru_cache(maxsize=None)(algebraic.cyclotomic)
+    monkeypatch.setattr(algebraic, "cyclotomic", memo)
+    monkeypatch.setattr(oracles, "cyclotomic", memo)
+    monkeypatch.setattr(oracles, "dickson",
+                        functools.lru_cache(maxsize=None)(oracles.dickson))
+    for N in range(1, 401):
+        assert minimal_poly_2cos_pi_over(N) == \
+            minimal_poly_2cos_pi_over_by_dickson(N), N
 
 
 @pytest.mark.parametrize("N", [5, 7, 12, 15, 30])

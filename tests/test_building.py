@@ -162,33 +162,33 @@ class TestRetraction:
         rng = random.Random(9)
         for _ in range(25):
             ch_ap = random_chain(pent_apartment, rng, 5)
-            up = pullback(pent_ball, pent_apartment, ch_ap)
-            assert pushforward(pent_ball, pent_apartment, up) == ch_ap
+            up = pullback(pent_ball, ch_ap)
+            assert pushforward(up) == ch_ap
 
     def test_boundary_commutes_with_pullback(self, pent_ball, pent_apartment):
         rng = random.Random(10)
         for _ in range(25):
             ch_ap = random_chain(pent_apartment, rng, 5)
-            up = pullback(pent_ball, pent_apartment, ch_ap)
+            up = pullback(pent_ball, ch_ap)
             assert boundary(pent_ball, up) == \
-                pullback(pent_ball, pent_apartment, boundary(pent_apartment, ch_ap))
+                pullback(pent_ball, boundary(pent_apartment, ch_ap))
 
     def test_boundary_commutes_with_pushforward(self, pent_ball, pent_apartment):
         rng = random.Random(12)
         for _ in range(25):
             ch = random_chain(pent_ball, rng, 5)
-            assert boundary(pent_apartment, pushforward(pent_ball, pent_apartment, ch)) == \
-                pushforward(pent_ball, pent_apartment, boundary(pent_ball, ch))
+            assert boundary(pent_apartment, pushforward(ch)) == \
+                pushforward(boundary(pent_ball, ch))
 
 
 class TestJensen:
-    def test_battery(self, pent_ball, pent_apartment):
+    def test_battery(self, pent_ball):
         rng = random.Random(13)
         verdicts = {}
         for _ in range(40):
             ch = random_chain(pent_ball, rng, 5)
             for p in (Fraction(3, 2), Fraction(2), Fraction(3)):
-                r = jensen_check(pent_ball, pent_apartment, ch, [p])[0]
+                r = jensen_check(pent_ball, ch, [p])[0]
                 assert r.holds is True
                 verdicts[r.comparison] = verdicts.get(r.comparison, 0) + 1
         assert verdicts.get("strict", 0) > 0
@@ -196,14 +196,14 @@ class TestJensen:
     def test_equality_on_pulled_back_chains(self, pent_ball, pent_apartment):
         rng = random.Random(14)
         ch_ap = random_chain(pent_apartment, rng, 4)
-        up = pullback(pent_ball, pent_apartment, ch_ap)
-        r = jensen_check(pent_ball, pent_apartment, up, [Fraction(2)])[0]
+        up = pullback(pent_ball, ch_ap)
+        r = jensen_check(pent_ball, up, [Fraction(2)])[0]
         assert r.holds is True and r.comparison == "equal"
 
-    def test_irrational_exponent_interval_route(self, pent_ball, pent_apartment):
+    def test_irrational_exponent_interval_route(self, pent_ball):
         rng = random.Random(15)
         ch = random_chain(pent_ball, rng, 5)
-        r = jensen_check(pent_ball, pent_apartment, ch, [Fraction(22, 7)])[0]
+        r = jensen_check(pent_ball, ch, [Fraction(22, 7)])[0]
         assert r.holds is True
         assert r.comparison in ("strict", "equal", "interval")
 
@@ -414,7 +414,7 @@ class TestMergedPullback:
         a = Simplex(((0, 1), (1, 2)), ((),))
         b = Simplex(((0, 2), (1, 1)), ((),))
         ch = {a: Fraction(1, 3), b: Fraction(1, 6)}
-        up = pullback(pent_ball, pent_apartment, ch)
+        up = pullback(pent_ball, ch)
         assert up == naive_pullback(pent_ball, ch)
         assert len(up) == 4 and set(up.values()) == {Fraction(1, 8)}
 
@@ -423,11 +423,11 @@ class TestMergedPullback:
         b = Simplex(((0, 2), (1, 1)), ((),))
         c = Simplex(((2, 1),), ((3,),))
         ch = {a: Fraction(2, 3), b: Fraction(-2, 3), c: Fraction(5)}
-        up = pullback(pent_ball, pent_apartment, ch)
+        up = pullback(pent_ball, ch)
         assert up == naive_pullback(pent_ball, ch)
         assert up == {Simplex(((2, 1),), ((3,),)): Fraction(5, 2),
                       Simplex(((2, 2),), ((3,),)): Fraction(5, 2)}
-        assert pullback(pent_ball, pent_apartment, {a: 1, b: -1}) == {}
+        assert pullback(pent_ball, {a: 1, b: -1}) == {}
 
     def test_random_chains_match_reference(self, pent_ball, pent_apartment,
                                            tree_ball):
@@ -435,8 +435,8 @@ class TestMergedPullback:
         for ball in (pent_ball, tree_ball):
             for _ in range(10):
                 ch = random_chain(ball, rng, 6)
-                assert pullback(ball, None, ch) == naive_pullback(ball, ch)
-                theta = pullback(ball, None, pushforward(ball, None, ch))
+                assert pullback(ball, ch) == naive_pullback(ball, ch)
+                theta = pullback(ball, pushforward(ch))
                 for p in P_GRID:
                     assert lp_power_sum(theta.values(), p) == \
                         naive_power_sum(theta.values(), p)
@@ -488,19 +488,19 @@ class TestIrrationalExponentVerdicts:
     """Verdicts of the interval route at p = 5/3 on the q = 3 tree, as the
     per-element sum gave them."""
 
-    def test_random_chain(self, tree_ball, tree_apartment):
+    def test_random_chain(self, tree_ball):
         ch = random_chain(tree_ball, random.Random(16), 5)
-        r = jensen_check(tree_ball, tree_apartment, ch, [Fraction(5, 3)])[0]
+        r = jensen_check(tree_ball, ch, [Fraction(5, 3)])[0]
         assert (r.holds, r.comparison) == (True, "interval")
 
     def test_near_equality(self, tree_ball, tree_apartment):
         # a pulled-back chain with one coefficient nudged: theta spreads
         # over whole fibers, and the two sides differ by about 1e-9
         ch_ap = random_chain(tree_apartment, random.Random(17), 4)
-        up = pullback(tree_ball, tree_apartment, ch_ap)
+        up = pullback(tree_ball, ch_ap)
         face = max(up, key=lambda sx: (len(sx.gate), sx.gate, sx.chain))
         up[face] += Fraction(1, 10 ** 6)
-        r = jensen_check(tree_ball, tree_apartment, up, [Fraction(5, 3)])[0]
+        r = jensen_check(tree_ball, up, [Fraction(5, 3)])[0]
         assert (r.holds, r.comparison) == (True, "interval")
 
 

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -55,6 +56,15 @@ FREE_PRODUCT_3 = {
 
 I2_173 = {"generators": ["a", "b"], "matrix": [[1, 173], [173, 1]]}
 
+# the free product of 16 copies of Z/2: its ball passes 2,000,000
+# elements at radius 6
+FREE_PRODUCT_16 = {
+    "generators": [chr(97 + i) for i in range(16)],
+    "matrix": [[1 if i == j else "inf" for j in range(16)]
+               for i in range(16)],
+    "thickness": 2,
+}
+
 # a finite label far beyond any field the matrix backend can build
 HUGE_LABEL = {
     "generators": ["a", "b", "c"],
@@ -77,6 +87,7 @@ def inputs(tmp_path_factory):
                           ("t333", TRIANGLE_333), ("tree_q3", TREE_Q3),
                           ("t732", TRIANGLE_732),
                           ("free3", FREE_PRODUCT_3), ("i2_173", I2_173),
+                          ("free16", FREE_PRODUCT_16),
                           ("huge_label", HUGE_LABEL)):
         p = d / f"{name}.json"
         p.write_text(json.dumps(payload))
@@ -223,6 +234,31 @@ class TestExitCodes:
                        "--max-elements", "1000")
         assert proc.returncode == 3
         assert "exceeds cap 1000 at radius 6" in proc.stderr
+
+    @pytest.mark.parametrize("command", ["growth", "exponents"])
+    def test_cap_refuses_free_product_of_16_early(self, inputs, command):
+        # the ball sizes come from a totals-only recurrence, before any
+        # per-class layer or series is built
+        t0 = time.monotonic()
+        proc = run_cli(command, "--input", inputs["free16"])
+        assert time.monotonic() - t0 < 5
+        assert proc.returncode == 3
+        assert "ball size exceeds cap 2000000 at radius 6" in proc.stderr
+
+    def test_corrupted_cache_count_is_skipped(self, inputs, tmp_path):
+        # a record whose layers fail their hash is rebuilt, not trusted
+        cache = tmp_path / "cache"
+        argv = ("report", "--input", inputs["pentagon"], "--format",
+                "machine", "--cache-dir", str(cache))
+        cold = run_cli(*argv)
+        assert cold.returncode == 0, cold.stderr
+        path = cache / "layers.jsonl"
+        rec = json.loads(path.read_text())
+        rec["layers"][8][0][1] += 1
+        path.write_text(json.dumps(rec) + "\n")
+        warm = run_cli(*argv)
+        assert warm.returncode == 0, warm.stderr
+        assert warm.stdout == cold.stdout
 
     def test_bad_lambda(self, inputs):
         proc = run_cli("confdim", "--input", inputs["pentagon"],

@@ -57,16 +57,16 @@ class TestMoussong:
 
 class TestNerveCircle:
     def test_circle_nerves(self, pentagon, square_product, triangle_333):
-        assert is_nerve_circle(pentagon)
-        assert is_nerve_circle(square_product)
+        assert is_nerve_circle(System(pentagon))
+        assert is_nerve_circle(System(square_product))
         # triangle boundary counts as a circle; hyperbolicity is what
         # excludes (3,3,3) from the surface-group route
-        assert is_nerve_circle(triangle_333)
+        assert is_nerve_circle(System(triangle_333))
 
     def test_non_circle_nerves(self, a2, path_2edge, free_product_3):
-        assert not is_nerve_circle(a2)
-        assert not is_nerve_circle(path_2edge)
-        assert not is_nerve_circle(free_product_3)
+        assert not is_nerve_circle(System(a2))
+        assert not is_nerve_circle(System(path_2edge))
+        assert not is_nerve_circle(System(free_product_3))
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.data())
@@ -78,7 +78,7 @@ class TestNerveCircle:
             for j in range(i + 1, n):
                 rows[i][j] = rows[j][i] = data.draw(labels)
         M = mat(rows)
-        assert is_nerve_circle(M) == nerve_circle_by_degrees(M)
+        assert is_nerve_circle(System(M)) == nerve_circle_by_degrees(M)
 
 
 class TestHausdorff:

@@ -2,13 +2,15 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from coxinv.elements import ball_enumerate
-from coxinv.errors import DegenerateWeights, ValidationMismatch
+from coxinv.elements import Caps, ball_enumerate
+from coxinv.errors import (DegenerateWeights, ResourceExceeded,
+                           ValidationMismatch)
 from coxinv.growth import (DEFAULT_VALIDATION_DEPTH, CurveTerms,
                            GrowthRateEstimate, PolyQ, WeightVector,
                            _p1_exact_div, _p1_gcd, _p1_rem,
+                           _parabolic_poly,
                            _series_rate_constant_weight,
                            _series_rate_curve, classify_convergence,
                            enumeration_fit, growth_rate,
@@ -26,50 +28,43 @@ E_PENTAGON = math.log((3 + math.sqrt(5)) / 2)   # 0.9624236501...
 # series construction
 
 def test_dinf_series_closed_form(dihedral_inf):
-    s = rational_growth_series(System(dihedral_inf), per_class=False)
-    num = {e[0]: c for e, c in s.numerator.terms.items()}
-    den = {e[0]: c for e, c in s.denominator.terms.items()}
-    assert num == {0: Fraction(1), 1: Fraction(1)}
-    assert den == {0: Fraction(1), 1: Fraction(-1)}
+    # (1+t)^2 / (1-t^2) in lowest terms
+    s = rational_growth_series(System(dihedral_inf))
+    assert s.univariate() == ([1, 1], [1, -1])
 
 
 def test_dinf_series_per_class(dihedral_inf):
     # (1+ta)(1+tb) / (1 - ta tb)
-    s = rational_growth_series(System(dihedral_inf), per_class=True)
+    s = rational_growth_series(System(dihedral_inf))
     assert s.numerator.terms == {(0, 0): Fraction(1), (1, 0): Fraction(1),
                                  (0, 1): Fraction(1), (1, 1): Fraction(1)}
     assert s.denominator.terms == {(0, 0): Fraction(1), (1, 1): Fraction(-1)}
 
 
 def test_a2_polynomial(a2):
-    s = rational_growth_series(System(a2), per_class=False)
+    s = rational_growth_series(System(a2))
     assert s.denominator.terms == {(0,): Fraction(1)}
     assert {e[0]: c for e, c in s.numerator.terms.items()} == \
         {0: Fraction(1), 1: Fraction(2), 2: Fraction(2), 3: Fraction(1)}
 
 
 def test_pentagon_expansion_frozen(pentagon):
-    s = rational_growth_series(System(pentagon), per_class=False)
+    s = rational_growth_series(System(pentagon))
     got = [sum(layer.values()) for layer in s.expand(12)]
     assert got == [1, 5, 15, 40, 105, 275, 720, 1885, 4935, 12920, 33825,
                    88555, 231840]
 
 
 def test_pentagon_expansion_matches_long_division(pentagon):
-    s = rational_growth_series(System(pentagon), per_class=False)
-    num = [Fraction(0)] * (s.numerator.max_degrees()[0] + 1)
-    for (k,), c in s.numerator.terms.items():
-        num[k] = c
-    den = [Fraction(0)] * (s.denominator.max_degrees()[0] + 1)
-    for (k,), c in s.denominator.terms.items():
-        den[k] = c
+    s = rational_growth_series(System(pentagon))
+    num, den = s.univariate()
     got = [sum(layer.values()) for layer in s.expand(15)]
     assert got == series_quotient(num, den, 15)
 
 
 def test_multivariate_expansion_matches_counts(dihedral_inf, square_product):
     for M in (dihedral_inf, square_product):
-        s = rational_growth_series(System(M), per_class=True)
+        s = rational_growth_series(System(M))
         expanded = s.expand(8)
         ball = ball_enumerate(M, 8)
         counts = ball.class_counts()
@@ -83,7 +78,7 @@ def test_parabolic_poly_b3_in_534():
     # the B3 parabolic on {b, c, d} has the same two classes
     M = mat([[1, 5, 2, 2], [5, 1, 3, 2], [2, 3, 1, 4], [2, 2, 4, 1]])
     assert M.conjugacy_classes() == ((0, 1, 2), (3,))
-    poly = System(M).parabolic_poly({1, 2, 3})
+    poly = _parabolic_poly(M, {1, 2, 3}, Caps())
     assert poly.terms == bn_poincare(3)
     assert sum(poly.terms.values()) == 48
 
@@ -93,7 +88,7 @@ def test_parabolic_poly_two_classes_merge():
     # put a and b in one ambient class
     M = mat([[1, 4, 3], [4, 1, 3], [3, 3, 1]])
     assert M.conjugacy_classes() == ((0, 1, 2),)
-    poly = System(M).parabolic_poly({0, 1})
+    poly = _parabolic_poly(M, {0, 1}, Caps())
     # (1 + t)(1 + t + t^2 + t^3)
     assert poly.terms == {(0,): 1, (1,): 2, (2,): 2, (3,): 2, (4,): 1}
 
@@ -103,15 +98,15 @@ def test_validation_is_mandatory(monkeypatch, dihedral_inf):
     import coxinv.growth as G
     orig = G._parabolic_poly
 
-    def corrupted(M, T, nclasses, class_of, caps):
-        poly = orig(M, T, nclasses, class_of, caps)
+    def corrupted(M, T, caps):
+        poly = orig(M, T, caps)
         if len(T) == 1:
-            poly = poly + PolyQ.const(nclasses, 1)
+            poly = poly + PolyQ.const(poly.nvars, 1)
         return poly
 
     monkeypatch.setattr(G, "_parabolic_poly", corrupted)
     with pytest.raises(ValidationMismatch):
-        rational_growth_series(System(dihedral_inf), per_class=False)
+        rational_growth_series(System(dihedral_inf))
 
 
 @pytest.mark.parametrize("name", ["pentagon", "triangle_732"])
@@ -119,7 +114,7 @@ def test_series_predicts_counts_past_validation_depth(name, request):
     # the series is validated through DEFAULT_VALIDATION_DEPTH; its next two
     # lengths are checked against an independent enumeration
     M = request.getfixturevalue(name)
-    s = System(M).series(True)
+    s = System(M).series
     assert s.validated_depth == DEFAULT_VALIDATION_DEPTH
     depth = DEFAULT_VALIDATION_DEPTH + 2
     expanded = s.expand(depth)
@@ -129,7 +124,7 @@ def test_series_predicts_counts_past_validation_depth(name, request):
 
 
 def test_pentagon_series_coefficients_are_ints(pentagon_system):
-    s = pentagon_system.series(True)
+    s = pentagon_system.series
     assert (len(s.numerator.terms), len(s.denominator.terms)) == (1024, 834)
     for poly in (s.numerator, s.denominator):
         assert all(type(c) is int for c in poly.terms.values())
@@ -276,7 +271,7 @@ def test_all_one_weights_rejected(dihedral_inf):
 def test_curve_terms_exact_at_integer_x(pentagon_system, pentagon, x):
     # at integer x every w^-x is rational, so the merged sum is exact
     w = WeightVector(pentagon, [2, 2, 2, 2, 3])
-    s = pentagon_system.series(per_class=True)
+    s = pentagon_system.series
     point = [v ** -x for v in w.values]
     for poly, sizes in ((s.denominator, (834, 50)), (s.numerator, (1024, 52))):
         curve = CurveTerms(poly, w)
@@ -289,11 +284,11 @@ def test_curve_terms_exact_at_integer_x(pentagon_system, pentagon, x):
 @pytest.mark.parametrize("q", [2, 3])
 def test_curve_route_overlaps_sturm_route(pentagon_system, pentagon, q):
     # constant weights through the interval curve scan of the per-class
-    # series, against exact Sturm isolation of the univariate series
+    # series, against exact Sturm isolation of its one-variable form
     w = WeightVector.constant(pentagon, q)
-    curve = _series_rate_curve(pentagon_system.series(per_class=True), w)
-    sturm = _series_rate_constant_weight(
-        pentagon_system.series(per_class=False), math.log(q))
+    curve = _series_rate_curve(pentagon_system.series, w)
+    sturm = _series_rate_constant_weight(pentagon_system.series,
+                                         math.log(q))
     assert curve.bracket[0] <= sturm.bracket[1]
     assert sturm.bracket[0] <= curve.bracket[1]
     assert curve.contains(E_PENTAGON / math.log(q))
@@ -402,3 +397,31 @@ def test_weighted_rate_monotone_in_weights(free_rank3, free_rank3_system,
     e1 = growth_rate(S, WeightVector(M, [qa, qb, qb]), method="series")
     e2 = growth_rate(S, WeightVector(M, [qa + 1, qb, qb]), method="series")
     assert e2.value <= e1.value + 1e-6
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.data())
+def test_univariate_is_lowest_terms_and_predicts_bfs(data):
+    """On random infinite systems of rank <= 4, univariate() is coprime and
+    its quotient gives the BFS ball's layer sizes through length 12, two
+    lengths past the validation depth.  Half the labels are 2, and balls
+    past 1500 elements by then are skipped: a rank-4 system with few
+    commuting pairs has tens of thousands, seconds of matrix arithmetic."""
+    n = data.draw(st.integers(2, 4))
+    label = st.one_of(st.just(2), st.sampled_from((3, 4, 5, 6, math.inf)))
+    rows = [[1] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = data.draw(label)
+    system = System(mat(rows), caps=Caps(max_elements=1500))
+    assume(not system.classification.is_finite())
+    try:
+        counts, source = system.layer_counts(12)
+    except ResourceExceeded:
+        assume(False)
+    # a right-angled ball past the cap is counted by the recurrence
+    assume(source == "bfs")
+    num, den = system.series.univariate()
+    assert _p1_gcd(num, den) == [1]
+    assert series_quotient(num, den, 12) == \
+        [sum(layer.values()) for layer in counts]

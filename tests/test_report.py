@@ -195,8 +195,8 @@ class TestSharedSystem:
 
     def test_each_parabolic_enumerated_once(self, monkeypatch):
         # an unweighted report prints the per-class series and reads its
-        # rate from the univariate one; both come from one enumeration of
-        # each spherical parabolic
+        # rate from its one-variable form: one enumeration of each
+        # spherical parabolic
         M = mat(LINEAR_534)
         calls = _counting(monkeypatch, sys.modules["coxinv.growth"],
                           "ball_enumerate", keep=lambda N, *a: N is not M)
@@ -227,9 +227,6 @@ class TestSharedSystem:
                     monkeypatch.setattr(mod, attr, counted)
         q = ThicknessVector.constant(triangle_732, 2)
         build_report(System(triangle_732), thickness=q)
-        # one series per form: per-class for the printed series,
-        # univariate for the constant-weight rate
-        assert calls.pop("growth.rational_growth_series") == 2
         assert calls == dict.fromkeys(calls, 1)
 
 
@@ -349,6 +346,21 @@ class TestCache:
         with pytest.raises(ResourceExceeded):
             warm(6, caps=small)
         assert warm(3, caps=small) == (counts[:4], "bfs")
+
+    def test_class_vector_cap_refuses_warm_as_cold(self, tmp_path):
+        # (D_inf)^3: ball(10) fits the cap, so depth 40 takes the
+        # recurrence route, whose length 30 holds more class vectors than
+        # the cap; a cached record of those counts is refused the same way
+        rows = [[1 if i == j else (math.inf if i // 2 == j // 2 else 2)
+                 for j in range(6)] for i in range(6)]
+        M = mat(rows)
+        caps = Caps.from_env(max_elements=1562)
+        message = "^length 30 holds more than 1562 class vectors$"
+        with pytest.raises(ResourceExceeded, match=message):
+            layer_class_counts(M, 40, caps=caps)
+        store_layers(tmp_path, M.digest(), 40, racg_layer_counts(M, 40))
+        with pytest.raises(ResourceExceeded, match=message):
+            cached_layer_counts(M, 40, caps=caps, cache_dir=tmp_path)
 
     def test_corrupt_lines_skipped(self, tmp_path):
         store_layers(tmp_path, "d1", 1, [{(0,): 1}, {(1,): 3}])
