@@ -19,6 +19,7 @@ precision P from an interval enclosure of x: the bounds bracket the
 element times 2^P, and P doubles until the bracket excludes zero.
 """
 
+import functools
 from fractions import Fraction
 from math import lcm
 
@@ -29,7 +30,7 @@ from .errors import ResourceExceeded
 
 VALIDATION_DIGITS = 60
 # every system whose finite labels have lcm <= 1000 builds its field in a
-# few seconds; cyclotomic() holds a list of length 2N
+# few seconds; cyclotomic() builds a list of length 2N
 MAX_FIELD_N = 1000
 SIGN_START_PREC = 64
 SIGN_DOUBLINGS = 12
@@ -50,13 +51,15 @@ def _poly_divmod_exact(a, b):
     return q
 
 
+@functools.cache
 def cyclotomic(n):
-    """Integer coefficient list (low degree first) of Phi_n."""
+    """Integer coefficients (low degree first) of Phi_n, memoised: a tuple,
+    so no caller can change the stored value."""
     poly = [-1] + [0] * (n - 1) + [1]  # z^n - 1
     for d in range(1, n):
         if n % d == 0:
             poly = _poly_divmod_exact(poly, cyclotomic(d))
-    return poly
+    return tuple(poly)
 
 
 def dickson(k):

@@ -13,6 +13,7 @@ norm comparisons for integer and half-integer p reduce to rational vectors
 over an explicit basis of square roots.
 """
 
+import bisect
 import itertools
 import math
 import random
@@ -56,23 +57,28 @@ def append_syllable(word, s, e, commute, qmod):
     exponent merge, or a fresh syllable.  The canonical form is the
     lexicographically least linearization of the commutation trace, exactly
     as for Coxeter words; merges keep the trace shape, deletions rebuild.
+    Deleting the last syllable leaves a prefix, which is already canonical:
+    a word is the least linearization of its trace exactly when no factor
+    b u a has a < b with a commuting with b and with all of u, and a
+    prefix has no factor its word lacks.  One backward scan finds both a
+    syllable of s to merge with and the last syllable not commuting with
+    s (s does not commute with itself), after which a fresh s is placed.
     """
     e %= qmod[s]
     if e == 0:
         return word, 0
     row = commute[s]
+    p0 = 0
     for i in range(len(word) - 1, -1, -1):
         t = word[i][0]
         if t == s:
             ne = (word[i][1] + e) % qmod[s]
             if ne == 0:
+                if i == len(word) - 1:
+                    return word[:i], -1
                 return rebuild_word(word[:i] + word[i + 1:], commute, qmod), -1
             return word[:i] + ((s, ne),) + word[i + 1:], 0
         if not row[t]:
-            break
-    p0 = 0
-    for i in range(len(word) - 1, -1, -1):
-        if not row[word[i][0]]:
             p0 = i + 1
             break
     p = len(word)
@@ -124,9 +130,14 @@ def gate_drops(word, T, commute):
 
 def drop_syllables(word, drops, commute, qmod):
     """The word without the syllables at the given indices, recanonicalized
-    by one rebuild (no rebuild when nothing is dropped)."""
+    by one rebuild.  No rebuild when nothing is dropped or when the drops
+    are a suffix (drops holds distinct indices, so a smallest index of
+    len(word) - len(drops) means exactly the last len(drops)): a prefix of
+    a canonical word is canonical."""
     if not drops:
         return word
+    if min(drops) == len(word) - len(drops):
+        return word[:len(word) - len(drops)]
     gone = set(drops)
     return rebuild_word([syl for i, syl in enumerate(word) if i not in gone],
                         commute, qmod)
@@ -326,11 +337,17 @@ def boundary(ball, chain_coeffs):
 
 
 def pushforward(chain_coeffs):
-    """rho_*: erase exponents, map onto the q = 1 apartment ball."""
+    """rho_*: erase exponents, map onto the q = 1 apartment ball.
+
+    A pulled-back fiber is a run of one coefficient over one face, so each
+    run of equal (face, coefficient) pairs is added once, times its
+    length."""
     out = {}
-    for sx, c in chain_coeffs.items():
-        face = Simplex(erase_exponents(sx.gate), sx.chain)
-        v = out.get(face, Fraction(0)) + c
+    terms = ((Simplex(erase_exponents(sx.gate), sx.chain), c)
+             for sx, c in chain_coeffs.items())
+    for (face, c), run in itertools.groupby(terms):
+        n = len(list(run))
+        v = out.get(face, Fraction(0)) + (c if n == 1 else c * n)
         if v:
             out[face] = v
         elif face in out:
@@ -573,20 +590,30 @@ def _randbelow(getrandbits, n):
 
 
 def random_simplices(ball, rng, count):
-    """Margin-valid simplices for the test battery, drawn uniformly as
-    rng.randrange draws.  A draw with len(word) - |T_0| + |top| + 2 > radius
-    never reaches make_simplex: the generators of the spherical T_0 commute
-    pairwise, so the gate drops at most one syllable per generator."""
+    """count margin-valid simplices for the test battery, drawn uniformly
+    as rng.randrange draws.
+
+    Words come from the viable prefix of the length-sorted chambers, those
+    of length <= radius - 2: the gate drops at most one syllable per
+    generator of the spherical T_0 (they commute pairwise) and
+    |top| >= |T_0|, so no longer chamber passes the margin, and the
+    accepted (chamber, chain) pairs keep their distribution.  In the
+    prefix the chain (()) always passes, so the loop ends; an empty prefix
+    raises ResourceExceeded before any draw.  A draw with
+    len(word) - |T_0| + |top| + 2 > radius never reaches make_simplex.
+    Dimensions run over 0 .. max(2, d), d the largest spherical rank."""
+    chambers, radius = ball.chambers, ball.radius
+    viable = bisect.bisect_right(chambers, radius - 2, key=len)
+    if not viable:
+        raise ResourceExceeded("no margin-valid simplices at this radius")
     sph = sorted(ball.spherical_types, key=lambda t: (len(t), t))
     bigger = [[j for j, U in enumerate(sph) if set(U) > set(T)] for T in sph]
+    dims = max(3, len(sph[-1]) + 1)
     bits = rng.getrandbits
-    chambers, radius = ball.chambers, ball.radius
     out = []
-    attempts = 0
-    while len(out) < count and attempts < count * 200:
-        attempts += 1
-        word = chambers[_randbelow(bits, len(chambers))]
-        k = _randbelow(bits, 3)     # dimension 0, 1 or 2
+    while len(out) < count:
+        word = chambers[_randbelow(bits, viable)]
+        k = _randbelow(bits, dims)
         chain = [_randbelow(bits, len(sph))]
         while len(chain) < k + 1:
             above = bigger[chain[-1]]
@@ -605,8 +632,6 @@ def random_simplices(ball, rng, count):
 def random_chain(ball, rng, size):
     """Random homogeneous-degree chain with small rational coefficients."""
     simplices = random_simplices(ball, rng, size * 3)
-    if not simplices:
-        raise ResourceExceeded("no margin-valid simplices at this radius")
     deg = simplices[0].dim
     pool = [s for s in simplices if s.dim == deg]
     out = {}

@@ -112,15 +112,12 @@ def append_letter(word, s, commute):
     word lexicographically least among all reduced expressions.
     """
     row = commute[s]
+    p0 = 0
     for i in range(len(word) - 1, -1, -1):
         t = word[i]
         if t == s:
             return word[:i] + word[i + 1:], True
         if not row[t]:
-            break
-    p0 = 0
-    for i in range(len(word) - 1, -1, -1):
-        if not row[word[i]]:
             p0 = i + 1
             break
     p = len(word)

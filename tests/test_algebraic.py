@@ -6,7 +6,6 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coxinv import algebraic
 from coxinv.algebraic import (MAX_FIELD_N, CycloField, cyclotomic, dickson,
                               minimal_poly_2cos_pi_over)
 from coxinv.errors import ResourceExceeded
@@ -20,11 +19,19 @@ def _sub(F, a, b):
 
 
 def test_cyclotomic_first_few():
-    assert cyclotomic(1) == [-1, 1]
-    assert cyclotomic(2) == [1, 1]
-    assert cyclotomic(4) == [1, 0, 1]
-    assert cyclotomic(6) == [1, -1, 1]
-    assert cyclotomic(12) == [1, 0, -1, 0, 1]
+    assert cyclotomic(1) == (-1, 1)
+    assert cyclotomic(2) == (1, 1)
+    assert cyclotomic(4) == (1, 0, 1)
+    assert cyclotomic(6) == (1, -1, 1)
+    assert cyclotomic(12) == (1, 0, -1, 0, 1)
+
+
+def test_cyclotomic_memo_cannot_be_changed_by_a_caller():
+    phi = cyclotomic(30)
+    assert phi is cyclotomic(30)
+    with pytest.raises(TypeError):
+        phi[0] = 7
+    assert cyclotomic(30) == (1, 1, 0, -1, -1, -1, 0, 1, 1)
 
 
 def test_dickson_matches_cos_identity():
@@ -50,11 +57,8 @@ def test_minpoly_small_cases():
 
 
 def test_minpoly_recurrence_matches_dickson_from_scratch(monkeypatch):
-    # both routes build Phi_2N with the recursive cyclotomic(), and the
-    # oracle builds each D_j from scratch: memos keep both parts short
-    memo = functools.lru_cache(maxsize=None)(algebraic.cyclotomic)
-    monkeypatch.setattr(algebraic, "cyclotomic", memo)
-    monkeypatch.setattr(oracles, "cyclotomic", memo)
+    # both routes read Phi_2N from the memoised cyclotomic(); the oracle
+    # builds each D_j from scratch, so a memo keeps that part short
     monkeypatch.setattr(oracles, "dickson",
                         functools.lru_cache(maxsize=None)(oracles.dickson))
     for N in range(1, 401):

@@ -11,6 +11,7 @@ import hashlib
 import itertools
 import math
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from coxinv.building import (Simplex, ThicknessVector, _interval_power_sum,
                              jensen_check, lp_power_sum, make_simplex,
                              oracle_battery, pullback, pushforward,
                              random_chain, word_gens)
+from coxinv.coxeter import CoxeterMatrix
 from coxinv.errors import (MarginViolation, NotRightAngled,
                            ThicknessClassError)
 from coxinv.system import System
@@ -267,7 +269,10 @@ class TestRadicalArithmetic:
 
 # ---------------------------------------------------------------------------
 # pinned battery output and RNG draws, recorded with the iterative gate
-# and per-element sums: faster gates and sums must keep both
+# and per-element sums: faster gates and sums must keep both.  Recorded
+# again when words came to be drawn from the viable prefix only: the
+# pentagon tally was strict 60, and the digests were c1e84fd2... and
+# b36929e4... when words were drawn from the whole ball
 
 PIN_IDENTITIES = ["boundary_squared_zero", "pushforward_boundary",
                   "retraction_section", "pullback_boundary",
@@ -275,7 +280,7 @@ PIN_IDENTITIES = ["boundary_squared_zero", "pushforward_boundary",
 PIN_PENTAGON_Q2_R4 = {
     "apartment_chambers": 166, "chains_checked": 20, "chambers": 2071,
     "identities": PIN_IDENTITIES,
-    "jensen": {"equal": 0, "indeterminate": 0, "interval": 0, "strict": 60},
+    "jensen": {"equal": 9, "indeterminate": 0, "interval": 0, "strict": 51},
     "p_values": ["3/2", "2", "3"], "radius": 4, "seed": 0,
     "sphere_sizes": [1, 10, 60, 320, 1680]}
 PIN_DIHEDRAL_Q3_R8 = {
@@ -287,8 +292,8 @@ PIN_DIHEDRAL_Q3_R8 = {
 # sha256 over 50 random_chain draws (size 5, seed 0) and the next 64 RNG
 # bits; the jensen tallies above barely move when the draws change
 PIN_DRAWS = {
-    "pentagon": "c1e84fd2eb9c376ff3562b157be81288e5a7a378155093745f14e3d7e412665b",
-    "dihedral": "b36929e4a294c8be071a202a43136ccf33a43ef2950de28f224503f70b349760",
+    "pentagon": "6b6da09122300984fdfbbbef53132ac8a9c293918a3ec58cb93497001a6eade9",
+    "dihedral": "abdec649484515fac4190704f9407bc997ffe7021b4863ae2de2a01b29309cff",
 }
 
 
@@ -515,27 +520,35 @@ def _nested_chains(ball, length):
 
 
 def _pretest_rejections(ball):
-    """Check every chamber x nested spherical chain (length <= 3) that the
-    pre-test of random_simplices rejects: make_simplex must refuse it."""
-    rejected = 0
+    """Check every chamber x nested spherical chain (length <= 3) that
+    random_simplices never hands to make_simplex: make_simplex must refuse
+    it.  Those are the pairs the pre-test rejects and the pairs whose
+    chamber lies past the viable prefix (length > radius - 2) that words
+    are drawn from.  Returns both counts."""
+    viable = sum(1 for w in ball.chambers if len(w) <= ball.radius - 2)
+    assert all(len(w) > ball.radius - 2 for w in ball.chambers[viable:])
+    rejected = past = 0
     for chain in _nested_chains(ball, 3):
-        for w in ball.chambers:
-            if len(w) - len(chain[0]) + len(chain[-1]) + 2 > ball.radius:
+        for i, w in enumerate(ball.chambers):
+            pretest = len(w) - len(chain[0]) + len(chain[-1]) + 2 > ball.radius
+            if pretest or i >= viable:
                 with pytest.raises(MarginViolation):
                     make_simplex(ball, w, chain)
-                rejected += 1
-    return rejected
+            rejected += pretest
+            past += i >= viable
+    return rejected, past
 
 
 class TestSampler:
     def test_pretest_exact_on_pentagon(self, pent_ball):
         assert len(_nested_chains(pent_ball, 3)) == 41
-        assert _pretest_rejections(pent_ball) == 83950
+        assert _pretest_rejections(pent_ball) == (83950, 41 * (320 + 1680))
 
     def test_pretest_exact_on_tree(self, dihedral_inf):
         ball = building_ball(dihedral_inf,
                              ThicknessVector.constant(dihedral_inf, 3), 7)
-        assert _pretest_rejections(ball) == 30132
+        assert len(_nested_chains(ball, 3)) == 5
+        assert _pretest_rejections(ball) == (30132, 5 * (1458 + 4374))
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
     def test_draw_helper_matches_randrange(self, seed):
@@ -547,7 +560,8 @@ class TestSampler:
         assert mine.getstate() == ref.getstate()
 
     def test_battery_work_counts(self, pentagon, monkeypatch):
-        calls = {"make_simplex": 0, "pullback": 0}
+        calls = {"make_simplex": 0, "pullback": 0, "getrandbits": 0}
+        filled = []
 
         def counted(name):
             inner = getattr(building_mod, name)
@@ -556,11 +570,89 @@ class TestSampler:
                 calls[name] += 1
                 return inner(*args, **kwargs)
             return wrapper
-        for name in calls:
+        for name in ("make_simplex", "pullback"):
             monkeypatch.setattr(building_mod, name, counted(name))
+
+        class CountingRandom(random.Random):
+            def getrandbits(self, k):
+                calls["getrandbits"] += 1
+                return super().getrandbits(k)
+        monkeypatch.setattr(building_mod, "random",
+                            types.SimpleNamespace(Random=CountingRandom))
+        draw = building_mod.random_simplices
+
+        def recorded(ball, rng, count):
+            out = draw(ball, rng, count)
+            filled.append((count, len(out)))
+            return out
+        monkeypatch.setattr(building_mod, "random_simplices", recorded)
         oracle_battery(pentagon, ThicknessVector.constant(pentagon, 2), 4,
                        chains=100, seed=0)
         # 304,872 and 500 when every draw reached make_simplex and theta
-        # was rebuilt for each p
-        assert calls["make_simplex"] <= 11000
+        # was rebuilt for each p; 10,792 make_simplex calls for 2,924
+        # simplices and 1,656,224 getrandbits calls when words were drawn
+        # from the whole ball and 200 attempts per simplex could run out
+        assert filled == [(15, 15)] * 200
+        assert calls["make_simplex"] <= 11600
+        assert calls["getrandbits"] <= 90000
         assert calls["pullback"] == 300
+
+
+# ---------------------------------------------------------------------------
+# top-dimensional simplices: (D_inf)^3 has spherical triples
+
+@pytest.fixture(scope="module")
+def dinf_cubed():
+    # generators 2i and 2i + 1 span the i-th D_inf; different factors commute
+    return CoxeterMatrix(list("abcdef"),
+                         [[1 if i == j else math.inf if i // 2 == j // 2 else 2
+                           for j in range(6)] for i in range(6)])
+
+
+class TestTopDimensionalSimplices:
+    def test_battery_draws_3_simplices(self, dinf_cubed, monkeypatch):
+        dims = []
+        make = building_mod.make_simplex
+
+        def recorded(*args):
+            sx = make(*args)
+            dims.append(sx.dim)
+            return sx
+        monkeypatch.setattr(building_mod, "make_simplex", recorded)
+        out = oracle_battery(dinf_cubed,
+                             ThicknessVector.constant(dinf_cubed, 2), 5,
+                             chains=100, seed=0)
+        assert max(dims) == 3
+        assert out["identities"] == PIN_IDENTITIES
+
+    def test_identities_on_3_chains(self, dinf_cubed):
+        # a 3-simplex needs its gate within radius - 5 of the identity, so
+        # every full flag over every chamber of length <= 1 is used
+        ball = building_ball(dinf_cubed,
+                             ThicknessVector.constant(dinf_cubed, 2), 6)
+        apartment = building_ball(dinf_cubed,
+                                  ThicknessVector.constant(dinf_cubed, 1), 6)
+        # every chain () < {x} < {x, y} < {x, y, z}
+        flags = [((),) + tuple(tuple(sorted(order[:k])) for k in (1, 2, 3))
+                 for T in ball.spherical_types if len(T) == 3
+                 for order in itertools.permutations(T)]
+        assert len(flags) == 8 * 6
+
+        def chain(b):
+            pairs = itertools.product((w for w in b.chambers if len(w) <= 1),
+                                      flags)
+            return {make_simplex(b, w, flag): Fraction(i % 7 - 3, 1 + i % 4)
+                    for i, (w, flag) in enumerate(pairs) if i % 7 != 3}
+        ch, ch_ap = chain(ball), chain(apartment)
+        assert {sx.dim for sx in ch} == {sx.dim for sx in ch_ap} == {3}
+        assert boundary(ball, ch) and boundary(apartment, ch_ap)
+        assert boundary(ball, boundary(ball, ch)) == {}
+        assert boundary(apartment, pushforward(ch)) == \
+            pushforward(boundary(ball, ch))
+        assert all(r.holds is True
+                   for r in jensen_check(ball, ch, P_GRID))
+        assert boundary(apartment, boundary(apartment, ch_ap)) == {}
+        up = pullback(ball, ch_ap)
+        assert pushforward(up) == ch_ap
+        assert boundary(ball, up) == \
+            pullback(ball, boundary(apartment, ch_ap))

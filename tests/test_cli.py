@@ -272,6 +272,17 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert "no margin-valid simplices" in proc.stderr
 
+    def test_oracle_radius_two_checks_the_identity_vertex(self, inputs):
+        # the identity with the chain (()) is the only margin-valid simplex
+        # at radius 2; drawing words from the whole ball used to exhaust
+        # its attempts and exit 3 claiming there was none
+        r = machine_result(run_cli("verify-oracle", "--input",
+                                   inputs["pentagon"], "--radius", "2",
+                                   "--format", "machine"))
+        assert r["chambers"] == 71 and r["chains_checked"] == 100
+        assert r["jensen"] == {"equal": 300, "indeterminate": 0,
+                               "interval": 0, "strict": 0}
+
     @pytest.mark.parametrize("argv, message", [
         (("--radius", "-2"), "radius must be >= 0"),
         (("--chains", "-3"), "chains must be >= 1"),
@@ -385,11 +396,14 @@ class TestExitCodes:
         assert "too large for a float" in proc.stderr
 
 
+# recorded again when words came to be drawn from the viable prefix only;
+# the jensen tallies moved and nothing else (the whole-ball draws gave
+# 50b0a2d9... and b8ce935b...)
 GOLDEN_ORACLE = {
-    "pentagon": (4, "50b0a2d9408c6c546c069420dabe2d56"
-                    "d140d860d638e5bc5b657b7deb246f1d"),
-    "tree_q3": (8, "b8ce935b6dc30c69d8b71ed1d99144c7"
-                   "c0af3bee52371ba8dc95e90d0d2cbb13"),
+    "pentagon": (4, "6354d3fb773928040b09e2bbb670779b"
+                    "1d6195cc31b4e1b720f24f2867bcebc6"),
+    "tree_q3": (8, "c6a49644b8c06ba235e1dc257e8d7879"
+                   "d280a3c408007a319c249d0ab9b73ed7"),
 }
 
 
