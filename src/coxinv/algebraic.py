@@ -23,9 +23,6 @@ import functools
 from fractions import Fraction
 from math import lcm
 
-import mpmath
-from mpmath import libmp
-
 from .errors import ResourceExceeded
 
 VALIDATION_DIGITS = 60
@@ -105,6 +102,7 @@ def minimal_poly_2cos_pi_over(N):
 def _validate_minpoly(psi, N):
     # |x| <= 2, so no term c_i x^i exceeds |c_i| 2^i: the terms can reach
     # this size and cancel to the residual, which needs its digits on top
+    import mpmath   # loaded here, not at import: exact-only runs never need it
     size = sum(abs(c) << i for i, c in enumerate(psi))
     with mpmath.workdps(VALIDATION_DIGITS + len(str(size))):
         x = 2 * mpmath.cos(mpmath.pi / N)
@@ -228,6 +226,8 @@ class CycloField:
         """
         if prec in self._bounds:
             return self._bounds[prec]
+        import mpmath
+        from mpmath import libmp
         iv = mpmath.iv
         old = iv.prec
         try:

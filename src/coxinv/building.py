@@ -21,8 +21,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-import mpmath
-
 from .coxeter import spherical_subsets
 from .elements import Caps, commutation_table
 from .errors import (MarginViolation, NotRightAngled, ResourceExceeded,
@@ -459,6 +457,7 @@ def compare_radical_sums(A, B, max_prec=4096):
     diff = {k: v for k, v in diff.items() if v}
     if not diff:
         return 0
+    import mpmath   # loaded here, not at import: exact-only runs never need it
     iv = mpmath.iv
     prec = 64
     old = iv.prec
@@ -480,6 +479,7 @@ def compare_radical_sums(A, B, max_prec=4096):
 
 
 def _interval_power_sum(values, p, prec):
+    import mpmath
     iv = mpmath.iv
     old = iv.prec
     try:

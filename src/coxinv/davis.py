@@ -1,12 +1,20 @@
-"""Nerve, Davis chamber, mirror structure, and cohomological dimension.
+"""Nerve, cohomological dimension and the Bestvina support face.
 
-The chamber D is the order complex of the poset of spherical subsets
-(including the empty set), a cone with apex the empty set.  The mirror D_s
-consists of the chains whose members all contain s, and D^T is the union of
-the mirrors over T.  Compactly supported cohomology of the Davis complex
-splits over group elements into relative pairs (D, D^T), so the real
-(virtual) cohomological dimension is the largest n with H_n(D, D^T; Q)
-nonzero for some T; the witnesses record which subsets realize it.
+The Davis chamber K is the order complex of the poset of spherical subsets
+(including the empty set), a cone with apex the empty set, and K^T is the
+union of its mirrors over T.  Compactly supported cohomology of the Davis
+complex splits over group elements into relative pairs (K, K^T), so the
+real (virtual) cohomological dimension is the largest n with
+H^n(K, K^T; Q) nonzero for some T; the witnesses record which subsets
+realize it.  The mirrors over T cover K^T with contractible intersections,
+and their nerve is L_T, the full subcomplex of the nerve L on T, so
+
+    H^n(K, K^T) = H~^{n-1}(L_T)    (Davis, The Geometry and Topology of
+                                     Coxeter Groups, 2008, ch. 8),
+
+with L_empty the empty complex, whose only reduced homology is in degree
+-1.  The dimension is therefore read off the reduced Betti numbers of the
+full subcomplexes of the nerve, which are far smaller than the chamber.
 """
 
 import itertools
@@ -27,31 +35,6 @@ def nerve_complex(M):
 
 
 @dataclass
-class DavisChamber:
-    M: object
-    complex: SimplicialComplexQ     # order complex, vertices = sorted tuples
-    sphericals: tuple               # frozensets, includes the empty set
-    mirrors: dict                   # s -> SimplicialComplexQ
-
-    def mirror_union(self, T):
-        faces = set()
-        for s in T:
-            faces.update(self.mirrors[s].faces())
-        return SimplicialComplexQ(faces)
-
-
-def davis_chamber(M):
-    sphericals = spherical_subsets(M)
-    X = order_complex(sphericals, lambda a, b: a < b,
-                      key=lambda T: tuple(sorted(T)))
-    mirrors = {}
-    for s in range(M.rank):
-        faces = [f for f in X.faces() if all(s in v for v in f)]
-        mirrors[s] = SimplicialComplexQ(faces)
-    return DavisChamber(M, X, tuple(sphericals), mirrors)
-
-
-@dataclass
 class Witness:
     subset: tuple       # generator indices
     degree: int
@@ -65,7 +48,6 @@ class VcdReport:
     value: int
     spherical_value: int
     witnesses: tuple
-    chamber: DavisChamber
 
 
 def _top_nonzero_degree(b):
@@ -78,34 +60,40 @@ def _top_nonzero_degree(b):
 def vcd_real(M):
     """Real virtual cohomological dimension with realizing subsets.
 
-    Scans every T <= S, so the rank is capped at MAX_ALL_SUBSETS_RANK.  The
-    maximum over spherical T alone is reported as spherical_value, next to
-    the full maximum rather than assumed equal to it.
+    T has degree 1 + the top nonzero reduced Betti degree of L_T, and the
+    empty T has degree 0; an acyclic L_T realizes no degree.  Scans every
+    T <= S, so the rank is capped at MAX_ALL_SUBSETS_RANK.  The maximum
+    over spherical T alone is reported as spherical_value, next to the full
+    maximum rather than assumed equal to it.
     """
     if M.rank > MAX_ALL_SUBSETS_RANK:
         raise ResourceExceeded(f"2^{M.rank} mirror unions")
-    ch = davis_chamber(M)
-    spherical_set = {frozenset(T) for T in ch.sphericals}
-    cand = [frozenset(c) for r in range(M.rank + 1)
-            for c in itertools.combinations(range(M.rank), r)]
+    sphericals = spherical_subsets(M)
+    spherical_set = set(sphericals)
     best = 0
     spherical_best = 0
     hits = []
-    for T in cand:
-        A = ch.mirror_union(T) if T else None
-        b = betti_numbers(ch.complex, relative_to=A)
-        top = _top_nonzero_degree(b)
-        if top is None:
-            continue
-        is_sph = T in spherical_set
-        hits.append((tuple(sorted(T)), top, is_sph))
-        if top > best:
-            best = top
-        if is_sph and top > spherical_best:
-            spherical_best = top
+    for r in range(M.rank + 1):
+        for T in itertools.combinations(range(M.rank), r):
+            T_set = frozenset(T)
+            if T:
+                L_T = SimplicialComplexQ(
+                    [tuple(sorted(F)) for F in sphericals if F <= T_set])
+                top = _top_nonzero_degree(betti_numbers(L_T, reduced=True))
+                if top is None:
+                    continue
+                top += 1
+            else:
+                top = 0
+            is_sph = T_set in spherical_set
+            hits.append((T, top, is_sph))
+            if top > best:
+                best = top
+            if is_sph and top > spherical_best:
+                spherical_best = top
     witnesses = tuple(Witness(T, deg, sph) for T, deg, sph in hits
                       if deg == best)
-    return VcdReport(best, spherical_best, witnesses, ch)
+    return VcdReport(best, spherical_best, witnesses)
 
 
 @dataclass
@@ -124,13 +112,11 @@ class BestvinaSupport:
 
 
 def bestvina_support(system):
-    vcd = system.vcd
-    d = vcd.value
+    d = system.vcd.value
     if d == 0:
         raise NoWitness("cohomological dimension 0: no support face")
-    sphericals = sorted((frozenset(T) for T in vcd.chamber.sphericals),
+    sphericals = sorted(system.sphericals,
                         key=lambda T: (len(T), tuple(sorted(T))))
-    sph_set = set(sphericals)
     for F in sphericals:
         upper = [G for G in sphericals if F < G]
         if not upper:

@@ -27,8 +27,6 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import add
 
-import mpmath
-
 from .algebraic import _int_or_fraction
 from .coxeter import finite_group_order, classify_parabolic
 from .elements import (Caps, ball_enumerate, racg_ball_sizes,
@@ -440,13 +438,6 @@ def _p1_trim(p):
     return p
 
 
-def _p1_eval(p, x):
-    v = Fraction(0)
-    for c in reversed(p):
-        v = v * x + c
-    return v
-
-
 def _p1_deriv(p):
     return [c * k for k, c in enumerate(p)][1:]
 
@@ -488,16 +479,36 @@ def _sturm_chain(p):
     return [c for c in chain if c]
 
 
-def _variations(chain, x):
-    signs = []
-    for p in chain:
-        v = _p1_eval(p, x)
-        if v:
-            signs.append(1 if v > 0 else -1)
+def _p1_integral(p):
+    """p times the positive lcm of its coefficient denominators: integer
+    coefficients, the same sign at every point."""
+    den = math.lcm(*(Fraction(c).denominator for c in p))
+    return [int(c * den) for c in p]
+
+
+def _sign_at(p, x):
+    """Sign of an integer polynomial at a rational x = n/d, from the
+    homogenized value sum c_i n^i d^(deg-i), which has the sign of p(x)
+    because d > 0."""
+    n, d = x.numerator, x.denominator
+    v = p[-1]
+    dk = 1
+    for c in reversed(p[:-1]):
+        dk *= d
+        v = v * n + c * dk
+    return (v > 0) - (v < 0)
+
+
+def _sign_changes(chain, x, first):
+    """Sign variations of the integer Sturm chain at x, given the nonzero
+    sign `first` of its leading member there."""
     out = 0
-    for a, b in zip(signs, signs[1:]):
-        if a != b:
-            out += 1
+    prev = first
+    for p in chain[1:]:
+        s = _sign_at(p, x)
+        if s:
+            out += s != prev
+            prev = s
     return out
 
 
@@ -506,7 +517,9 @@ def smallest_positive_root(poly, hi, tol=ROOT_TOL):
     list, lowest degree first.
 
     Returns (lo, hi) as Fractions bracketing the root to width <= tol, or
-    the exact root as (r, r), or None.  Exact rational arithmetic only.
+    the exact root as (r, r), or None.  Exact arithmetic only: the Sturm
+    chain is built over the rationals, then each member is scaled to
+    integer coefficients, so every sign is read from an integer.
     """
     p = [Fraction(c) for c in poly]
     _p1_trim(p)
@@ -515,35 +528,43 @@ def smallest_positive_root(poly, hi, tol=ROOT_TOL):
     g = _p1_gcd(p, _p1_deriv(p))
     if len(g) > 1:
         p = _p1_exact_div(p, g)       # squarefree part
-    chain = _sturm_chain(p)
+    chain = [_p1_integral(q) for q in _sturm_chain(p)]
+    top = chain[0]
     hi = Fraction(hi)
+    eps = Fraction(1, 10 ** 12)     # shifts endpoints off roots by a safe margin
 
-    def count_upto(b):
-        # roots in (0, b]; shifts off roots at the endpoints by a safe margin
-        eps = Fraction(1, 10 ** 12)
-        b0 = b
-        while _p1_eval(p, b0) == 0:
-            b0 += eps
-        lo0 = Fraction(0)
-        while _p1_eval(p, lo0) == 0:
-            lo0 += eps  # 0 itself never counts: growth denominators have den(0)=1
-        return _variations(chain, lo0) - _variations(chain, b0)
+    def variations(x, s=None):
+        # at x, or past it when x is a root; s: top's sign at x, if known
+        if s is None:
+            s = _sign_at(top, x)
+        while s == 0:
+            x += eps
+            s = _sign_at(top, x)
+        return _sign_changes(chain, x, s)
+
+    # 0 itself never counts: growth denominators have den(0) = 1
+    v_lo = variations(Fraction(0))
+
+    def count_upto(b, s=None):
+        # roots in (0, b]
+        return v_lo - variations(b, s)
 
     if count_upto(hi) == 0:
         return None
     lo, b = Fraction(0), hi
     while b - lo > tol:
         mid = (lo + b) / 2
-        if _p1_eval(p, mid) == 0:
-            if count_upto(mid) == 1 or count_upto(mid - tol / 2) == 0:
+        s = _sign_at(top, mid)
+        if s == 0:
+            if count_upto(mid, s) == 1 or count_upto(mid - tol / 2) == 0:
                 return (mid, mid)
             b = mid
             continue
-        if count_upto(mid) >= 1:
+        if count_upto(mid, s) >= 1:
             b = mid
         else:
             lo = mid
-    if _p1_eval(p, b) == 0:
+    if _sign_at(top, b) == 0:
         return (b, b)
     return (lo, b)
 
@@ -604,6 +625,7 @@ def _p1_exact_div(a, b):
 
 
 def _iv_frac(q):
+    import mpmath   # loaded here, not at import: exact-only runs never need it
     iv = mpmath.iv
     return iv.mpf(q.numerator) / iv.mpf(q.denominator)
 
@@ -628,6 +650,7 @@ class CurveTerms:
 
     def iv_terms(self):
         """(c_w, log w) as intervals at the current mpmath.iv precision."""
+        import mpmath
         prec = mpmath.iv.prec
         if prec not in self._iv:
             self._iv[prec] = [(_iv_frac(c), mpmath.iv.log(_iv_frac(w)))
@@ -638,6 +661,7 @@ class CurveTerms:
 def _iv_eval_curve(curve, x, prec):
     """Certified interval value of the sum of c_w * w^-x over curve.terms,
     at a rational x."""
+    import mpmath
     iv = mpmath.iv
     old = iv.prec
     try:

@@ -139,16 +139,10 @@ def rank_fraction(cols, nrows):
     return rank
 
 
-def boundary_columns(X, k, excluded=None):
-    """Sparse columns of the boundary map C_k -> C_{k-1}.
-
-    excluded: a set of faces to quotient away (relative chains); both the
-    k-faces and the target (k-1)-faces in `excluded` are dropped.
-    """
-    excluded = excluded or frozenset()
-    kf = [f for f in X.k_faces(k) if f not in excluded]
-    lower = [f for f in X.k_faces(k - 1) if f not in excluded]
-    row_of = {f: i for i, f in enumerate(lower)}
+def boundary_columns(X, k):
+    """Sparse columns of the boundary map C_k -> C_{k-1}."""
+    kf = X.k_faces(k)
+    row_of = {f: i for i, f in enumerate(X.k_faces(k - 1))}
     cols = []
     for f in kf:
         col = {}
@@ -158,31 +152,21 @@ def boundary_columns(X, k, excluded=None):
             if r is not None:
                 col[r] = Fraction(-1 if i % 2 else 1)
         cols.append(col)
-    return cols, len(lower), len(kf)
+    return cols, len(row_of), len(kf)
 
 
-def betti_numbers(X, relative_to=None, reduced=False):
-    """Betti numbers over Q, absolute, relative, or reduced.
+def betti_numbers(X, reduced=False):
+    """Betti numbers over Q, absolute or reduced.
 
-    relative_to: a subcomplex A (all its faces are quotiented away); then
-    the result is dim H_k(X, A; Q).  reduced applies only to the absolute
-    case and lowers b_0 by one on a nonempty complex.
+    reduced lowers b_0 by one on a nonempty complex.
     """
-    if relative_to is not None and reduced:
-        raise SchemaError("reduced and relative are mutually exclusive")
-    excluded = frozenset(relative_to.faces()) if relative_to is not None \
-        else frozenset()
-    if relative_to is not None:
-        for f in excluded:
-            if f not in X.faces():
-                raise SchemaError("relative subcomplex is not contained in X")
     d = X.dim
     if d < 0:
         return []
     ranks = {}
     dims = {}
     for k in range(d + 2):
-        cols, nrows, ncols = boundary_columns(X, k, excluded)
+        cols, nrows, ncols = boundary_columns(X, k)
         dims[k] = ncols
         ranks[k] = rank_fraction(cols, nrows)
     out = []

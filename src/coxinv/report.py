@@ -208,6 +208,10 @@ def build_report(system, thickness=None, weights=None, depth=8, radius=None,
         },
     }
 
+    # the counting route first: when the caps refuse it, the report exits
+    # before the nerve and Davis sections are paid for
+    layers, source = timed("layers", lambda: system.layer_counts(depth))
+
     # nerve and Davis-complex invariants
     nerve = timed("nerve", lambda: system.nerve)
     pm = timed("type_pm", lambda: system.type_pm)
@@ -239,7 +243,6 @@ def build_report(system, thickness=None, weights=None, depth=8, radius=None,
     # weighted growth
     if weights is None:
         weights = thickness or WeightVector.constant(M, 1)
-    layers, source = timed("layers", lambda: system.layer_counts(depth))
     growth = {
         # weights print as exact rationals, integer thickness included
         "weights": {g: encode_json_value(Fraction(v))

@@ -9,25 +9,31 @@ distinct parabolic polynomials, each parabolic found by its cosine form
 and enumerated with float reflection matrices, reflection-matrix
 enumeration for parabolic finiteness, vertex degrees with Betti numbers
 for circle nerves, term-by-term evaluation of a polynomial at a rational
-point, and the minimal polynomial of 2cos(pi/N) with every Dickson
-polynomial built from scratch.  Deliberately simple and slow.  The rest are checks
-the library does not run: d∘d = 0 on a whole complex, the cone test, the
-rate comparison bounds, the count side of the pullback norms, and the
-inverse of the machine report encoding.
+point, the minimal polynomial of 2cos(pi/N) with every Dickson
+polynomial built from scratch, vcd as the relative homology of the Davis
+chamber and its mirrors ranked by Bareiss elimination, and Sturm root
+isolation with every sign read from a Fraction value.  Deliberately
+simple and slow.  The rest are checks the library does not run: d∘d = 0
+on a whole complex, the cone test, the rate comparison bounds, the count
+side of the pullback norms, and the inverse of the machine report
+encoding.
 """
 
 import itertools
 import json
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from coxinv.algebraic import cyclotomic, dickson
 from coxinv.building import lp_power_sum
+from coxinv.coxeter import spherical_subsets
 from coxinv.davis import nerve_complex
 from coxinv.elements import ReflectionRep
-from coxinv.errors import DegenerateWeights
-from coxinv.growth import layer_class_counts
-from coxinv.homology import betti_numbers
+from coxinv.errors import DegenerateWeights, SchemaError
+from coxinv.growth import (_p1_deriv, _p1_exact_div, _p1_gcd, _p1_trim,
+                           _sturm_chain, layer_class_counts)
+from coxinv.homology import SimplicialComplexQ, betti_numbers, order_complex
 from coxinv.report import INF_TOKEN, NEG_INF_TOKEN
 
 
@@ -455,6 +461,141 @@ def is_cone(X):
         return False
     maxes = X.maximal_faces()
     return any(all(v in f for f in maxes) for v in verts)
+
+
+# ---------------------------------------------------------------------------
+# vcd on the Davis chamber: relative homology of (K, K^T) for every T
+
+@dataclass
+class DavisChamber:
+    M: object
+    complex: SimplicialComplexQ     # order complex, vertices = sorted tuples
+    sphericals: tuple               # frozensets, includes the empty set
+    mirrors: dict                   # s -> SimplicialComplexQ
+
+    def mirror_union(self, T):
+        faces = set()
+        for s in T:
+            faces.update(self.mirrors[s].faces())
+        return SimplicialComplexQ(faces)
+
+
+def davis_chamber(M):
+    """The chamber K as the order complex of the spherical subsets, and the
+    mirror K_s as the chains whose members all contain s."""
+    sphericals = spherical_subsets(M)
+    X = order_complex(sphericals, lambda a, b: a < b,
+                      key=lambda T: tuple(sorted(T)))
+    mirrors = {}
+    for s in range(M.rank):
+        faces = [f for f in X.faces() if all(s in v for v in f)]
+        mirrors[s] = SimplicialComplexQ(faces)
+    return DavisChamber(M, X, tuple(sphericals), mirrors)
+
+
+def relative_betti_numbers(X, A):
+    """dim H_k(X, A; Q) for a subcomplex A of X (None for the empty one),
+    every boundary rank by bareiss_rank on the dense integer matrix."""
+    excluded = set(A.faces()) if A is not None else set()
+    if not excluded <= X.faces():
+        raise SchemaError("relative subcomplex is not contained in X")
+    cells = [[f for f in X.k_faces(k) if f not in excluded]
+             for k in range(X.dim + 1)]
+
+    def rank(k):
+        # rank of the boundary C_k -> C_{k-1} on the relative chains
+        if k <= 0 or k > X.dim or not cells[k] or not cells[k - 1]:
+            return 0
+        row_of = {f: i for i, f in enumerate(cells[k - 1])}
+        m = [[0] * len(cells[k]) for _ in cells[k - 1]]
+        for j, f in enumerate(cells[k]):
+            for i in range(len(f)):
+                r = row_of.get(f[:i] + f[i + 1:])
+                if r is not None:
+                    m[r][j] = -1 if i % 2 else 1
+        return bareiss_rank(m)
+    ranks = [rank(k) for k in range(X.dim + 2)]
+    return [len(cells[k]) - ranks[k] - ranks[k + 1]
+            for k in range(X.dim + 1)]
+
+
+def vcd_by_davis_chamber(M):
+    """(value, spherical_value, witnesses) of the real vcd as the largest n
+    with H_n(K, K^T; Q) nonzero, T over all subsets by size, then
+    itertools.combinations order; witnesses are (subset, degree,
+    spherical) triples."""
+    ch = davis_chamber(M)
+    spherical_set = set(ch.sphericals)
+    hits = []
+    for r in range(M.rank + 1):
+        for T in itertools.combinations(range(M.rank), r):
+            b = relative_betti_numbers(
+                ch.complex, ch.mirror_union(T) if T else None)
+            top = max((k for k, v in enumerate(b) if v), default=None)
+            if top is not None:
+                hits.append((T, top, frozenset(T) in spherical_set))
+    value = max(deg for _, deg, _ in hits)
+    spherical_value = max(deg for _, deg, sph in hits if sph)
+    return value, spherical_value, [h for h in hits if h[1] == value]
+
+
+# ---------------------------------------------------------------------------
+# Sturm root isolation with every sign read from a Fraction value
+
+def _eval_fraction(p, x):
+    v = Fraction(0)
+    for c in reversed(p):
+        v = v * x + c
+    return v
+
+
+def _variations_fraction(chain, x):
+    signs = [v > 0 for v in (_eval_fraction(q, x) for q in chain) if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def smallest_positive_root(poly, hi, tol=Fraction(1, 10 ** 9)):
+    """Reference for growth.smallest_positive_root: the same Sturm chain and
+    bisection, with the whole chain evaluated in Fraction at every point
+    and the variations at the lower end recounted on each count."""
+    p = [Fraction(c) for c in poly]
+    _p1_trim(p)
+    if len(p) <= 1:
+        return None
+    g = _p1_gcd(p, _p1_deriv(p))
+    if len(g) > 1:
+        p = _p1_exact_div(p, g)
+    chain = _sturm_chain(p)
+    hi = Fraction(hi)
+
+    def count_upto(b):
+        eps = Fraction(1, 10 ** 12)
+        b0 = b
+        while _eval_fraction(p, b0) == 0:
+            b0 += eps
+        lo0 = Fraction(0)
+        while _eval_fraction(p, lo0) == 0:
+            lo0 += eps
+        return _variations_fraction(chain, lo0) - \
+            _variations_fraction(chain, b0)
+
+    if count_upto(hi) == 0:
+        return None
+    lo, b = Fraction(0), hi
+    while b - lo > tol:
+        mid = (lo + b) / 2
+        if _eval_fraction(p, mid) == 0:
+            if count_upto(mid) == 1 or count_upto(mid - tol / 2) == 0:
+                return (mid, mid)
+            b = mid
+            continue
+        if count_upto(mid) >= 1:
+            b = mid
+        else:
+            lo = mid
+    if _eval_fraction(p, b) == 0:
+        return (b, b)
+    return (lo, b)
 
 
 def rate_comparison_bounds(system, weights):

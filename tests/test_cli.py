@@ -247,20 +247,37 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert "ball size exceeds cap 2000000 at radius 6" in proc.stderr
 
-    @pytest.mark.parametrize("command", ["growth", "exponents"])
-    def test_cap_refuses_dodecahedron_early(self, tmp_path, command):
-        # its reciprocity sum takes under a second, but no BFS through
-        # the validation depth fits the cap; `report` refuses with the
-        # same message once its nerve sections have run
+    @staticmethod
+    def _dodecahedron(tmp_path):
         M = right_angled_dodecahedron()
         p = tmp_path / "dodecahedron.json"
         p.write_text(json.dumps({
             "generators": list(M.generators), "thickness": 2,
             "matrix": [["inf" if v == math.inf else v for v in row]
                        for row in M.m]}))
-        proc = run_cli(command, "--input", str(p))
+        return str(p)
+
+    @pytest.mark.parametrize("command", ["growth", "exponents", "report"])
+    def test_cap_refuses_dodecahedron_early(self, tmp_path, command):
+        # its reciprocity sum takes under a second, but no BFS through
+        # the validation depth fits the cap; `report` asks for the layer
+        # counts before its nerve sections, so it refuses as early
+        t0 = time.monotonic()
+        proc = run_cli(command, "--input", self._dodecahedron(tmp_path))
+        assert time.monotonic() - t0 < 5
         assert proc.returncode == 3
         assert "ball size exceeds cap 2000000 at radius 7" in proc.stderr
+
+    def test_nerve_of_dodecahedron(self, tmp_path):
+        # vcd from the full subcomplexes of the icosahedron: 4096 subsets
+        t0 = time.monotonic()
+        r = machine_result(run_cli("nerve", "--input",
+                                   self._dodecahedron(tmp_path),
+                                   "--format", "machine"))
+        assert time.monotonic() - t0 < 10
+        assert r["vcd"] == 3 and r["vcd_spherical"] == 0
+        assert r["face_counts"] == [12, 30, 20]
+        assert r["type_pm"]["is_pm"] is True
 
     def test_corrupted_cache_count_is_skipped(self, inputs, tmp_path):
         # a record whose layers fail their hash is rebuilt, not trusted
@@ -541,3 +558,22 @@ def test_import_does_not_load_numpy():
         capture_output=True, text=True, env=env, cwd=root, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("name, loaded", [("pentagon", False),
+                                          ("pentagon_w22223", True)])
+def test_mpmath_loads_only_for_interval_evaluation(inputs, name, loaded):
+    # start-up cost: a right-angled report with constant thickness reads
+    # every sign from exact integers; the mixed-weight curve scan needs
+    # intervals, which shows the check can fail
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH="src")
+    script = ("import sys\n"
+              "from coxinv.cli import main\n"
+              f"code = main(['report', '--input', {inputs[name]!r}, "
+              "'--format', 'machine'])\n"
+              "print(code, 'mpmath' in sys.modules, file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, cwd=root, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.split() == ["0", str(loaded)]

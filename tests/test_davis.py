@@ -1,12 +1,17 @@
-import pytest
+import math
 
-from coxinv.davis import (bestvina_support, davis_chamber, is_type_PM,
-                          nerve_complex, vcd_real)
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from coxinv.davis import (bestvina_support, is_type_PM, nerve_complex,
+                          vcd_real)
 from coxinv.errors import NoWitness
 from coxinv.homology import betti_numbers
 from coxinv.system import System
 
-from .oracles import is_cone, verify_boundary_squares_to_zero
+from .conftest import mat
+from .oracles import (davis_chamber, is_cone, vcd_by_davis_chamber,
+                      verify_boundary_squares_to_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +112,29 @@ def test_vcd_path(path_2edge):
 def test_vcd_square_product(square_product):
     r = vcd_real(square_product)
     assert r.value == 2
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_vcd_nerve_route_matches_davis_chamber(data):
+    """The full subcomplexes of the nerve give the relative homology of
+    the Davis chamber: same value, spherical value and witness list, in
+    the same order."""
+    n = data.draw(st.integers(2, 6))
+    labels = st.sampled_from([2, 3, 4, 5, 6, math.inf])
+    rows = [[1] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = data.draw(labels)
+    M = mat(rows)
+    # the oracle ranks dense matrices by Bareiss elimination, cubic in
+    # the chamber size: 200 simplices take about a second
+    assume(len(davis_chamber(M).complex) <= 200)
+    r = vcd_real(M)
+    value, spherical_value, witnesses = vcd_by_davis_chamber(M)
+    assert (r.value, r.spherical_value) == (value, spherical_value)
+    assert [(w.subset, w.degree, w.spherical)
+            for w in r.witnesses] == witnesses
 
 
 # ---------------------------------------------------------------------------

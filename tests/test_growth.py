@@ -22,6 +22,7 @@ from .conftest import mat, right_angled_dodecahedron
 from .oracles import (bn_poincare, eval_frac, expand_quotient,
                       growth_series_by_distinct_products,
                       rate_comparison_bounds, series_quotient)
+from .oracles import smallest_positive_root as reference_root
 
 E_PENTAGON = math.log((3 + math.sqrt(5)) / 2)   # 0.9624236501...
 
@@ -236,6 +237,64 @@ def test_smallest_positive_root_repeated_factor_with_gaps():
 
 def test_no_root_returns_none():
     assert smallest_positive_root([Fraction(1), Fraction(1)], 1) is None
+
+
+def _times(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@pytest.mark.parametrize("poly, hi", [
+    # squared factors: (2t-1)^2 (3t-1), and (t^2-2)^2 (t-1/3)^3
+    (_times(_times([-1, 2], [-1, 2]), [-1, 3]), 1),
+    (_times(_times([-2, 0, 1], [-2, 0, 1]),
+            _times(_times([Fraction(-1, 3), 1], [Fraction(-1, 3), 1]),
+                   [Fraction(-1, 3), 1])), 2),
+    # roots exactly at bisection midpoints: 1/2 is the first, 3/8 the third
+    (_times([-1, 2], [-3, 8]), 1),
+    (_times([-1, 2], [-3, 8]), Fraction(1, 2)),
+    # a root at hi, alone and above a smaller one
+    ([-1, 1], 1),
+    (_times([-3, 1], [5, 7]), 3),
+    (_times([-1, 2], [-1, 1]), 1),
+    # no root in (0, hi]: none at all, negative only, beyond hi
+    ([1, 0, 1], 1),
+    (_times([1, 1], [2, 3]), 5),
+    ([-3, 1], 2),
+    # a root at 0 only, and a root at 0 below a positive one
+    ([0, 1], 1),
+    (_times([0, 1], [-1, 3]), 1),
+])
+def test_smallest_positive_root_matches_fraction_reference(poly, hi):
+    assert smallest_positive_root(poly, hi) == reference_root(poly, hi)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_smallest_positive_root_matches_reference_on_random_polys(data):
+    """Integer Sturm signs against Fraction evaluation, on random integer
+    and rational polynomials, products of small rational linear factors
+    with repeats, and random bounds."""
+    kind = data.draw(st.sampled_from(["int", "rational", "factors"]))
+    if kind == "int":
+        poly = data.draw(st.lists(st.integers(-20, 20), min_size=1,
+                                  max_size=7))
+    elif kind == "rational":
+        poly = data.draw(st.lists(
+            st.fractions(min_value=-5, max_value=5, max_denominator=12),
+            min_size=1, max_size=6))
+    else:
+        poly = [data.draw(st.integers(1, 5))]
+        for _ in range(data.draw(st.integers(1, 5))):
+            num = data.draw(st.integers(-6, 6))
+            den = data.draw(st.integers(1, 8))
+            poly = _times(poly, [-num, den])
+    hi = data.draw(st.fractions(min_value=Fraction(1, 8), max_value=3,
+                                max_denominator=8))
+    assert smallest_positive_root(poly, hi) == reference_root(poly, hi)
 
 
 # ---------------------------------------------------------------------------
