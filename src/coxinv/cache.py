@@ -9,8 +9,7 @@ stores counts only, not how they were obtained: the source tag of a hit
 is derived from its exact ball sizes and the caps in force
 (growth.counting_route), so a hit carries the tag a cold run would print,
 and raises the cold run's ResourceExceeded when the caps refuse it.  A
-warm cache therefore never lifts a cap.  A "method" field written by
-earlier versions is ignored.
+warm cache therefore never lifts a cap.
 Each record carries the sha256 of its canonical layers.  Records that
 fail to parse, carry an unknown version, are structurally wrong or fail
 their hash are skipped silently; a truncated tail (interrupted write) or

@@ -20,7 +20,7 @@ from .building import (ThicknessVector, critical_exponents, oracle_battery)
 from .conformal import (checked_apartment_confdim, checked_lambda,
                         confdim_bounds, fuchsian_report)
 from .coxeter import CoxeterMatrix, finite_group_order
-from .elements import Caps
+from .elements import Caps, checked_int
 from .errors import (CoxinvError, ResourceExceeded, SchemaError,
                      ValidationMismatch)
 from .growth import WeightVector, classify_convergence, growth_rate
@@ -107,6 +107,10 @@ def _option_type(check):
     return parse
 
 
+def _int_option(least, name):
+    return _option_type(lambda text: checked_int(text, least, name))
+
+
 def _require_thickness(thickness):
     if thickness is None:
         raise SchemaError('this command needs a "thickness" entry '
@@ -135,15 +139,12 @@ def cmd_classify(system, thickness, weights, args):
 
 def cmd_nerve(system, thickness, weights, args):
     N = system.nerve
-    pm = system.type_pm
-    v = system.vcd
     return {
         "dim": N.dim,
         "face_counts": [len(N.k_faces(k)) for k in range(N.dim + 1)],
         "euler": N.euler_characteristic(),
-        "type_pm": _type_pm_json(pm),
-        "vcd": v.value,
-        "vcd_spherical": v.spherical_value,
+        "type_pm": _type_pm_json(system.type_pm),
+        "vcd": system.vcd.value,
     }
 
 
@@ -187,9 +188,9 @@ def cmd_confdim(system, thickness, weights, args):
                        apartment_confdim=args.apartment_confdim)
     out = _confdim_json(b)
     if b.fuchsian:
-        fr = fuchsian_report(system, thickness, p_grid=args.p_grid)
+        table = fuchsian_report(system, thickness, p_grid=args.p_grid)
         out["vanishing"] = [{"p": p, "degree_1": d1, "degree_2": d2}
-                            for p, d1, d2 in fr.table]
+                            for p, d1, d2 in table]
     return out
 
 
@@ -259,9 +260,10 @@ def build_parser():
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--input", required=True, help="system JSON file")
-        p.add_argument("--depth", type=int, default=8,
+        p.add_argument("--depth", type=_int_option(0, "depth"), default=8,
                        help="enumeration depth for counting data")
-        p.add_argument("--radius", type=int, default=None,
+        p.add_argument("--radius", type=_int_option(0, "radius"),
+                       default=None,
                        help="ball radius (buildings, enumeration fits)")
         p.add_argument("--p-grid", type=_parse_p_grid,
                        default=[Fraction(3, 2), Fraction(2), Fraction(3)],
@@ -278,7 +280,8 @@ def build_parser():
         p.add_argument("--cache-dir", default=os.environ.get("CACHE_DIR"),
                        help="enumeration cache directory "
                             "(default: $CACHE_DIR)")
-        p.add_argument("--max-elements", type=int, default=None,
+        p.add_argument("--max-elements", type=_int_option(1, "max-elements"),
+                       default=None,
                        help="hard cap on enumerated elements")
         p.add_argument("--chains", type=int, default=100,
                        help="random chains for verify-oracle")
@@ -292,8 +295,8 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    caps = Caps.from_env(max_elements=args.max_elements)
     try:
+        caps = Caps.from_env(max_elements=args.max_elements)
         M, thickness, weights = load_system(args.input)
         system = System(M, caps=caps, cache_dir=args.cache_dir)
         result = COMMANDS[args.command](system, thickness, weights, args)

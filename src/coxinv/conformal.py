@@ -99,8 +99,8 @@ def checked_apartment_confdim(value):
 
 def resolve_lambda(lam, e_q):
     """Visual-metric parameter: a number > 1 or the "bourdon" preset
-    exp(e_q), which normalizes the Hausdorff dimension to 1 + 1/e_q...
-    the natural scale of the combinatorial metric."""
+    exp(e_q), which normalizes the Hausdorff dimension e_q / log(lambda)
+    to 1, the natural scale of the combinatorial metric."""
     if lam == LAMBDA_PRESET_BOURDON or lam is None:
         if e_q.value <= 0:
             raise AffineDegenerate("preset lambda needs positive growth")
@@ -177,15 +177,9 @@ def confdim_bounds(system, thickness, lam=None, apartment_confdim=None):
                          lam_val, lam_prov, hausdim, fuch)
 
 
-@dataclass
-class FuchsianReport:
-    confdim: float
-    p_hom: float            # conjugate exponent 1 + e_q
-    table: list             # (p, degree-1 verdict, degree-2 verdict)
-
-
 def fuchsian_report(system, thickness, p_grid=(1.25, 1.5, 2.0, 3.0, 5.0)):
-    """Degreewise l^p-cohomology vanishing for circle-nerve systems.
+    """Degreewise l^p-cohomology vanishing for circle-nerve systems, as
+    a list of (p, degree-1 verdict, degree-2 verdict).
 
     Degree 1 is nonzero exactly above the boundary conformal dimension
     p_cohom; degree 2 behaves dually (nonzero below the conjugate exponent
@@ -215,4 +209,4 @@ def fuchsian_report(system, thickness, p_grid=(1.25, 1.5, 2.0, 3.0, 5.0)):
         else:
             d2 = "critical"
         table.append((p, d1, d2))
-    return FuchsianReport(ce.p_cohom, ce.p_hom, table)
+    return table

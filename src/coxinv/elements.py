@@ -31,10 +31,23 @@ from itertools import accumulate
 from math import inf
 
 from .algebraic import CycloField
-from .errors import NotRightAngled, ResourceExceeded
+from .errors import NotRightAngled, ResourceExceeded, SchemaError
 
 DEFAULT_MAX_ELEMENTS = 2_000_000
 DEFAULT_MAX_SIMPLICES = 50_000
+
+
+def checked_int(value, least, name):
+    """value, an int or its decimal text, as an int >= least; SchemaError
+    naming it otherwise."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError):
+        raise SchemaError(f"{name} must be an integer, got {value!r}") \
+            from None
+    if n < least:
+        raise SchemaError(f"{name} must be >= {least}, got {n}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -46,9 +59,13 @@ class Caps:
     @staticmethod
     def from_env(max_elements=None, max_simplices=None):
         if max_elements is None:
-            max_elements = int(os.environ.get("COXINV_MAX_ELEMENTS", DEFAULT_MAX_ELEMENTS))
+            max_elements = checked_int(
+                os.environ.get("COXINV_MAX_ELEMENTS", DEFAULT_MAX_ELEMENTS),
+                1, "COXINV_MAX_ELEMENTS")
         if max_simplices is None:
-            max_simplices = int(os.environ.get("COXINV_MAX_SIMPLICES", DEFAULT_MAX_SIMPLICES))
+            max_simplices = checked_int(
+                os.environ.get("COXINV_MAX_SIMPLICES", DEFAULT_MAX_SIMPLICES),
+                1, "COXINV_MAX_SIMPLICES")
         return Caps(max_elements, max_simplices)
 
 

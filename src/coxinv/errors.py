@@ -46,10 +46,6 @@ class DegenerateWeights(CoxinvError):
     """Weight 1 on a class whose parabolic contribution is infinite."""
 
 
-class NoWitness(CoxinvError):
-    """Requested cycle-support data on a system with trivial top homology."""
-
-
 class NotRightAngled(CoxinvError):
     """Operation only defined for right-angled systems."""
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .elements import Caps
-from .errors import ResourceExceeded, SchemaError
+from .errors import ResourceExceeded
 
 
 class SimplicialComplexQ:
@@ -77,38 +77,6 @@ class SimplicialComplexQ:
 
     def euler_characteristic(self):
         return sum((-1) ** k * len(fs) for k, fs in self._by_dim.items())
-
-
-def order_complex(elements, strictly_less, key=None):
-    """Simplicial complex of chains of a finite poset.
-
-    strictly_less must be transitive.  Vertices of the result are key(e)
-    (default: e itself), which must be unique, hashable and totally
-    sortable; pass an explicit key when the poset members are not, e.g.
-    frozensets, whose < is only a partial order.
-    """
-    elems = list(elements)
-    key = key or (lambda e: e)
-    ids = [key(e) for e in elems]
-    if len(set(ids)) != len(ids):
-        raise SchemaError("order_complex key is not injective")
-    n = len(elems)
-    faces = [(v,) for v in ids]
-    # grow chains; poset sizes here are small (spherical subsets)
-    chains = [[i] for i in range(n)]
-    while chains:
-        nxt = []
-        for ch in chains:
-            last = elems[ch[-1]]
-            for j in range(n):
-                if j in ch:
-                    continue
-                if strictly_less(last, elems[j]):
-                    ext = ch + [j]
-                    nxt.append(ext)
-                    faces.append(tuple(ids[i] for i in ext))
-        chains = nxt
-    return SimplicialComplexQ(faces)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,9 @@ are carried as the string token "Infinity" ("-Infinity") in the machine
 format, so the rendering is plain JSON.  Restoring the infinities on load
 is left to the reader: the test suite holds that decoder and checks that
 reports survive a JSON round trip byte-for-byte.  Optional sections that
-fail a precondition (confdim on a non-hyperbolic system, support
-refinement without a witness) record the error inline rather than failing
-the whole report.
+fail a precondition (confdim on a non-hyperbolic system, a rate with
+degenerate weights) record the error inline rather than failing the whole
+report.
 
 Timings are collected only on request and live outside the deterministic
 payload.
@@ -22,14 +22,16 @@ from fractions import Fraction
 from .building import critical_exponents
 from .conformal import confdim_bounds
 from .coxeter import finite_group_order
-from .davis import bestvina_support
 from .errors import (AffineDegenerate, CoxinvError, DegenerateWeights,
-                     NoWitness, NotHyperbolic, SchemaError, ThinBuilding)
+                     NotHyperbolic, SchemaError, ThinBuilding)
 from .growth import PolyQ, WeightVector, classify_convergence
 
 # 2: the printed series is the one-variable series in lowest terms, no
 # longer the collapse of the per-class numerator and denominator
-SCHEMA_VERSION = 2
+# 3: no "bestvina" section, whose (F0, S0) pair nothing read, and no
+# vcd.spherical_value or witness "spherical" flag: the spherical maximum
+# is 0 on every system, and a witness is spherical exactly when vcd is 0
+SCHEMA_VERSION = 3
 INF_TOKEN = "Infinity"
 NEG_INF_TOKEN = "-Infinity"
 
@@ -225,16 +227,9 @@ def build_report(system, thickness=None, weights=None, depth=8, radius=None,
     v = timed("vcd", lambda: system.vcd)
     report["vcd"] = {
         "value": v.value,
-        "spherical_value": v.spherical_value,
-        "witnesses": [{"subset": list(w.subset), "degree": w.degree,
-                       "spherical": w.spherical} for w in v.witnesses],
+        "witnesses": [{"subset": list(w.subset), "degree": w.degree}
+                      for w in v.witnesses],
     }
-    try:
-        bs = timed("bestvina", lambda: bestvina_support(system))
-        report["bestvina"] = {"F0": list(bs.F0), "S0": list(bs.S0),
-                              "degree": bs.degree}
-    except NoWitness as exc:
-        report["bestvina"] = _error_json(exc)
 
     hyp = system.hyperbolicity
     report["hyperbolic"] = {"verdict": hyp.hyperbolic,
@@ -331,15 +326,9 @@ def report_to_text(report):
     add(f"type PM: {_fmt(pm['is_pm'])} (pseudomanifold "
         f"{_fmt(pm['pseudomanifold'])}, orientable {_fmt(pm['orientable'])})")
     v = report["vcd"]
-    add(f"vcd_R: {v['value']} (spherical-only {v['spherical_value']})")
+    add(f"vcd_R: {v['value']}")
     for w in v["witnesses"][:4]:
-        add(f"  witness: subset {_fmt(w['subset'])} degree {w['degree']}"
-            + ("" if w["spherical"] else " (non-spherical)"))
-    bs = report["bestvina"]
-    if "error" in bs:
-        add(f"support refinement: unavailable ({bs['error']['message']})")
-    else:
-        add(f"support refinement: F0 {_fmt(bs['F0'])} -> S0 {_fmt(bs['S0'])}")
+        add(f"  witness: subset {_fmt(w['subset'])} degree {w['degree']}")
     hyp = report["hyperbolic"]
     if hyp["verdict"]:
         add("hyperbolic: yes")

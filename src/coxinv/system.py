@@ -16,10 +16,11 @@ from functools import cached_property
 from .cache import cached_layer_counts
 from .conformal import is_nerve_circle, moussong_hyperbolic
 from .coxeter import classify_parabolic, spherical_subsets
-from .davis import is_type_PM, nerve_complex, vcd_real
+from .davis import nerve_complex, vcd_real
 from .elements import Caps
 from .growth import (DEFAULT_VALIDATION_DEPTH, growth_rate,
                      rational_growth_series)
+from .homology import pm_verdict
 
 
 class System:
@@ -44,7 +45,7 @@ class System:
 
     @cached_property
     def type_pm(self):
-        return is_type_PM(self.M)
+        return pm_verdict(self.nerve)
 
     @cached_property
     def vcd(self):

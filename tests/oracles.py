@@ -33,7 +33,7 @@ from coxinv.elements import ReflectionRep
 from coxinv.errors import DegenerateWeights, SchemaError
 from coxinv.growth import (_p1_deriv, _p1_exact_div, _p1_gcd, _p1_trim,
                            _sturm_chain, layer_class_counts)
-from coxinv.homology import SimplicialComplexQ, betti_numbers, order_complex
+from coxinv.homology import SimplicialComplexQ, betti_numbers
 from coxinv.report import INF_TOKEN, NEG_INF_TOKEN
 
 
@@ -465,6 +465,38 @@ def is_cone(X):
 
 # ---------------------------------------------------------------------------
 # vcd on the Davis chamber: relative homology of (K, K^T) for every T
+
+def order_complex(elements, strictly_less, key=None):
+    """Simplicial complex of chains of a finite poset.
+
+    strictly_less must be transitive.  Vertices of the result are key(e)
+    (default: e itself), which must be unique, hashable and totally
+    sortable; pass an explicit key when the poset members are not, e.g.
+    frozensets, whose < is only a partial order.
+    """
+    elems = list(elements)
+    key = key or (lambda e: e)
+    ids = [key(e) for e in elems]
+    if len(set(ids)) != len(ids):
+        raise SchemaError("order_complex key is not injective")
+    n = len(elems)
+    faces = [(v,) for v in ids]
+    # grow chains; poset sizes here are small (spherical subsets)
+    chains = [[i] for i in range(n)]
+    while chains:
+        nxt = []
+        for ch in chains:
+            last = elems[ch[-1]]
+            for j in range(n):
+                if j in ch:
+                    continue
+                if strictly_less(last, elems[j]):
+                    ext = ch + [j]
+                    nxt.append(ext)
+                    faces.append(tuple(ids[i] for i in ext))
+        chains = nxt
+    return SimplicialComplexQ(faces)
+
 
 @dataclass
 class DavisChamber:

@@ -76,9 +76,10 @@ HUGE_LABEL = {
 }
 
 
-def run_cli(*argv):
+def run_cli(*argv, env=None):
     return subprocess.run([sys.executable, "-m", "coxinv.cli", *argv],
-                          capture_output=True, text=True, timeout=300)
+                          capture_output=True, text=True, timeout=300,
+                          env=env)
 
 
 @pytest.fixture(scope="module")
@@ -275,7 +276,7 @@ class TestExitCodes:
                                    self._dodecahedron(tmp_path),
                                    "--format", "machine"))
         assert time.monotonic() - t0 < 10
-        assert r["vcd"] == 3 and r["vcd_spherical"] == 0
+        assert r["vcd"] == 3 and "vcd_spherical" not in r
         assert r["face_counts"] == [12, 30, 20]
         assert r["type_pm"]["is_pm"] is True
 
@@ -359,6 +360,36 @@ class TestExitCodes:
     def test_report_empty_p_grid(self, inputs):
         self._refused("report", "--input", inputs["pentagon"],
                       "--p-grid", ",")
+
+    @pytest.mark.parametrize("command, var, value, message", [
+        ("classify", "COXINV_MAX_ELEMENTS", "abc",
+         "COXINV_MAX_ELEMENTS must be an integer, got 'abc'"),
+        ("nerve", "COXINV_MAX_SIMPLICES", "abc",
+         "COXINV_MAX_SIMPLICES must be an integer, got 'abc'"),
+        ("nerve", "COXINV_MAX_SIMPLICES", "0",
+         "COXINV_MAX_SIMPLICES must be >= 1, got 0"),
+    ], ids=["elements-abc", "simplices-abc", "simplices-0"])
+    def test_bad_cap_in_environment(self, inputs, command, var, value,
+                                    message):
+        # used to exit 1 with a ValueError traceback
+        proc = run_cli(command, "--input", inputs["pentagon"],
+                       env=dict(os.environ, **{var: value}))
+        assert proc.returncode == 2
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--max-elements", "-3"), "max-elements must be >= 1, got -3"),
+        (("--max-elements", "0"), "max-elements must be >= 1, got 0"),
+        (("--depth", "-2"), "depth must be >= 0, got -2"),
+        (("--radius", "-1"), "radius must be >= 0, got -1"),
+    ], ids=["max-elements-negative", "max-elements-0", "depth-negative",
+            "radius-negative"])
+    def test_bad_integer_option(self, inputs, argv, message):
+        # a negative cap used to exit 3 ("cap -3"), a negative depth to
+        # exit 0 with ten layer sizes
+        proc = self._refused("report", "--input", inputs["pentagon"], *argv)
+        assert message in proc.stderr
 
     def test_large_cancelling_minpoly(self, inputs):
         # the field check used to reject the correct minimal polynomial

@@ -153,11 +153,9 @@ class TestFuchsianReport:
         q = ThicknessVector.constant(pentagon, 2)
         conf = 1.0 + math.log(2) / PENT_RATE
         dual = 1.0 + PENT_RATE / math.log(2)
-        fr = fuchsian_report(System(pentagon), q,
-                             p_grid=(1.25, conf, 2.0, dual, 3.0))
-        assert abs(fr.confdim - conf) < 1e-6
-        assert abs(fr.p_hom - dual) < 1e-6
-        as_dict = {round(p, 6): (d1, d2) for p, d1, d2 in fr.table}
+        table = fuchsian_report(System(pentagon), q,
+                                p_grid=(1.25, conf, 2.0, dual, 3.0))
+        as_dict = {round(p, 6): (d1, d2) for p, d1, d2 in table}
         assert as_dict[1.25] == ("zero", "nonzero")
         assert as_dict[round(conf, 6)][0] == "critical"
         assert as_dict[2.0] == ("nonzero", "nonzero")

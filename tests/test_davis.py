@@ -1,13 +1,9 @@
 import math
 
-import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from coxinv.davis import (bestvina_support, is_type_PM, nerve_complex,
-                          vcd_real)
-from coxinv.errors import NoWitness
+from coxinv.davis import is_type_PM, nerve_complex, vcd_real
 from coxinv.homology import betti_numbers
-from coxinv.system import System
 
 from .conftest import mat
 from .oracles import (davis_chamber, is_cone, vcd_by_davis_chamber,
@@ -76,19 +72,17 @@ def test_mirror_union_empty(pentagon):
 # vcd
 
 def test_vcd_finite_zero(a2):
+    # only the empty T has a degree: the one spherical witness
     r = vcd_real(a2)
     assert r.value == 0
-    assert r.spherical_value == 0
+    assert [(w.subset, w.degree) for w in r.witnesses] == [((), 0)]
 
 
 def test_vcd_dihedral(dihedral_inf):
     r = vcd_real(dihedral_inf)
     assert r.value == 1
-    assert any(w.subset == (0, 1) for w in r.witnesses)
-    # {s,u} is not spherical here, but the spherical maximum agrees? no:
     # only T = S realizes degree 1, and it is not spherical
-    assert r.spherical_value == 0
-    assert all(not w.spherical for w in r.witnesses)
+    assert [(w.subset, w.degree) for w in r.witnesses] == [((0, 1), 1)]
 
 
 def test_vcd_333(triangle_333):
@@ -101,7 +95,6 @@ def test_vcd_pentagon(pentagon):
     r = vcd_real(pentagon)
     assert r.value == 2
     assert any(w.subset == (0, 1, 2, 3, 4) for w in r.witnesses)
-    assert all(not w.spherical for w in r.witnesses)
 
 
 def test_vcd_path(path_2edge):
@@ -118,8 +111,9 @@ def test_vcd_square_product(square_product):
 @given(st.data())
 def test_vcd_nerve_route_matches_davis_chamber(data):
     """The full subcomplexes of the nerve give the relative homology of
-    the Davis chamber: same value, spherical value and witness list, in
-    the same order."""
+    the Davis chamber: same value and witness list, in the same order.
+    A nonempty spherical T spans a simplex, so the spherical maximum is 0
+    and a witness is spherical exactly when the value is 0."""
     n = data.draw(st.integers(2, 6))
     labels = st.sampled_from([2, 3, 4, 5, 6, math.inf])
     rows = [[1] * n for _ in range(n)]
@@ -132,43 +126,11 @@ def test_vcd_nerve_route_matches_davis_chamber(data):
     assume(len(davis_chamber(M).complex) <= 200)
     r = vcd_real(M)
     value, spherical_value, witnesses = vcd_by_davis_chamber(M)
-    assert (r.value, r.spherical_value) == (value, spherical_value)
-    assert [(w.subset, w.degree, w.spherical)
-            for w in r.witnesses] == witnesses
-
-
-# ---------------------------------------------------------------------------
-# support face
-
-def test_bestvina_pentagon(pentagon):
-    b = bestvina_support(System(pentagon))
-    assert b.F0 == ()
-    assert b.S0 == (0, 1, 2, 3, 4)
-    assert b.degree == 2
-
-
-def test_bestvina_333(triangle_333):
-    b = bestvina_support(System(triangle_333))
-    assert b.F0 == ()
-    assert b.S0 == (0, 1, 2)
-
-
-def test_bestvina_path_middle_vertex(path_2edge):
-    b = bestvina_support(System(path_2edge))
-    assert b.F0 == (1,)
-    assert b.S0 == (0, 2)
-    assert b.degree == 1
-
-
-def test_bestvina_dihedral(dihedral_inf):
-    b = bestvina_support(System(dihedral_inf))
-    assert b.F0 == ()
-    assert b.S0 == (0, 1)
-
-
-def test_bestvina_finite_raises(a2):
-    with pytest.raises(NoWitness):
-        bestvina_support(System(a2))
+    assert r.value == value
+    assert [(w.subset, w.degree) for w in r.witnesses] == \
+        [(T, degree) for T, degree, _ in witnesses]
+    assert spherical_value == 0
+    assert all(spherical == (value == 0) for _, _, spherical in witnesses)
 
 
 # ---------------------------------------------------------------------------

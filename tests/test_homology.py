@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coxinv.errors import ResourceExceeded, SchemaError
-from coxinv.homology import (SimplicialComplexQ, betti_numbers,
-                             order_complex, pm_verdict, rank_fraction)
+from coxinv.homology import (SimplicialComplexQ, betti_numbers, pm_verdict,
+                             rank_fraction)
 
-from .oracles import (bareiss_rank, is_cone, relative_betti_numbers,
-                      verify_boundary_squares_to_zero)
+from .oracles import (bareiss_rank, is_cone, order_complex,
+                      relative_betti_numbers, verify_boundary_squares_to_zero)
 
 # minimal 6-vertex triangulation of the real projective plane
 # (antipodal quotient of the icosahedron)

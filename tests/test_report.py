@@ -23,19 +23,21 @@ from coxinv.system import System
 from .conftest import mat
 from .oracles import decode_json_value, report_from_json
 
-# The digests below were recorded again at SCHEMA_VERSION 2, which prints
-# the series in lowest terms; with the series and schema_version removed,
-# every report keeps the bytes of its earlier pin.
+# The digests below were recorded again at SCHEMA_VERSION 3, which drops
+# the "bestvina" section, vcd.spherical_value and the witnesses'
+# "spherical" flags; with those keys removed and schema_version 2, every
+# report keeps the bytes of its SCHEMA_VERSION 2 pin, which printed the
+# series in lowest terms and otherwise kept the bytes of its earlier pin.
 
 # sha256 of report_to_json(build_report(System(M), thickness=q=2, depth=8)),
 # first recorded before reports were assembled from a shared System
 GOLDEN_Q2 = {
     "pentagon":
-        "f726929d75ef79e29f7e5ebe86f5474da4fcce64f4dcf7177bf6b6e29170f33a",
+        "718c09e712b00ba33b05b5801fc6d59a91b91c49809ce9832935f79b7de0c1f8",
     "triangle_732":
-        "a52bf37250670aa08ddc9cd5caa097f0a9387501afa6cfbe26a11199713782cb",
+        "af9582fa86bfb4ea664167576d274ae6e37abf223771c0dcf1549685cf96306e",
     "triangle_433":
-        "9e376ec31925c51abdc38a8440cf6a08310c8f17bc8052e64ee0f606b1e6c975",
+        "e1d9d69e26913f1ec8b3005a53d3beb7dbbdb9dac8b03123fc82194e23b71e15",
 }
 
 # sha256 of report_to_json(build_report(System(pentagon), ...)) for inputs
@@ -43,9 +45,9 @@ GOLDEN_Q2 = {
 # curve was evaluated on monomials merged by weight
 GOLDEN_MIXED = {
     "weights=22223":
-        "ea5e7e63e2bf6e6b117cea1be05bc1fa766a3fc78dddab39782d5666c1bf699c",
+        "aa01329b61cd09a721590f2265188c93a06d6d5561c1c17cbdd2665120941f42",
     "thickness=23222":
-        "c40d3fa9261bffaadb4f2b4a7c4e8d72516b88067ca21f72aab2d2478bb82fa6",
+        "d58e3335ee07b4d57b604969cf7692a4eb9b8221c306023d495bd187d5e67768",
 }
 
 # sha256 of report_to_json(build_report(System(M), ...)) for reports whose
@@ -55,9 +57,9 @@ GOLDEN_MIXED = {
 LINEAR_534 = [[1, 5, 2, 2], [5, 1, 3, 2], [2, 3, 1, 4], [2, 2, 4, 1]]
 GOLDEN_MATRIX = {
     "linear_534":
-        "0181765c1bc75a5477ee745f2dd5c9d54ab1a243984bba3f9eaff531ec4647cf",
+        "7c8d5c4a2374671af97b527b07b9bb591753b1419a7efd694cb8d726bdb33527",
     "triangle_732_q3":
-        "8160c34c0a4b94062bcea815f3ca0d873eaa114128eec9e8d1abf25a9f6d8d60",
+        "8bc2553bf714c47fd92d4beaabcd2e7b8b3ea5a08937a9e7c2efa9f66fa537f4",
 }
 
 
@@ -102,10 +104,13 @@ class TestEncoding:
 
 class TestReportContent:
     def test_sections_present(self, pentagon_report):
-        for key in ("system", "classification", "nerve", "type_pm", "vcd",
-                    "bestvina", "hyperbolic", "growth", "building",
-                    "confdim", "parameters"):
-            assert key in pentagon_report
+        assert sorted(pentagon_report) == [
+            "building", "classification", "confdim", "growth", "hyperbolic",
+            "nerve", "parameters", "schema_version", "system", "type_pm",
+            "vcd"]
+        assert pentagon_report["vcd"] == {
+            "value": 2, "witnesses": [{"subset": [0, 1, 2, 3, 4],
+                                       "degree": 2}]}
 
     def test_headline_values(self, pentagon_report):
         r = pentagon_report
@@ -215,8 +220,9 @@ class TestSharedSystem:
 
     def test_each_invariant_computed_once(self, monkeypatch, triangle_732):
         leaves = ("growth.layer_class_counts", "growth.rational_growth_series",
-                  "davis.vcd_real", "davis.is_type_PM",
-                  "conformal.moussong_hyperbolic", "conformal.is_nerve_circle")
+                  "davis.nerve_complex", "davis.vcd_real",
+                  "homology.pm_verdict", "conformal.moussong_hyperbolic",
+                  "conformal.is_nerve_circle")
         calls = dict.fromkeys(leaves, 0)
         for name in leaves:
             modname, attr = name.split(".")
@@ -252,7 +258,8 @@ class TestPrintedSeries:
     def test_k34_keeps_every_other_byte(self):
         # (1+t)^2 / ((1-2t)(1-3t)); the rest of the report, thickness 2 on
         # the a's and 4 on the b's, has the bytes it had when the series
-        # printed as the degree-31 collapse of the per-class fraction.  Its
+        # printed as the degree-31 collapse of the per-class fraction, less
+        # the keys SCHEMA_VERSION 3 dropped (digest d54fcf62... before).  Its
         # rate bracket [0.79248125017, 0.79248125076] is still the first
         # sign change on the curve, not the rate 1 (ROADMAP item 3)
         M = mat(K34)
@@ -261,9 +268,9 @@ class TestPrintedSeries:
         s = r["growth"].pop("series")
         assert (s["numerator"], s["denominator"]) == \
             ("1 + 2*t + t^2", "1 - 5*t + 6*t^2")
-        assert r.pop("schema_version") == 2
+        assert r.pop("schema_version") == 3
         assert hashlib.sha256(report_to_json(r).encode()).hexdigest() == \
-            "d54fcf624e45fd66bec66a15ed68f93e81ada92fb4776adeb612682865f69793"
+            "44379b2cfaf1a333b0a8f1ab3d280c8ea0ad88527931067c9c96007fd2e5ef91"
         assert r["growth"]["rate"]["bracket"] == \
             [0.792481250166893, 0.7924812507629394]
 
