@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .coxeter import spherical_subsets
-from .elements import Caps, commutation_table
+from .elements import commutation_table
 from .errors import (MarginViolation, NotRightAngled, ResourceExceeded,
                      SchemaError, ThicknessClassError, ValidationMismatch)
 from .growth import WeightVector
@@ -179,15 +178,16 @@ class BuildingBall:
         return out
 
 
-def building_ball(M, thickness, radius, caps=None):
+def building_ball(system, thickness, radius):
     """Enumerate the ball and verify the two panel axioms on it: every
     panel meeting the interior has exactly q_s + 1 chambers, and each has a
     unique gate (its shortest chamber) with all others one step longer.
     The search skips each s already ending a word up to commuting
-    syllables, where every s^e merges or cancels."""
+    syllables, where every s^e merges or cancels.  The system's
+    max_elements caps the chamber count."""
+    M, caps = system.M, system.caps
     if not M.is_right_angled():
         raise NotRightAngled("building model requires a right-angled system")
-    caps = caps or Caps.from_env()
     commute = commutation_table(M)
     per = thickness.per_generator()
     qmod = tuple(q + 1 for q in per)
@@ -224,7 +224,7 @@ def building_ball(M, thickness, radius, caps=None):
         fibers.setdefault(word_gens(w), []).append(w)
     ball = BuildingBall(M, thickness, radius, chambers, fibers, commute, qmod,
                         frozenset(tuple(sorted(T))
-                                  for T in spherical_subsets(M)))
+                                  for T in system.sphericals))
     _verify_building_axioms(ball)
     return ball
 
@@ -642,9 +642,9 @@ def random_chain(ball, rng, size):
     return {k: v for k, v in out.items() if v}
 
 
-def oracle_battery(M, thickness, radius, p_values=(Fraction(3, 2),
+def oracle_battery(system, thickness, radius, p_values=(Fraction(3, 2),
                    Fraction(2), Fraction(3)), chains=100, seed=0,
-                   chain_size=5, caps=None):
+                   chain_size=5):
     """Chain-level identity battery on an explicit building ball.
 
     Builds the ball (axioms are re-verified during construction), then
@@ -662,9 +662,9 @@ def oracle_battery(M, thickness, radius, p_values=(Fraction(3, 2),
         raise SchemaError(f"chains must be >= 1, got {chains}")
     if not p_values or any(Fraction(p) < 1 for p in p_values):
         raise SchemaError("p grid must be non-empty, with every p >= 1")
-    ball = building_ball(M, thickness, radius, caps=caps)
-    apartment = building_ball(M, ThicknessVector.constant(M, 1), radius,
-                              caps=caps)
+    ball = building_ball(system, thickness, radius)
+    apartment = building_ball(
+        system, ThicknessVector.constant(system.M, 1), radius)
     rng = random.Random(seed)
     jensen = {"strict": 0, "equal": 0, "interval": 0, "indeterminate": 0}
     for trial in range(chains):

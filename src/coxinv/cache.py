@@ -22,7 +22,7 @@ import os
 from pathlib import Path
 
 from . import growth
-from .elements import Caps, check_layer_width
+from .elements import check_layer_width
 
 CACHE_VERSION = 2
 CACHE_FILENAME = "layers.jsonl"
@@ -108,7 +108,7 @@ def store_layers(cache_dir, digest, radius, layers):
         fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def cached_layer_counts(M, radius, caps=None, cache_dir=None):
+def cached_layer_counts(M, radius, caps, cache_dir=None):
     """layer_class_counts with a transparent disk cache.
 
     A hit is tagged by counting_route under the caps in force, so it gives
@@ -116,7 +116,6 @@ def cached_layer_counts(M, radius, caps=None, cache_dir=None):
     ResourceExceeded, and downstream reports are bit-identical whether or
     not the cache was warm.
     """
-    caps = caps or Caps.from_env()
     digest = M.digest()
     hit = load_layers(cache_dir, digest, radius)
     if hit is not None:

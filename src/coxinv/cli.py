@@ -91,6 +91,9 @@ def _parse_p_grid(text):
     if not grid or any(p < 1 for p in grid):
         raise argparse.ArgumentTypeError(
             "p grid must be non-empty, with every p >= 1")
+    if any(p > sys.float_info.max for p in grid):
+        raise argparse.ArgumentTypeError(
+            f"bad p grid {text!r}: every p must be a finite float")
     return grid
 
 
@@ -159,7 +162,7 @@ def cmd_growth(system, thickness, weights, args):
     if w_arg is not None:
         out["convergence_at_one"] = classify_convergence(
             system, weights, 1.0)
-    if args.radius:
+    if args.radius is not None:
         fit = growth_rate(system, w_arg, method="enumeration",
                           radius=args.radius)
         out["enumeration_rate"] = _rate_json(fit)
@@ -197,9 +200,9 @@ def cmd_confdim(system, thickness, weights, args):
 def cmd_verify_oracle(system, thickness, weights, args):
     thickness = _require_thickness(thickness)
     radius = 4 if args.radius is None else args.radius
-    return oracle_battery(system.M, thickness, radius,
+    return oracle_battery(system, thickness, radius,
                           p_values=tuple(args.p_grid), chains=args.chains,
-                          seed=args.seed, caps=system.caps)
+                          seed=args.seed)
 
 
 def cmd_report(system, thickness, weights, args):

@@ -1,4 +1,4 @@
-"""Nerve, cohomological dimension and the pseudomanifold verdict.
+"""Nerve and cohomological dimension of a System.
 
 The Davis chamber K is the order complex of the poset of spherical subsets
 (including the empty set), a cone with apex the empty set, and K^T is the
@@ -15,22 +15,24 @@ and their nerve is L_T, the full subcomplex of the nerve L on T, so
 with L_empty the empty complex, whose only reduced homology is in degree
 -1.  The dimension is therefore read off the reduced Betti numbers of the
 full subcomplexes of the nerve, which are far smaller than the chamber.
+Both stages read the System's spherical subsets and hold every complex
+they build to its max_simplices cap; the pseudomanifold verdict of the
+nerve is System.type_pm.
 """
 
 import itertools
 from dataclasses import dataclass
 
-from .coxeter import spherical_subsets
 from .errors import ResourceExceeded
-from .homology import SimplicialComplexQ, betti_numbers, pm_verdict
+from .homology import SimplicialComplexQ, betti_numbers
 
 MAX_ALL_SUBSETS_RANK = 12
 
 
-def nerve_complex(M):
+def nerve_complex(system):
     """Nonempty spherical subsets as a simplicial complex on the generators."""
-    faces = [tuple(sorted(T)) for T in spherical_subsets(M) if T]
-    return SimplicialComplexQ(faces)
+    faces = [tuple(sorted(T)) for T in system.sphericals if T]
+    return SimplicialComplexQ(faces, system.caps.max_simplices)
 
 
 @dataclass
@@ -56,31 +58,26 @@ def _top_nonzero_degree(b):
     return None
 
 
-def vcd_real(M):
+def vcd_real(system):
     """Real virtual cohomological dimension with realizing subsets.
 
     T has degree 1 + the top nonzero reduced Betti degree of L_T, and the
     empty T has degree 0; an acyclic L_T realizes no degree.  Scans every
     T <= S, so the rank is capped at MAX_ALL_SUBSETS_RANK.
     """
+    M = system.M
     if M.rank > MAX_ALL_SUBSETS_RANK:
         raise ResourceExceeded(f"2^{M.rank} mirror unions")
-    sphericals = spherical_subsets(M)
+    sphericals, cap = system.sphericals, system.caps.max_simplices
     hits = [((), 0)]
     for r in range(1, M.rank + 1):
         for T in itertools.combinations(range(M.rank), r):
             T_set = frozenset(T)
             L_T = SimplicialComplexQ(
-                [tuple(sorted(F)) for F in sphericals if F <= T_set])
+                [tuple(sorted(F)) for F in sphericals if F <= T_set], cap)
             top = _top_nonzero_degree(betti_numbers(L_T, reduced=True))
             if top is not None:
                 hits.append((T, top + 1))
     best = max(deg for _, deg in hits)
     return VcdReport(best, tuple(Witness(T, deg) for T, deg in hits
                                  if deg == best))
-
-
-def is_type_PM(M):
-    """Pseudomanifold verdict of the nerve (the boundary structure that
-    makes the top compactly supported cohomology one-dimensional)."""
-    return pm_verdict(nerve_complex(M))

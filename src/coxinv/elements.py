@@ -57,16 +57,14 @@ class Caps:
     max_simplices: int = DEFAULT_MAX_SIMPLICES
 
     @staticmethod
-    def from_env(max_elements=None, max_simplices=None):
+    def from_env(max_elements=None):
         if max_elements is None:
             max_elements = checked_int(
                 os.environ.get("COXINV_MAX_ELEMENTS", DEFAULT_MAX_ELEMENTS),
                 1, "COXINV_MAX_ELEMENTS")
-        if max_simplices is None:
-            max_simplices = checked_int(
-                os.environ.get("COXINV_MAX_SIMPLICES", DEFAULT_MAX_SIMPLICES),
-                1, "COXINV_MAX_SIMPLICES")
-        return Caps(max_elements, max_simplices)
+        return Caps(max_elements, checked_int(
+            os.environ.get("COXINV_MAX_SIMPLICES", DEFAULT_MAX_SIMPLICES),
+            1, "COXINV_MAX_SIMPLICES"))
 
 
 class ReflectionRep:
@@ -182,7 +180,7 @@ class BallEnumeration:
         return [dict(sorted(Counter(layer).items())) for layer in self.layers]
 
 
-def ball_enumerate(M, radius, caps=None, backend="auto"):
+def ball_enumerate(M, radius, caps, backend="auto"):
     """Enumerate the ball of the given radius, one layer at a time.
 
     A step by a non-descent generator lengthens an element by one, so every
@@ -193,7 +191,6 @@ def ball_enumerate(M, radius, caps=None, backend="auto"):
     All-or-nothing: exceeding caps raises ResourceExceeded without returning
     partial layers, as soon as the element past the cap is recorded.
     """
-    caps = caps or Caps.from_env()
     if backend == "auto":
         backend = "word" if M.is_right_angled() else "matrix"
     if backend not in ("word", "matrix"):
@@ -255,12 +252,11 @@ def check_layer_width(layer, k, caps):
                                f"{caps.max_elements} class vectors")
 
 
-def racg_layer_counts(M, depth, caps=None):
+def racg_layer_counts(M, depth, caps):
     """Per-length dict {class_vector: count} for a right-angled system via
     the descent-set recurrence, no element storage; check_layer_width
     holds each length against the caps."""
-    return _descent_recurrence(M, depth, M.class_of(),
-                               caps or Caps.from_env())
+    return _descent_recurrence(M, depth, M.class_of(), caps)
 
 
 def racg_ball_sizes(M, depth):

@@ -29,8 +29,7 @@ from operator import add
 
 from .algebraic import _int_or_fraction
 from .coxeter import finite_group_order, classify_parabolic
-from .elements import (Caps, ball_enumerate, racg_ball_sizes,
-                       racg_layer_counts)
+from .elements import ball_enumerate, racg_ball_sizes, racg_layer_counts
 from .errors import (DegenerateWeights, ResourceExceeded, SchemaError,
                      ValidationMismatch)
 
@@ -230,7 +229,7 @@ def counting_route(M, sizes, caps):
     raise ResourceExceeded(f"ball size exceeds cap {cap} at radius {past}")
 
 
-def layer_class_counts(M, depth, caps=None):
+def layer_class_counts(M, depth, caps):
     """Per-length dict {class_vector: count} for lengths 0..depth.
 
     A right-angled system is counted first by the descent-set recurrence
@@ -242,7 +241,6 @@ def layer_class_counts(M, depth, caps=None):
     ResourceExceeded when the ball outgrows the caps.
     Returns (counts, source) with source in {"bfs", "recurrence"}.
     """
-    caps = caps or Caps.from_env()
     if not M.is_right_angled():
         return ball_enumerate(M, depth, caps=caps).class_counts(), "bfs"
     route = counting_route(M, racg_ball_sizes(M, depth), caps)

@@ -9,7 +9,6 @@ an independent integer (Bareiss) elimination.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .elements import Caps
 from .errors import ResourceExceeded
 
 
@@ -20,9 +19,7 @@ class SimplicialComplexQ:
     (no vertices) is allowed.
     """
 
-    def __init__(self, faces, max_simplices=None):
-        cap = max_simplices if max_simplices is not None \
-            else Caps.from_env().max_simplices
+    def __init__(self, faces, max_simplices):
         closed = set()
         stack = []
         for f in faces:
@@ -34,9 +31,9 @@ class SimplicialComplexQ:
                 stack.append(t)
         while stack:
             f = stack.pop()
-            if len(closed) > cap:
+            if len(closed) > max_simplices:
                 raise ResourceExceeded(
-                    f"simplicial complex exceeds {cap} simplices")
+                    f"simplicial complex exceeds {max_simplices} simplices")
             if len(f) == 1:
                 continue
             for i in range(len(f)):

@@ -7,8 +7,13 @@ type-PM verdict, vcd, hyperbolicity, the circle-nerve verdict, per-length
 class counts, the per-class growth series and the series-route rate of
 each weight vector.  The stage functions in growth, building, conformal,
 davis and report take a System, so one report builds each of these once
-however many sections read it.  The leaf computations they call keep
-taking a bare CoxeterMatrix.
+however many sections read it.
+
+The System owns the caps and the spherical subsets.  Only its default
+caps (and the command line) read the environment; every function below
+it that enumerates elements or builds a complex takes its caps as a
+required argument, and the nerve, vcd and oracle stages read the caps
+and the spherical subsets from the System.
 """
 
 from functools import cached_property
@@ -41,7 +46,7 @@ class System:
 
     @cached_property
     def nerve(self):
-        return nerve_complex(self.M)
+        return nerve_complex(self)
 
     @cached_property
     def type_pm(self):
@@ -49,7 +54,7 @@ class System:
 
     @cached_property
     def vcd(self):
-        return vcd_real(self.M)
+        return vcd_real(self)
 
     @cached_property
     def hyperbolicity(self):

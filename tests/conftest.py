@@ -1,10 +1,15 @@
 import math
 
 import pytest
+from hypothesis import settings
 
 from coxinv.coxeter import CoxeterMatrix
 
 INF = math.inf
+
+# every @given test draws the same examples on every run
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 def mat(rows, names=None):

@@ -28,8 +28,7 @@ from fractions import Fraction
 from coxinv.algebraic import cyclotomic, dickson
 from coxinv.building import lp_power_sum
 from coxinv.coxeter import spherical_subsets
-from coxinv.davis import nerve_complex
-from coxinv.elements import ReflectionRep
+from coxinv.elements import DEFAULT_MAX_SIMPLICES as CAP, Caps, ReflectionRep
 from coxinv.errors import DegenerateWeights, SchemaError
 from coxinv.growth import (_p1_deriv, _p1_exact_div, _p1_gcd, _p1_trim,
                            _sturm_chain, layer_class_counts)
@@ -322,7 +321,7 @@ def nerve_circle_by_degrees(M):
     """Nerve a triangulated circle, from vertex degrees, edge counts and
     Betti numbers: a 1-dimensional complex on at least three vertices with
     as many edges as vertices, every vertex of degree 2, and b = [1, 1]."""
-    N = nerve_complex(M)
+    N = SimplicialComplexQ([T for T in spherical_subsets(M) if T], CAP)
     if N.dim != 1:
         return False
     verts = N.k_faces(0)
@@ -495,7 +494,7 @@ def order_complex(elements, strictly_less, key=None):
                     nxt.append(ext)
                     faces.append(tuple(ids[i] for i in ext))
         chains = nxt
-    return SimplicialComplexQ(faces)
+    return SimplicialComplexQ(faces, CAP)
 
 
 @dataclass
@@ -509,7 +508,7 @@ class DavisChamber:
         faces = set()
         for s in T:
             faces.update(self.mirrors[s].faces())
-        return SimplicialComplexQ(faces)
+        return SimplicialComplexQ(faces, CAP)
 
 
 def davis_chamber(M):
@@ -521,7 +520,7 @@ def davis_chamber(M):
     mirrors = {}
     for s in range(M.rank):
         faces = [f for f in X.faces() if all(s in v for v in f)]
-        mirrors[s] = SimplicialComplexQ(faces)
+        mirrors[s] = SimplicialComplexQ(faces, CAP)
     return DavisChamber(M, X, tuple(sphericals), mirrors)
 
 
@@ -648,13 +647,13 @@ def _q_of(thickness, class_vector):
     return out
 
 
-def lp_pullback_partial_sums(M, thickness, p, radius, caps=None):
+def lp_pullback_partial_sums(M, thickness, p, radius):
     """Partial sums through each radius of sum_w q_w^(1-p): the p-th power
     of the pullback norm of the apartment's chamber indicator, radius by
     radius, from the Weyl class counts.  Exact Fractions for integer p,
     kernel maps for half-integer, floats otherwise."""
     p = Fraction(p)
-    counts, _src = layer_class_counts(M, radius, caps=caps)
+    counts, _src = layer_class_counts(M, radius, Caps())
     partials = []
     if p.denominator == 1:
         acc = Fraction(0)

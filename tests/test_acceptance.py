@@ -17,12 +17,12 @@ from fractions import Fraction
 
 import pytest
 
-from coxinv.building import (ThicknessVector, critical_exponents,
-                             oracle_battery)
+from coxinv.building import (ThicknessVector, building_ball,
+                             critical_exponents, oracle_battery)
 from coxinv.conformal import (AffineRank3, CommutingInfinitePair,
                               confdim_bounds, fuchsian_report,
                               moussong_hyperbolic)
-from coxinv.davis import is_type_PM, vcd_real
+from coxinv.elements import DEFAULT_MAX_SIMPLICES, Caps
 from coxinv.growth import (WeightVector, growth_rate, layer_class_counts,
                            rational_growth_series)
 from coxinv.homology import SimplicialComplexQ, pm_verdict
@@ -49,7 +49,7 @@ class TestCriterion01SeriesMatchesEnumeration:
         t0 = time.monotonic()
         series = rational_growth_series(System(M))
         expanded = series.expand(self.DEPTH)
-        counts, _src = layer_class_counts(M, self.DEPTH)
+        counts, _src = layer_class_counts(M, self.DEPTH, Caps())
         for k in range(self.DEPTH + 1):
             want = {}
             if k < len(counts):
@@ -95,15 +95,15 @@ class TestCriterion03PMVerdicts:
     distinction on a projective plane."""
 
     def test_circle_nerves_are_pm(self, triangle_333, pentagon):
-        assert is_type_PM(triangle_333).is_pm
-        assert is_type_PM(pentagon).is_pm
+        assert System(triangle_333).type_pm.is_pm
+        assert System(pentagon).type_pm.is_pm
 
     def test_path_nerve_is_not_pm(self, path_2edge):
-        assert not is_type_PM(path_2edge).is_pm
+        assert not System(path_2edge).type_pm.is_pm
 
     def test_projective_plane(self):
         # pseudomanifold yes, orientable no: no rational fundamental cycle
-        X = SimplicialComplexQ(RP2_FACES)
+        X = SimplicialComplexQ(RP2_FACES, DEFAULT_MAX_SIMPLICES)
         v = pm_verdict(X)
         assert v.is_pm
         assert v.pseudomanifold and v.purely_dimensional
@@ -136,9 +136,9 @@ class TestCriterion05Vcd:
     """vcd_R over all parabolic supports."""
 
     def test_values(self, dihedral_inf, triangle_333, pentagon):
-        assert vcd_real(dihedral_inf).value == 1
-        assert vcd_real(triangle_333).value == 2
-        assert vcd_real(pentagon).value == 2
+        assert System(dihedral_inf).vcd.value == 1
+        assert System(triangle_333).vcd.value == 2
+        assert System(pentagon).vcd.value == 2
 
 
 class TestCriterion07OracleBattery:
@@ -154,13 +154,13 @@ class TestCriterion07OracleBattery:
     def test_battery(self, pentagon, dihedral_inf):
         t0 = time.monotonic()
         q2p = ThicknessVector.constant(pentagon, 2)
-        out_p = oracle_battery(pentagon, q2p, 4, p_values=self.P_VALUES,
-                               chains=700, seed=2024)
+        out_p = oracle_battery(System(pentagon), q2p, 4,
+                               p_values=self.P_VALUES, chains=700, seed=2024)
         assert out_p["chambers"] == 2071
         assert out_p["sphere_sizes"] == [1, 10, 60, 320, 1680]
         q2d = ThicknessVector.constant(dihedral_inf, 2)
-        out_d = oracle_battery(dihedral_inf, q2d, 6, p_values=self.P_VALUES,
-                               chains=300, seed=2024)
+        out_d = oracle_battery(System(dihedral_inf), q2d, 6,
+                               p_values=self.P_VALUES, chains=300, seed=2024)
         assert out_d["chambers"] == 253
         assert out_d["sphere_sizes"] == [1, 4, 8, 16, 32, 64, 128]
         for out in (out_p, out_d):
@@ -171,8 +171,8 @@ class TestCriterion07OracleBattery:
         assert time.monotonic() - t0 < self.TIME_LIMIT
 
     def test_sphere_sizes_are_weighted_spheres(self, pentagon):
-        from coxinv.building import building_ball
-        ball = building_ball(pentagon, ThicknessVector.constant(pentagon, 2), 3)
+        ball = building_ball(System(pentagon),
+                             ThicknessVector.constant(pentagon, 2), 3)
         for k, n in enumerate(ball.sphere_sizes()):
             assert n == sum(2 ** len(w) for w in ball.fibers if len(w) == k)
 

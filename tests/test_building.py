@@ -34,17 +34,20 @@ from .oracles import iterative_gate, lp_pullback_partial_sums
 
 @pytest.fixture(scope="module")
 def pent_ball(pentagon):
-    return building_ball(pentagon, ThicknessVector.constant(pentagon, 2), 4)
+    return building_ball(System(pentagon),
+                         ThicknessVector.constant(pentagon, 2), 4)
 
 
 @pytest.fixture(scope="module")
 def pent_apartment(pentagon):
-    return building_ball(pentagon, ThicknessVector.constant(pentagon, 1), 4)
+    return building_ball(System(pentagon),
+                         ThicknessVector.constant(pentagon, 1), 4)
 
 
 @pytest.fixture(scope="module")
 def dihedral_ball(dihedral_inf):
-    return building_ball(dihedral_inf, ThicknessVector.constant(dihedral_inf, 2), 6)
+    return building_ball(System(dihedral_inf),
+                         ThicknessVector.constant(dihedral_inf, 2), 6)
 
 
 class TestThicknessVector:
@@ -91,7 +94,8 @@ class TestChamberCounts:
         assert pent_apartment.sphere_sizes() == [1, 5, 15, 40, 105]
 
     def test_mixed_thickness(self, pentagon):
-        b = building_ball(pentagon, ThicknessVector(pentagon, [2, 3, 2, 2, 2]), 3)
+        b = building_ball(System(pentagon),
+                          ThicknessVector(pentagon, [2, 3, 2, 2, 2]), 3)
         # sphere k = sum over words of prod q_s^(multiplicity)
         expect = [1]
         for k in (1, 2, 3):
@@ -107,7 +111,8 @@ class TestChamberCounts:
 
     def test_not_right_angled(self, triangle_333):
         with pytest.raises(NotRightAngled):
-            building_ball(triangle_333, ThicknessVector.constant(triangle_333, 2), 2)
+            building_ball(System(triangle_333),
+                          ThicknessVector.constant(triangle_333, 2), 2)
 
 
 class TestWordsAndGates:
@@ -299,7 +304,8 @@ PIN_DRAWS = {
 
 @pytest.fixture(scope="module")
 def tree_ball(dihedral_inf):
-    return building_ball(dihedral_inf, ThicknessVector.constant(dihedral_inf, 3), 8)
+    return building_ball(System(dihedral_inf),
+                         ThicknessVector.constant(dihedral_inf, 3), 8)
 
 
 def _draw_digest(ball):
@@ -315,12 +321,13 @@ def _draw_digest(ball):
 
 class TestBatteryPins:
     def test_pentagon_battery(self, pentagon):
-        out = oracle_battery(pentagon, ThicknessVector.constant(pentagon, 2), 4,
+        out = oracle_battery(System(pentagon),
+                             ThicknessVector.constant(pentagon, 2), 4,
                              chains=20, seed=0)
         assert out == PIN_PENTAGON_Q2_R4
 
     def test_dihedral_battery(self, dihedral_inf):
-        out = oracle_battery(dihedral_inf,
+        out = oracle_battery(System(dihedral_inf),
                              ThicknessVector.constant(dihedral_inf, 3), 8,
                              chains=10, seed=0)
         assert out == PIN_DIHEDRAL_Q3_R8
@@ -355,7 +362,7 @@ class TestOnePassGate:
         assert _check_gates(pent_ball) == 2071 * 32
 
     def test_tree_every_chamber_and_subset(self, dihedral_inf):
-        ball = building_ball(dihedral_inf,
+        ball = building_ball(System(dihedral_inf),
                              ThicknessVector.constant(dihedral_inf, 3), 7)
         assert _check_gates(ball) == 6559 * 4
 
@@ -486,7 +493,8 @@ class TestGroupedPowerSums:
 
 @pytest.fixture(scope="module")
 def tree_apartment(dihedral_inf):
-    return building_ball(dihedral_inf, ThicknessVector.constant(dihedral_inf, 1), 8)
+    return building_ball(System(dihedral_inf),
+                         ThicknessVector.constant(dihedral_inf, 1), 8)
 
 
 class TestIrrationalExponentVerdicts:
@@ -545,7 +553,7 @@ class TestSampler:
         assert _pretest_rejections(pent_ball) == (83950, 41 * (320 + 1680))
 
     def test_pretest_exact_on_tree(self, dihedral_inf):
-        ball = building_ball(dihedral_inf,
+        ball = building_ball(System(dihedral_inf),
                              ThicknessVector.constant(dihedral_inf, 3), 7)
         assert len(_nested_chains(ball, 3)) == 5
         assert _pretest_rejections(ball) == (30132, 5 * (1458 + 4374))
@@ -586,7 +594,8 @@ class TestSampler:
             filled.append((count, len(out)))
             return out
         monkeypatch.setattr(building_mod, "random_simplices", recorded)
-        oracle_battery(pentagon, ThicknessVector.constant(pentagon, 2), 4,
+        oracle_battery(System(pentagon),
+                       ThicknessVector.constant(pentagon, 2), 4,
                        chains=100, seed=0)
         # 304,872 and 500 when every draw reached make_simplex and theta
         # was rebuilt for each p; 10,792 make_simplex calls for 2,924
@@ -619,7 +628,7 @@ class TestTopDimensionalSimplices:
             dims.append(sx.dim)
             return sx
         monkeypatch.setattr(building_mod, "make_simplex", recorded)
-        out = oracle_battery(dinf_cubed,
+        out = oracle_battery(System(dinf_cubed),
                              ThicknessVector.constant(dinf_cubed, 2), 5,
                              chains=100, seed=0)
         assert max(dims) == 3
@@ -628,9 +637,9 @@ class TestTopDimensionalSimplices:
     def test_identities_on_3_chains(self, dinf_cubed):
         # a 3-simplex needs its gate within radius - 5 of the identity, so
         # every full flag over every chamber of length <= 1 is used
-        ball = building_ball(dinf_cubed,
+        ball = building_ball(System(dinf_cubed),
                              ThicknessVector.constant(dinf_cubed, 2), 6)
-        apartment = building_ball(dinf_cubed,
+        apartment = building_ball(System(dinf_cubed),
                                   ThicknessVector.constant(dinf_cubed, 1), 6)
         # every chain () < {x} < {x, y} < {x, y, z}
         flags = [((),) + tuple(tuple(sorted(order[:k])) for k in (1, 2, 3))

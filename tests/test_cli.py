@@ -361,6 +361,21 @@ class TestExitCodes:
         self._refused("report", "--input", inputs["pentagon"],
                       "--p-grid", ",")
 
+    @pytest.mark.parametrize("command, grid", [("report", "1e400"),
+                                               ("confdim", "2,1e400")])
+    def test_p_beyond_float_range(self, inputs, command, grid):
+        # used to exit 1 with an OverflowError traceback from float(p)
+        proc = self._refused(command, "--input", inputs["pentagon"],
+                             "--p-grid", grid)
+        assert "every p must be a finite float" in proc.stderr
+
+    @pytest.mark.parametrize("radius", ["0", "1"])
+    def test_growth_radius_too_small_to_fit(self, inputs, radius):
+        # radius 0 used to exit 0 and silently leave the fit out
+        proc = self._refused("growth", "--input", inputs["pentagon"],
+                             "--radius", radius)
+        assert "too few complete counting points to fit" in proc.stderr
+
     @pytest.mark.parametrize("command, var, value, message", [
         ("classify", "COXINV_MAX_ELEMENTS", "abc",
          "COXINV_MAX_ELEMENTS must be an integer, got 'abc'"),

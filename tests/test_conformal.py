@@ -68,7 +68,7 @@ class TestNerveCircle:
         assert not is_nerve_circle(System(path_2edge))
         assert not is_nerve_circle(System(free_product_3))
 
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_agrees_with_degree_count(self, data):
         n = data.draw(st.integers(1, 7))

@@ -1,9 +1,12 @@
 import math
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from coxinv.davis import is_type_PM, nerve_complex, vcd_real
+from coxinv.elements import Caps
+from coxinv.errors import ResourceExceeded
 from coxinv.homology import betti_numbers
+from coxinv.system import System
 
 from .conftest import mat
 from .oracles import (davis_chamber, is_cone, vcd_by_davis_chamber,
@@ -14,26 +17,36 @@ from .oracles import (davis_chamber, is_cone, vcd_by_davis_chamber,
 # nerve
 
 def test_nerve_pentagon_is_circle(pentagon):
-    N = nerve_complex(pentagon)
+    N = System(pentagon).nerve
     assert N.dim == 1
     assert len(N.k_faces(0)) == 5 and len(N.k_faces(1)) == 5
     assert betti_numbers(N) == [1, 1]
 
 
 def test_nerve_333_is_circle(triangle_333):
-    N = nerve_complex(triangle_333)
+    N = System(triangle_333).nerve
     assert betti_numbers(N) == [1, 1]
     assert N.dim == 1
 
 
 def test_nerve_path(path_2edge):
-    N = nerve_complex(path_2edge)
+    N = System(path_2edge).nerve
     assert N.dim == 1
     assert betti_numbers(N) == [1, 0]
 
 
+def test_system_simplex_cap_bounds_nerve_and_vcd(pentagon):
+    # the pentagon's nerve holds 10 simplices and its full subcomplex on
+    # three consecutive generators 5: the System's caps refuse both
+    system = System(pentagon, caps=Caps(2_000_000, 3))
+    with pytest.raises(ResourceExceeded, match="exceeds 3 simplices"):
+        system.nerve
+    with pytest.raises(ResourceExceeded, match="exceeds 3 simplices"):
+        system.vcd
+
+
 def test_nerve_finite_is_simplex(a2):
-    N = nerve_complex(a2)
+    N = System(a2).nerve
     assert N.dim == 1
     assert len(N.k_faces(1)) == 1
     assert is_cone(N)
@@ -73,41 +86,41 @@ def test_mirror_union_empty(pentagon):
 
 def test_vcd_finite_zero(a2):
     # only the empty T has a degree: the one spherical witness
-    r = vcd_real(a2)
+    r = System(a2).vcd
     assert r.value == 0
     assert [(w.subset, w.degree) for w in r.witnesses] == [((), 0)]
 
 
 def test_vcd_dihedral(dihedral_inf):
-    r = vcd_real(dihedral_inf)
+    r = System(dihedral_inf).vcd
     assert r.value == 1
     # only T = S realizes degree 1, and it is not spherical
     assert [(w.subset, w.degree) for w in r.witnesses] == [((0, 1), 1)]
 
 
 def test_vcd_333(triangle_333):
-    r = vcd_real(triangle_333)
+    r = System(triangle_333).vcd
     assert r.value == 2
     assert any(w.subset == (0, 1, 2) for w in r.witnesses)
 
 
 def test_vcd_pentagon(pentagon):
-    r = vcd_real(pentagon)
+    r = System(pentagon).vcd
     assert r.value == 2
     assert any(w.subset == (0, 1, 2, 3, 4) for w in r.witnesses)
 
 
 def test_vcd_path(path_2edge):
-    r = vcd_real(path_2edge)
+    r = System(path_2edge).vcd
     assert r.value == 1
 
 
 def test_vcd_square_product(square_product):
-    r = vcd_real(square_product)
+    r = System(square_product).vcd
     assert r.value == 2
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_vcd_nerve_route_matches_davis_chamber(data):
     """The full subcomplexes of the nerve give the relative homology of
@@ -124,7 +137,7 @@ def test_vcd_nerve_route_matches_davis_chamber(data):
     # the oracle ranks dense matrices by Bareiss elimination, cubic in
     # the chamber size: 200 simplices take about a second
     assume(len(davis_chamber(M).complex) <= 200)
-    r = vcd_real(M)
+    r = System(M).vcd
     value, spherical_value, witnesses = vcd_by_davis_chamber(M)
     assert r.value == value
     assert [(w.subset, w.degree) for w in r.witnesses] == \
@@ -137,6 +150,6 @@ def test_vcd_nerve_route_matches_davis_chamber(data):
 # nerve pseudomanifold verdicts
 
 def test_pm_verdicts(pentagon, triangle_333, path_2edge):
-    assert is_type_PM(pentagon).is_pm
-    assert is_type_PM(triangle_333).is_pm
-    assert not is_type_PM(path_2edge).is_pm
+    assert System(pentagon).type_pm.is_pm
+    assert System(triangle_333).type_pm.is_pm
+    assert not System(path_2edge).type_pm.is_pm

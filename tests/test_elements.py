@@ -41,25 +41,25 @@ FINITE_DEGREES = {
 
 
 def test_dihedral_layers(dihedral_inf):
-    ball = ball_enumerate(dihedral_inf, 5)
+    ball = ball_enumerate(dihedral_inf, 5, Caps())
     assert layer_sizes(ball) == [1, 2, 2, 2, 2, 2]
     assert not ball.group_exhausted
 
 
 def test_a2_exhausts(a2):
-    ball = ball_enumerate(a2, 10)
+    ball = ball_enumerate(a2, 10, Caps())
     assert layer_sizes(ball) == [1, 2, 2, 1]
     assert ball.group_exhausted
 
 
 def test_pentagon_layers(pentagon):
-    ball = ball_enumerate(pentagon, 12)
+    ball = ball_enumerate(pentagon, 12, Caps())
     assert layer_sizes(ball) == PENTAGON_LAYERS
 
 
 def test_h3_exhausts_at_120():
     h3 = mat([[1, 5, 2], [5, 1, 3], [2, 3, 1]])
-    ball = ball_enumerate(h3, 64)
+    ball = ball_enumerate(h3, 64, Caps())
     assert ball.group_exhausted
     assert sum(layer_sizes(ball)) == 120
     assert max(k for k, n in enumerate(layer_sizes(ball)) if n) == 15
@@ -70,7 +70,7 @@ def test_matrix_backend_matches_degree_product(name):
     rows, degrees = FINITE_DEGREES[name]
     want = degree_product(degrees)
     # one layer past the longest element, so that expansion empties
-    ball = ball_enumerate(mat(rows), len(want), backend="matrix")
+    ball = ball_enumerate(mat(rows), len(want), Caps(), backend="matrix")
     assert ball.group_exhausted
     assert layer_sizes(ball) == want
 
@@ -83,7 +83,8 @@ def test_matrix_coordinates_are_ints(triangle_732):
         frontier = {rep.apply_gen(m, s) for m in frontier
                     for s in range(3)} - ball
         ball |= frontier
-    assert len(ball) == sum(layer_sizes(ball_enumerate(triangle_732, 8)))
+    assert len(ball) == sum(layer_sizes(
+        ball_enumerate(triangle_732, 8, Caps())))
     assert word_matrix(rep, [0, 1, 2, 1, 0, 1, 2, 1]) in ball
     cells = [x for m in ball for col in m for cell in col for x in cell]
     # 3x3 matrices over Q(2cos pi/42), which has degree 12
@@ -93,12 +94,12 @@ def test_matrix_coordinates_are_ints(triangle_732):
 
 def test_unknown_backend_rejected(pentagon):
     with pytest.raises(ValueError):
-        ball_enumerate(pentagon, 2, backend="words")
+        ball_enumerate(pentagon, 2, Caps(), backend="words")
 
 
 def test_backends_agree(pentagon):
-    w = ball_enumerate(pentagon, 7, backend="word")
-    m = ball_enumerate(pentagon, 7, backend="matrix")
+    w = ball_enumerate(pentagon, 7, Caps(), backend="word")
+    m = ball_enumerate(pentagon, 7, Caps(), backend="matrix")
     assert layer_sizes(w) == layer_sizes(m) == PENTAGON_LAYERS[:8]
     assert w.class_counts() == m.class_counts()
 
@@ -127,7 +128,7 @@ def _random_right_angled(data, low, high):
     return mat(rows)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_word_children_match_reference(data):
     """On random words of random right-angled systems, the one-scan
@@ -153,8 +154,8 @@ def test_word_children_match_reference(data):
 
 def test_recurrence_matches_bfs(pentagon, square_product):
     for M in (pentagon, square_product):
-        ball = ball_enumerate(M, 9)
-        rec = racg_layer_counts(M, 9)
+        ball = ball_enumerate(M, 9, Caps())
+        rec = racg_layer_counts(M, 9, Caps())
         assert rec == ball.class_counts()
         assert [sum(d.values()) for d in rec] == layer_sizes(ball)
 
@@ -174,7 +175,7 @@ def test_word_enumeration_work(monkeypatch, pentagon):
     for all generators."""
     import coxinv.elements as E
     calls = _count_calls(monkeypatch, E, ("word_children",))
-    ball_enumerate(pentagon, 10)
+    ball_enumerate(pentagon, 10, Caps())
     assert calls["word_children"] == sum(PENTAGON_LAYERS[:10]) == 20_901
 
 
@@ -182,7 +183,7 @@ def test_matrix_enumeration_work(monkeypatch, triangle_732):
     """The same for matrices: one descent test per element and
     generator."""
     calls = _count_calls(monkeypatch, ReflectionRep, ("is_descent",))
-    ball = ball_enumerate(triangle_732, 8)
+    ball = ball_enumerate(triangle_732, 8, Caps())
     assert calls == {"is_descent": 3 * sum(layer_sizes(ball)[:8])}
 
 
@@ -278,9 +279,9 @@ def test_class_vector_path_independent(data):
     products and through the descent-set recurrence give the same
     per-class counts on random right-angled systems."""
     M = _random_right_angled(data, 3, 5)
-    w = ball_enumerate(M, 5, backend="word")
-    m = ball_enumerate(M, 5, backend="matrix")
-    rec = racg_layer_counts(M, 5)
+    w = ball_enumerate(M, 5, Caps(), backend="word")
+    m = ball_enumerate(M, 5, Caps(), backend="matrix")
+    rec = racg_layer_counts(M, 5, Caps())
     # a finite group exhausts early; the recurrence then counts zeros
     k = len(w.layers)
     assert w.class_counts() == m.class_counts() == rec[:k]

@@ -69,7 +69,7 @@ def test_multivariate_expansion_matches_counts(dihedral_inf, square_product):
     for M in (dihedral_inf, square_product):
         s = rational_growth_series(System(M))
         expanded = s.expand(8)
-        ball = ball_enumerate(M, 8)
+        ball = ball_enumerate(M, 8, Caps())
         counts = ball.class_counts()
         for k in range(9):
             want = {cv: Fraction(n) for cv, n in counts[k].items()}
@@ -143,7 +143,7 @@ def test_series_predicts_counts_past_validation_depth(name, request):
     assert s.validated_depth == DEFAULT_VALIDATION_DEPTH
     depth = DEFAULT_VALIDATION_DEPTH + 2
     expanded = s.expand(depth)
-    counts = ball_enumerate(M, depth).class_counts()
+    counts = ball_enumerate(M, depth, Caps()).class_counts()
     for k in range(DEFAULT_VALIDATION_DEPTH + 1, depth + 1):
         assert expanded[k] == counts[k]
 
@@ -272,7 +272,7 @@ def test_smallest_positive_root_matches_fraction_reference(poly, hi):
     assert smallest_positive_root(poly, hi) == reference_root(poly, hi)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_smallest_positive_root_matches_reference_on_random_polys(data):
     """Integer Sturm signs against Fraction evaluation, on random integer
@@ -498,7 +498,7 @@ def test_weighted_rate_monotone_in_weights(free_rank3, free_rank3_system,
     assert e2.value <= e1.value + 1e-6
 
 
-@settings(max_examples=20, deadline=None, derandomize=True)
+@settings(max_examples=20, deadline=None)
 @given(st.data())
 def test_univariate_is_lowest_terms_and_predicts_bfs(data):
     """On random infinite systems of rank <= 4, univariate() is coprime and
@@ -555,7 +555,7 @@ def _glue(a, b, label):
             + [[label] * na + row for row in b])
 
 
-@settings(max_examples=50, deadline=None, derandomize=True)
+@settings(max_examples=50, deadline=None)
 @given(st.data())
 def test_lcm_series_against_distinct_products_and_chiswell(data):
     """Random systems A and B of rank <= 4 with labels in

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coxinv.elements import DEFAULT_MAX_SIMPLICES as CAP
 from coxinv.errors import ResourceExceeded, SchemaError
 from coxinv.homology import (SimplicialComplexQ, betti_numbers, pm_verdict,
                              rank_fraction)
@@ -24,7 +25,7 @@ MOBIUS_FACES = [(0, 1, 2), (1, 2, 3), (2, 3, 4), (0, 3, 4), (0, 1, 4)]
 
 
 def test_closure():
-    X = SimplicialComplexQ([(1, 2, 3)])
+    X = SimplicialComplexQ([(1, 2, 3)], CAP)
     assert len(X) == 7
     assert (1, 3) in X and (2,) in X
     assert X.dim == 2
@@ -37,34 +38,35 @@ def test_max_simplices_cap():
 
 def test_boundary_squares_to_zero():
     for faces in (RP2_FACES, S2_FACES, MOBIUS_FACES):
-        assert verify_boundary_squares_to_zero(SimplicialComplexQ(faces))
+        assert verify_boundary_squares_to_zero(
+            SimplicialComplexQ(faces, CAP))
 
 
 def test_betti_sphere():
-    assert betti_numbers(SimplicialComplexQ(S2_FACES)) == [1, 0, 1]
+    assert betti_numbers(SimplicialComplexQ(S2_FACES, CAP)) == [1, 0, 1]
 
 
 def test_betti_circle():
-    assert betti_numbers(SimplicialComplexQ(CIRCLE_FACES)) == [1, 1]
+    assert betti_numbers(SimplicialComplexQ(CIRCLE_FACES, CAP)) == [1, 1]
 
 
 def test_betti_rp2_rational():
     # over Q the projective plane is a homology point
-    assert betti_numbers(SimplicialComplexQ(RP2_FACES)) == [1, 0, 0]
+    assert betti_numbers(SimplicialComplexQ(RP2_FACES, CAP)) == [1, 0, 0]
 
 
 def test_betti_mobius():
-    assert betti_numbers(SimplicialComplexQ(MOBIUS_FACES)) == [1, 1, 0]
+    assert betti_numbers(SimplicialComplexQ(MOBIUS_FACES, CAP)) == [1, 1, 0]
 
 
 def test_betti_disc_cone():
-    X = SimplicialComplexQ([(0, 1, 2), (0, 2, 3), (0, 1, 3)])
+    X = SimplicialComplexQ([(0, 1, 2), (0, 2, 3), (0, 1, 3)], CAP)
     assert is_cone(X)
     assert betti_numbers(X) == [1, 0, 0]
 
 
 def test_reduced_betti():
-    X = SimplicialComplexQ([(1,), (2,), (3, 4)])
+    X = SimplicialComplexQ([(1,), (2,), (3, 4)], CAP)
     assert betti_numbers(X) == [3, 0]
     assert betti_numbers(X, reduced=True) == [2, 0]
 
@@ -73,36 +75,36 @@ def test_reduced_betti():
 
 def test_relative_betti_disc_boundary():
     # (D^2, S^1): H_2 = Q, H_1 = 0, H_0 = 0
-    disc = SimplicialComplexQ([(0, 1, 2), (0, 2, 3), (0, 1, 3)])
-    boundary = SimplicialComplexQ([(1, 2), (2, 3), (1, 3)])
+    disc = SimplicialComplexQ([(0, 1, 2), (0, 2, 3), (0, 1, 3)], CAP)
+    boundary = SimplicialComplexQ([(1, 2), (2, 3), (1, 3)], CAP)
     assert relative_betti_numbers(disc, boundary) == [0, 0, 1]
 
 
 def test_relative_betti_pair_interval():
     # ([0,1], {0,1}): H_1 = Q
-    interval = SimplicialComplexQ([(0, 1)])
-    ends = SimplicialComplexQ([(0,), (1,)])
+    interval = SimplicialComplexQ([(0, 1)], CAP)
+    ends = SimplicialComplexQ([(0,), (1,)], CAP)
     assert relative_betti_numbers(interval, ends) == [0, 1]
 
 
 def test_relative_requires_subcomplex():
-    X = SimplicialComplexQ([(0, 1)])
-    A = SimplicialComplexQ([(5,)])
+    X = SimplicialComplexQ([(0, 1)], CAP)
+    A = SimplicialComplexQ([(5,)], CAP)
     with pytest.raises(SchemaError):
         relative_betti_numbers(X, A)
 
 
 def test_euler_characteristics():
-    assert SimplicialComplexQ(RP2_FACES).euler_characteristic() == 1
-    assert SimplicialComplexQ(S2_FACES).euler_characteristic() == 2
-    assert SimplicialComplexQ(CIRCLE_FACES).euler_characteristic() == 0
+    assert SimplicialComplexQ(RP2_FACES, CAP).euler_characteristic() == 1
+    assert SimplicialComplexQ(S2_FACES, CAP).euler_characteristic() == 2
+    assert SimplicialComplexQ(CIRCLE_FACES, CAP).euler_characteristic() == 0
 
 
 # ---------------------------------------------------------------------------
 # pseudomanifold verdicts
 
 def test_rp2_each_edge_in_two_triangles():
-    X = SimplicialComplexQ(RP2_FACES)
+    X = SimplicialComplexQ(RP2_FACES, CAP)
     assert len(X.k_faces(1)) == 15
     count = {}
     for f in RP2_FACES:
@@ -112,7 +114,7 @@ def test_rp2_each_edge_in_two_triangles():
 
 
 def test_pm_sphere_orientable():
-    v = pm_verdict(SimplicialComplexQ(S2_FACES))
+    v = pm_verdict(SimplicialComplexQ(S2_FACES, CAP))
     assert v.purely_dimensional and v.pseudomanifold and v.gallery_connected
     assert v.orientable is True
     assert v.fundamental_cycle is not None
@@ -120,41 +122,41 @@ def test_pm_sphere_orientable():
 
 
 def test_pm_rp2_not_orientable():
-    v = pm_verdict(SimplicialComplexQ(RP2_FACES))
+    v = pm_verdict(SimplicialComplexQ(RP2_FACES, CAP))
     assert v.pseudomanifold and v.gallery_connected
     assert v.orientable is False
     assert v.fundamental_cycle is None
 
 
 def test_pm_mobius_not_pseudomanifold():
-    v = pm_verdict(SimplicialComplexQ(MOBIUS_FACES))
+    v = pm_verdict(SimplicialComplexQ(MOBIUS_FACES, CAP))
     assert v.purely_dimensional
     assert not v.pseudomanifold          # boundary edges live in one triangle
     assert v.orientable is None
 
 
 def test_pm_circle():
-    v = pm_verdict(SimplicialComplexQ(CIRCLE_FACES))
+    v = pm_verdict(SimplicialComplexQ(CIRCLE_FACES, CAP))
     assert v.pseudomanifold and v.gallery_connected and v.orientable
 
 
 def test_pm_zero_dim_two_points():
-    v = pm_verdict(SimplicialComplexQ([(1,), (2,)]))
+    v = pm_verdict(SimplicialComplexQ([(1,), (2,)], CAP))
     assert v.pseudomanifold and v.orientable
     assert sorted(v.fundamental_cycle.values()) == [-1, 1]
-    v3 = pm_verdict(SimplicialComplexQ([(1,), (2,), (3,)]))
+    v3 = pm_verdict(SimplicialComplexQ([(1,), (2,), (3,)], CAP))
     assert not v3.pseudomanifold
 
 
 def test_pm_not_purely_dimensional():
-    X = SimplicialComplexQ([(1, 2, 3), (3, 4)])
+    X = SimplicialComplexQ([(1, 2, 3), (3, 4)], CAP)
     v = pm_verdict(X)
     assert not v.purely_dimensional and not v.pseudomanifold
 
 
 def test_pm_wedge_not_gallery_connected():
     # two triangles sharing only a vertex: pure, every edge in one face
-    X = SimplicialComplexQ([(0, 1, 2), (2, 3, 4)])
+    X = SimplicialComplexQ([(0, 1, 2), (2, 3, 4)], CAP)
     v = pm_verdict(X)
     assert v.purely_dimensional
     assert not v.pseudomanifold
@@ -217,7 +219,7 @@ def test_euler_equals_alternating_betti_sum(data):
     faces = [tuple(sorted(data.draw(
         st.sets(st.sampled_from(verts), min_size=1, max_size=4))))
         for _ in range(nfaces)]
-    X = SimplicialComplexQ(faces)
+    X = SimplicialComplexQ(faces, CAP)
     b = betti_numbers(X)
     chi = sum((-1) ** k * v for k, v in enumerate(b))
     assert chi == X.euler_characteristic()
