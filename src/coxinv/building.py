@@ -427,9 +427,13 @@ def _abs_counts(values):
 
 def lp_power_sum(values, p):
     """Sum of |v|^p as {squarefree kernel: rational coefficient}, for
-    integer or half-integer p; None when p is neither.  Each distinct |v|
-    is raised to the power once."""
+    integer or half-integer p whose numerator is at most 1000; None for
+    any other p, which the caller compares by certified intervals (an
+    exact power of huge p need never finish).  Each distinct |v| is
+    raised to the power once."""
     p = Fraction(p)
+    if p.numerator > 1000:
+        return None
     out = {}
     if p.denominator == 1:
         e = int(p)

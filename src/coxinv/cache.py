@@ -4,12 +4,11 @@ Ball enumeration dominates every expensive pipeline, so its per-length
 class counts are cached keyed by (matrix digest, radius).  The file is
 append-only: a deeper enumeration appends a new record rather than
 rewriting, and a lookup takes the deepest record that reaches the radius
-(an exhausted finite group reaches every radius) and slices it.  A record
-stores counts only, not how they were obtained: the source tag of a hit
-is derived from its exact ball sizes and the caps in force
-(growth.counting_route), so a hit carries the tag a cold run would print,
-and raises the cold run's ResourceExceeded when the caps refuse it.  A
-warm cache therefore never lifts a cap.
+(an exhausted finite group reaches every radius) and slices it.  The
+cache is storage only.  A record holds counts, not how they were
+obtained: System.layer_counts derives the source tag of a hit and of a
+fresh run alike from the exact ball sizes and the caps in force, so a
+warm cache never lifts a cap.
 Each record carries the sha256 of its canonical layers.  Records that
 fail to parse, carry an unknown version, are structurally wrong or fail
 their hash are skipped silently; a truncated tail (interrupted write) or
@@ -20,9 +19,6 @@ import hashlib
 import json
 import os
 from pathlib import Path
-
-from . import growth
-from .elements import check_layer_width
 
 CACHE_VERSION = 2
 CACHE_FILENAME = "layers.jsonl"
@@ -106,23 +102,3 @@ def store_layers(cache_dir, digest, radius, layers):
         rec["exhausted"] = True
     with open(cache_file(cache_dir), "a") as fh:
         fh.write(json.dumps(rec, sort_keys=True) + "\n")
-
-
-def cached_layer_counts(M, radius, caps, cache_dir=None):
-    """layer_class_counts with a transparent disk cache.
-
-    A hit is tagged by counting_route under the caps in force, so it gives
-    what a cold run gives: the same layers and source tag, or the same
-    ResourceExceeded, and downstream reports are bit-identical whether or
-    not the cache was warm.
-    """
-    digest = M.digest()
-    hit = load_layers(cache_dir, digest, radius)
-    if hit is not None:
-        route = growth.counting_route(M, growth.ball_sizes(hit), caps)
-        for k, layer in enumerate(hit):
-            check_layer_width(layer, k, caps)
-        return hit, route
-    layers, source = growth.layer_class_counts(M, radius, caps=caps)
-    store_layers(cache_dir, digest, radius, layers)
-    return layers, source

@@ -152,8 +152,7 @@ def cmd_nerve(system, thickness, weights, args):
 
 
 def cmd_growth(system, thickness, weights, args):
-    if weights is None:
-        weights = thickness
+    weights = thickness if weights is None else weights
     out = {"series": _series_json(system.series)}
     w_arg = None if weights is None or weights.all_one() else weights
     rate = system.rate(w_arg)
@@ -198,18 +197,16 @@ def cmd_confdim(system, thickness, weights, args):
 
 
 def cmd_verify_oracle(system, thickness, weights, args):
-    thickness = _require_thickness(thickness)
-    radius = 4 if args.radius is None else args.radius
-    return oracle_battery(system, thickness, radius,
-                          p_values=tuple(args.p_grid), chains=args.chains,
+    return oracle_battery(system, _require_thickness(thickness), args.radius,
+                          p_values=args.p_grid, chains=args.chains,
                           seed=args.seed)
 
 
 def cmd_report(system, thickness, weights, args):
     return build_report(system, thickness=thickness, weights=weights,
-                        depth=args.depth, radius=args.radius, lam=args.lam,
+                        depth=args.depth, lam=args.lam,
                         apartment_confdim=args.apartment_confdim,
-                        p_grid=args.p_grid, timings=args.timings)
+                        timings=args.timings)
 
 
 # ---------------------------------------------------------------------------
@@ -260,39 +257,42 @@ def build_parser():
         description="Exact invariants of Coxeter systems and their "
                     "right-angled buildings.")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
+    parsers = {name: sub.add_parser(name) for name in COMMANDS}
+    for p in parsers.values():
         p.add_argument("--input", required=True, help="system JSON file")
-        p.add_argument("--depth", type=_int_option(0, "depth"), default=8,
-                       help="enumeration depth for counting data")
-        p.add_argument("--radius", type=_int_option(0, "radius"),
-                       default=None,
-                       help="ball radius (buildings, enumeration fits)")
-        p.add_argument("--p-grid", type=_parse_p_grid,
-                       default=[Fraction(3, 2), Fraction(2), Fraction(3)],
-                       help="comma-separated exponents, e.g. 3/2,2,3")
-        p.add_argument("--lambda", dest="lam", default=None,
-                       type=_option_type(checked_lambda),
-                       help='visual parameter > 1, or "bourdon"')
-        p.add_argument("--apartment-confdim", default=None,
-                       type=_option_type(checked_apartment_confdim),
-                       help="known conformal dimension of the apartment "
-                            "boundary (lower-bound floor)")
-        p.add_argument("--format", choices=("text", "machine"),
-                       default="text")
-        p.add_argument("--cache-dir", default=os.environ.get("CACHE_DIR"),
-                       help="enumeration cache directory "
-                            "(default: $CACHE_DIR)")
-        p.add_argument("--max-elements", type=_int_option(1, "max-elements"),
-                       default=None,
-                       help="hard cap on enumerated elements")
-        p.add_argument("--chains", type=int, default=100,
-                       help="random chains for verify-oracle")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for verify-oracle chains")
-        p.add_argument("--timings", action="store_true",
-                       help="include wall-clock timings (report only; "
-                            "breaks bit-determinism)")
+        p.add_argument("--format", choices=("text", "machine"), default="text")
+        # main builds the caps and the System alike for every subcommand
+        p.set_defaults(max_elements=None, cache_dir=None)
+
+    def add(names, *flags, **kwargs):
+        for name in names.split():
+            parsers[name].add_argument(*flags, **kwargs)
+    add("growth exponents confdim verify-oracle report", "--max-elements",
+        type=_int_option(1, "max-elements"), help="cap on enumerated elements")
+    add("growth exponents confdim report", "--cache-dir",
+        default=os.environ.get("CACHE_DIR"),
+        help="enumeration cache directory (default: $CACHE_DIR)")
+    add("confdim report", "--lambda", dest="lam",
+        type=_option_type(checked_lambda),
+        help='visual parameter > 1, or "bourdon"')
+    add("confdim report", "--apartment-confdim",
+        type=_option_type(checked_apartment_confdim),
+        help="conformal dimension of the apartment boundary, if known")
+    for name, use in (("confdim", "vanishing table"),
+                      ("verify-oracle", "Jensen check")):
+        add(name, "--p-grid", type=_parse_p_grid,
+            default=[Fraction(3, 2), Fraction(2), Fraction(3)],
+            help=f"comma-separated exponents of the {use}, e.g. 3/2,2,3")
+    add("growth", "--radius", type=_int_option(0, "radius"),
+        help="also fit the enumeration route to this radius")
+    add("verify-oracle", "--radius", type=_int_option(0, "radius"),
+        default=4, help="radius of the building ball (default 4)")
+    add("verify-oracle", "--chains", type=int, default=100, help="chain count")
+    add("verify-oracle", "--seed", type=int, default=0, help="chain seed")
+    add("report", "--depth", type=_int_option(0, "depth"), default=8,
+        help="length of the layer sizes")
+    add("report", "--timings", action="store_true",
+        help="include wall-clock timings (breaks bit-determinism)")
     return ap
 
 

@@ -177,7 +177,7 @@ def confdim_bounds(system, thickness, lam=None, apartment_confdim=None):
                          lam_val, lam_prov, hausdim, fuch)
 
 
-def fuchsian_report(system, thickness, p_grid=(1.25, 1.5, 2.0, 3.0, 5.0)):
+def fuchsian_report(system, thickness, p_grid):
     """Degreewise l^p-cohomology vanishing for circle-nerve systems, as
     a list of (p, degree-1 verdict, degree-2 verdict).
 

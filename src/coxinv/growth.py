@@ -22,7 +22,7 @@ the denominator as the sum of c_w * w^-x over its monomials merged by w.
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from operator import add
@@ -239,10 +239,9 @@ def layer_class_counts(M, depth, caps):
     and to the validation depth on "recurrence"; the two must agree on
     the shared prefix.  Other systems are counted by BFS, which raises
     ResourceExceeded when the ball outgrows the caps.
-    Returns (counts, source) with source in {"bfs", "recurrence"}.
     """
     if not M.is_right_angled():
-        return ball_enumerate(M, depth, caps=caps).class_counts(), "bfs"
+        return ball_enumerate(M, depth, caps=caps).class_counts()
     route = counting_route(M, racg_ball_sizes(M, depth), caps)
     rec = racg_layer_counts(M, depth, caps=caps)
     bfs_depth = depth if route == "bfs" else DEFAULT_VALIDATION_DEPTH
@@ -252,7 +251,7 @@ def layer_class_counts(M, depth, caps):
             "descent recurrence disagrees with BFS class counts")
     # BFS layers stop at a finite group's longest element, which marks its
     # cache record exhausted; the recurrence counts zeros past it
-    return (bfs if route == "bfs" else rec), route
+    return bfs if route == "bfs" else rec
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +576,6 @@ class GrowthRateEstimate:
     uncertainty: float
     bracket: tuple              # (lo, hi) floats
     exact: bool = False
-    details: dict = dc_field(default_factory=dict)
 
     def contains(self, x):
         return self.bracket[0] - 1e-15 <= x <= self.bracket[1] + 1e-15
@@ -589,13 +587,13 @@ def _series_rate_constant_weight(series, logq):
     bracket = smallest_positive_root(series.univariate()[1], Fraction(1))
     if bracket is None:
         return GrowthRateEstimate(0.0, "SeriesSingularity", 0.0, (0.0, 0.0),
-                                  exact=True, details={"note": "no singularity in (0,1]"})
+                                  exact=True)
     lo, hi = bracket
     if lo == hi:
         r = lo
         if r == 1:
             return GrowthRateEstimate(0.0, "SeriesSingularity", 0.0, (0.0, 0.0),
-                                      exact=True, details={"radius": str(r)})
+                                      exact=True)
         e_lo = e_hi = -math.log(float(r))
     else:
         e_lo, e_hi = -math.log(float(hi)), -math.log(float(lo))
@@ -604,8 +602,7 @@ def _series_rate_constant_weight(series, logq):
         e_lo, e_hi, e_val = e_lo / logq, e_hi / logq, e_val / logq
     unc = (e_hi - e_lo) / 2
     return GrowthRateEstimate(e_val, "SeriesSingularity", unc, (e_lo, e_hi),
-                              exact=(lo == hi),
-                              details={"radius_bracket": (str(lo), str(hi))})
+                              exact=(lo == hi))
 
 
 def _p1_exact_div(a, b):
@@ -697,7 +694,7 @@ def _series_rate_curve(series, weights):
     if sum(den_curve.terms.values()) == 0:
         if sum(num_curve.terms.values()) != 0:
             return GrowthRateEstimate(0.0, "SeriesSingularity", 0.0, (0.0, 0.0),
-                                      exact=True, details={"root_at": 0.0})
+                                      exact=True)
     e_univ = _series_rate_constant_weight(series, None)
     logmin = math.log(float(min(weights.values)))
     xmax = Fraction(int((e_univ.bracket[1] / logmin + 1) * 100), 100) if logmin > 0 else Fraction(2)
@@ -726,14 +723,10 @@ def _series_rate_curve(series, weights):
             hi = mid
         else:
             lo = mid
-    num_sign = _iv_sign(num_curve, (lo + hi) / 2, max_prec=512)
-    details = {}
-    if num_sign == 0:
-        details["note"] = "numerator small at root; possible removable point"
     val = float((lo + hi) / 2)
     unc = float(hi - lo) / 2
     return GrowthRateEstimate(val, "SeriesSingularity", unc,
-                              (float(lo), float(hi)), details=details)
+                              (float(lo), float(hi)))
 
 
 def _solve_normal_equations(A, b):
@@ -809,8 +802,7 @@ def enumeration_fit(points):
     b1, se1 = _fit_window(pts, 0.5)
     b2, _ = _fit_window(pts, 0.25)
     unc = (0.0 if math.isnan(se1) else se1) + abs(b1 - b2)
-    return GrowthRateEstimate(b1, "EnumerationFit", unc, (b1 - unc, b1 + unc),
-                              details={"points": len(pts)})
+    return GrowthRateEstimate(b1, "EnumerationFit", unc, (b1 - unc, b1 + unc))
 
 
 def growth_rate(system, weights=None, method="series", radius=None):
@@ -836,7 +828,7 @@ def growth_rate(system, weights=None, method="series", radius=None):
     if method == "series":
         if cls.is_finite():
             return GrowthRateEstimate(0.0, "SeriesSingularity", 0.0, (0.0, 0.0),
-                                      exact=True, details={"finite": True})
+                                      exact=True)
         if weights is not None and not weights.is_constant():
             return _series_rate_curve(system.series, weights)
         logq = None if weights is None else math.log(float(weights.values[0]))

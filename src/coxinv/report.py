@@ -31,7 +31,9 @@ from .growth import PolyQ, WeightVector, classify_convergence
 # 3: no "bestvina" section, whose (F0, S0) pair nothing read, and no
 # vcd.spherical_value or witness "spherical" flag: the spherical maximum
 # is 0 on every system, and a witness is spherical exactly when vcd is 0
-SCHEMA_VERSION = 3
+# 4: "parameters" holds only the depth; the radius and p grid it echoed
+# changed no number of the report
+SCHEMA_VERSION = 4
 INF_TOKEN = "Infinity"
 NEG_INF_TOKEN = "-Infinity"
 
@@ -166,9 +168,8 @@ def _witness_json(w):
 # ---------------------------------------------------------------------------
 # assembly
 
-def build_report(system, thickness=None, weights=None, depth=8, radius=None,
-                 lam=None, apartment_confdim=None, p_grid=(1.5, 2.0, 3.0),
-                 timings=False):
+def build_report(system, thickness=None, weights=None, depth=8, lam=None,
+                 apartment_confdim=None, timings=False):
     """Full invariant report for one System.
 
     thickness: ThicknessVector or None (no building sections).
@@ -203,11 +204,7 @@ def build_report(system, thickness=None, weights=None, depth=8, radius=None,
             "finite": cls.is_finite(),
             "order": order,
         },
-        "parameters": {
-            "depth": depth,
-            "radius": radius,
-            "p_grid": [float(p) for p in p_grid],
-        },
+        "parameters": {"depth": depth},
     }
 
     # the counting route first: when the caps refuse it, the report exits

@@ -18,13 +18,11 @@ and the spherical subsets from the System.
 
 from functools import cached_property
 
-from .cache import cached_layer_counts
+from . import cache, growth
 from .conformal import is_nerve_circle, moussong_hyperbolic
 from .coxeter import classify_parabolic, spherical_subsets
 from .davis import nerve_complex, vcd_real
-from .elements import Caps
-from .growth import (DEFAULT_VALIDATION_DEPTH, growth_rate,
-                     rational_growth_series)
+from .elements import Caps, check_layer_width
 from .homology import pm_verdict
 
 
@@ -72,11 +70,24 @@ class System:
         section and its series checks then share one run.  Shallower
         requests are slices of the deepest run so far and carry its source
         tag; the one tag a report prints is that of its first request.
+
+        The counts come from the cache or from a fresh run, which is then
+        stored.  Either way the source tag is counting_route of their ball
+        sizes under the caps in force, and every length is held to the
+        class-vector cap, so a hit gives what a cold run gives: the same
+        counts and tag, or the same ResourceExceeded.
         """
         if self._layers is None or self._layers[0] < depth:
-            run_depth = max(depth, DEFAULT_VALIDATION_DEPTH)
-            counts, source = cached_layer_counts(
-                self.M, run_depth, caps=self.caps, cache_dir=self.cache_dir)
+            M, caps = self.M, self.caps
+            run_depth = max(depth, growth.DEFAULT_VALIDATION_DEPTH)
+            counts = cache.load_layers(self.cache_dir, M.digest(), run_depth)
+            if counts is None:
+                counts = growth.layer_class_counts(M, run_depth, caps=caps)
+                cache.store_layers(self.cache_dir, M.digest(), run_depth,
+                                   counts)
+            source = growth.counting_route(M, growth.ball_sizes(counts), caps)
+            for k, layer in enumerate(counts):
+                check_layer_width(layer, k, caps)
             self._layers = (run_depth, counts, source)
         _, counts, source = self._layers
         return counts[:depth + 1], source
@@ -85,11 +96,11 @@ class System:
     def series(self):
         """Validated rational growth series, one variable per conjugacy
         class; univariate() gives its one-variable form."""
-        return rational_growth_series(self)
+        return growth.rational_growth_series(self)
 
     def rate(self, weights=None):
         """Series-route growth rate; weights None means the plain e(W)."""
         key = None if weights is None else weights.values
         if key not in self._rates:
-            self._rates[key] = growth_rate(self, weights)
+            self._rates[key] = growth.growth_rate(self, weights)
         return self._rates[key]

@@ -653,7 +653,7 @@ def lp_pullback_partial_sums(M, thickness, p, radius):
     radius, from the Weyl class counts.  Exact Fractions for integer p,
     kernel maps for half-integer, floats otherwise."""
     p = Fraction(p)
-    counts, _src = layer_class_counts(M, radius, Caps())
+    counts = layer_class_counts(M, radius, Caps())
     partials = []
     if p.denominator == 1:
         acc = Fraction(0)

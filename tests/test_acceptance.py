@@ -49,7 +49,7 @@ class TestCriterion01SeriesMatchesEnumeration:
         t0 = time.monotonic()
         series = rational_growth_series(System(M))
         expanded = series.expand(self.DEPTH)
-        counts, _src = layer_class_counts(M, self.DEPTH, Caps())
+        counts = layer_class_counts(M, self.DEPTH, Caps())
         for k in range(self.DEPTH + 1):
             want = {}
             if k < len(counts):

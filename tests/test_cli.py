@@ -4,12 +4,15 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
+
+from coxinv.cli import main
 
 from .conftest import right_angled_dodecahedron
 
@@ -76,9 +79,9 @@ HUGE_LABEL = {
 }
 
 
-def run_cli(*argv, env=None):
+def run_cli(*argv, env=None, timeout=300):
     return subprocess.run([sys.executable, "-m", "coxinv.cli", *argv],
-                          capture_output=True, text=True, timeout=300,
+                          capture_output=True, text=True, timeout=timeout,
                           env=env)
 
 
@@ -357,11 +360,7 @@ class TestExitCodes:
                              "--p-grid", "1/2")
         assert "every p >= 1" in proc.stderr
 
-    def test_report_empty_p_grid(self, inputs):
-        self._refused("report", "--input", inputs["pentagon"],
-                      "--p-grid", ",")
-
-    @pytest.mark.parametrize("command, grid", [("report", "1e400"),
+    @pytest.mark.parametrize("command, grid", [("verify-oracle", "1e400"),
                                                ("confdim", "2,1e400")])
     def test_p_beyond_float_range(self, inputs, command, grid):
         # used to exit 1 with an OverflowError traceback from float(p)
@@ -393,18 +392,27 @@ class TestExitCodes:
         assert message in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("argv, message", [
-        (("--max-elements", "-3"), "max-elements must be >= 1, got -3"),
-        (("--max-elements", "0"), "max-elements must be >= 1, got 0"),
-        (("--depth", "-2"), "depth must be >= 0, got -2"),
-        (("--radius", "-1"), "radius must be >= 0, got -1"),
+    @pytest.mark.parametrize("command, argv, message", [
+        ("report", ("--max-elements", "-3"),
+         "max-elements must be >= 1, got -3"),
+        ("report", ("--max-elements", "0"), "max-elements must be >= 1, got 0"),
+        ("report", ("--depth", "-2"), "depth must be >= 0, got -2"),
+        ("growth", ("--radius", "-1"), "radius must be >= 0, got -1"),
+        ("verify-oracle", ("--radius", "-1"), "radius must be >= 0, got -1"),
     ], ids=["max-elements-negative", "max-elements-0", "depth-negative",
-            "radius-negative"])
-    def test_bad_integer_option(self, inputs, argv, message):
+            "radius-negative", "oracle-radius-negative"])
+    def test_bad_integer_option(self, inputs, command, argv, message):
         # a negative cap used to exit 3 ("cap -3"), a negative depth to
         # exit 0 with ten layer sizes
-        proc = self._refused("report", "--input", inputs["pentagon"], *argv)
+        proc = self._refused(command, "--input", inputs["pentagon"], *argv)
         assert message in proc.stderr
+
+    def test_huge_p_takes_the_interval_route(self, inputs):
+        # an exact |v|^p for p = 10^6 used not to finish in 60 s
+        r = machine_result(run_cli(
+            "verify-oracle", "--input", inputs["pentagon"], "--p-grid",
+            "1000000", "--chains", "5", "--format", "machine", timeout=60))
+        assert r["jensen"]["strict"] == 0
 
     def test_large_cancelling_minpoly(self, inputs):
         # the field check used to reject the correct minimal polynomial
@@ -541,6 +549,53 @@ class TestOracleGolden:
                        "--seed", "0", "--format", "machine")
         assert proc.returncode == 0, proc.stderr
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+
+# the options each subcommand reads, besides --input and --format, and a
+# value each option accepts
+READS = {
+    "classify": (),
+    "nerve": (),
+    "growth": ("--radius", "--max-elements", "--cache-dir"),
+    "exponents": ("--max-elements", "--cache-dir"),
+    "confdim": ("--lambda", "--apartment-confdim", "--p-grid",
+                "--max-elements", "--cache-dir"),
+    "verify-oracle": ("--radius", "--p-grid", "--chains", "--seed",
+                      "--max-elements"),
+    "report": ("--depth", "--lambda", "--apartment-confdim", "--timings",
+               "--max-elements", "--cache-dir"),
+}
+OPTION_VALUES = {
+    "--depth": ["3"], "--radius": ["5"], "--p-grid": ["7,9"],
+    "--lambda": ["3"], "--apartment-confdim": ["2"], "--cache-dir": ["D"],
+    "--max-elements": ["10"], "--chains": ["7"], "--seed": ["1"],
+    "--timings": [],
+}
+UNREAD = [(command, option) for command in READS for option in OPTION_VALUES
+          if option not in READS[command]]
+
+
+class TestOptionsPerSubcommand:
+    """Each subcommand takes only the options it reads."""
+
+    @pytest.mark.parametrize("command", sorted(READS))
+    def test_help_lists_exactly_the_read_options(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*",
+                                capsys.readouterr().out))
+        assert listed == {"--help", "--input", "--format", *READS[command]}
+
+    @pytest.mark.parametrize("command, option", UNREAD)
+    def test_unread_option_is_refused(self, capsys, command, option):
+        # before, such an option was accepted and changed nothing
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--input", "unused.json", option,
+                  *OPTION_VALUES[option]])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: " + " ".join(
+            [option, *OPTION_VALUES[option]]) in capsys.readouterr().err
 
 
 class TestDeterminism:

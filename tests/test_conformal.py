@@ -165,12 +165,12 @@ class TestFuchsianReport:
     def test_requires_circle_nerve(self, path_2edge):
         q = ThicknessVector.constant(path_2edge, 2)
         with pytest.raises(SchemaError):
-            fuchsian_report(System(path_2edge), q)
+            fuchsian_report(System(path_2edge), q, p_grid=(2,))
 
     def test_requires_hyperbolic(self, triangle_333):
         q = ThicknessVector.constant(triangle_333, 2)
         with pytest.raises(NotHyperbolic):
-            fuchsian_report(System(triangle_333), q)
+            fuchsian_report(System(triangle_333), q, p_grid=(2,))
 
 
 class TestLambdaResolution:

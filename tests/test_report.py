@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coxinv.building import ThicknessVector
-from coxinv.cache import (cached_layer_counts, load_layers, store_layers)
+from coxinv.cache import load_layers, store_layers
 from coxinv.elements import Caps, racg_layer_counts
 from coxinv.errors import ResourceExceeded
-from coxinv.growth import WeightVector, layer_class_counts
+from coxinv.growth import (DEFAULT_VALIDATION_DEPTH, WeightVector,
+                           layer_class_counts)
 from coxinv.report import (build_report, encode_json_value, report_to_json,
                            report_to_text)
 from coxinv.system import System
@@ -23,21 +24,24 @@ from coxinv.system import System
 from .conftest import mat
 from .oracles import decode_json_value, report_from_json
 
-# The digests below were recorded again at SCHEMA_VERSION 3, which drops
-# the "bestvina" section, vcd.spherical_value and the witnesses'
-# "spherical" flags; with those keys removed and schema_version 2, every
-# report keeps the bytes of its SCHEMA_VERSION 2 pin, which printed the
-# series in lowest terms and otherwise kept the bytes of its earlier pin.
+# The digests below were recorded again at SCHEMA_VERSION 4, whose
+# "parameters" section holds only the depth.  With parameters.radius null,
+# parameters.p_grid [1.5, 2.0, 3.0] and schema_version 3 put back, every
+# report gives its SCHEMA_VERSION 3 pin.  That pin dropped the
+# "bestvina" section, vcd.spherical_value and the witnesses' "spherical"
+# flags; with those keys removed and schema_version 2, every report keeps
+# the bytes of its SCHEMA_VERSION 2 pin, which printed the series in
+# lowest terms and otherwise kept the bytes of its earlier pin.
 
 # sha256 of report_to_json(build_report(System(M), thickness=q=2, depth=8)),
 # first recorded before reports were assembled from a shared System
 GOLDEN_Q2 = {
     "pentagon":
-        "718c09e712b00ba33b05b5801fc6d59a91b91c49809ce9832935f79b7de0c1f8",
+        "ed8c8d25702ba334a5b58571974380a9af94eb818193b5345f03577d61d6e830",
     "triangle_732":
-        "af9582fa86bfb4ea664167576d274ae6e37abf223771c0dcf1549685cf96306e",
+        "8e987c885163caecbd9545d59b934e4ae96106f7015dd119e85351501d7646f6",
     "triangle_433":
-        "e1d9d69e26913f1ec8b3005a53d3beb7dbbdb9dac8b03123fc82194e23b71e15",
+        "737c404dab04e9b78d54abe536fc91a7d9f094ee7e7ea80b4577f21a4fd12308",
 }
 
 # sha256 of report_to_json(build_report(System(pentagon), ...)) for inputs
@@ -45,9 +49,9 @@ GOLDEN_Q2 = {
 # curve was evaluated on monomials merged by weight
 GOLDEN_MIXED = {
     "weights=22223":
-        "aa01329b61cd09a721590f2265188c93a06d6d5561c1c17cbdd2665120941f42",
+        "23bb83317bfb8d8e264033f2337d8a0ad72e0945c35f2efd5a5e0798e0ae6020",
     "thickness=23222":
-        "d58e3335ee07b4d57b604969cf7692a4eb9b8221c306023d495bd187d5e67768",
+        "44b3a9f87f041f29f38bd94bad73074d8be4e39590450799b81cd5d1a8d95e12",
 }
 
 # sha256 of report_to_json(build_report(System(M), ...)) for reports whose
@@ -57,9 +61,9 @@ GOLDEN_MIXED = {
 LINEAR_534 = [[1, 5, 2, 2], [5, 1, 3, 2], [2, 3, 1, 4], [2, 2, 4, 1]]
 GOLDEN_MATRIX = {
     "linear_534":
-        "7c8d5c4a2374671af97b527b07b9bb591753b1419a7efd694cb8d726bdb33527",
+        "f6199ab600f8c5a59791b4c20a2fb393f44d1e25bb492a3a703db000ee89ad85",
     "triangle_732_q3":
-        "8bc2553bf714c47fd92d4beaabcd2e7b8b3ea5a08937a9e7c2efa9f66fa537f4",
+        "7f4f29db19f690c6314eddd033031170dc11c0618722021fb4e35714afebcfc5",
 }
 
 
@@ -75,6 +79,13 @@ def _counting(monkeypatch, module, attr, keep=lambda *a: True):
         return orig(*args, **kwargs)
     monkeypatch.setattr(module, attr, counted)
     return calls
+
+
+def _system_counts(M, radius, caps, cache_dir):
+    """(layer counts, source tag) from a fresh System that reads and
+    extends the cache in cache_dir; it counts through the validation
+    depth however shallow the radius."""
+    return System(M, caps=caps, cache_dir=cache_dir).layer_counts(radius)
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +122,11 @@ class TestReportContent:
         assert pentagon_report["vcd"] == {
             "value": 2, "witnesses": [{"subset": [0, 1, 2, 3, 4],
                                        "degree": 2}]}
+
+    def test_parameters_hold_only_the_depth(self, pentagon_report):
+        # the radius and p grid it echoed changed no number of the report
+        assert pentagon_report["parameters"] == {"depth": 8}
+        assert pentagon_report["schema_version"] == 4
 
     def test_headline_values(self, pentagon_report):
         r = pentagon_report
@@ -260,7 +276,8 @@ class TestPrintedSeries:
         # (1+t)^2 / ((1-2t)(1-3t)); the rest of the report, thickness 2 on
         # the a's and 4 on the b's, has the bytes it had when the series
         # printed as the degree-31 collapse of the per-class fraction, less
-        # the keys SCHEMA_VERSION 3 dropped (digest d54fcf62... before).  Its
+        # the keys SCHEMA_VERSION 3 dropped (digest d54fcf62... before) and
+        # the radius and p grid SCHEMA_VERSION 4 dropped (44379b2c...).  Its
         # rate bracket [0.79248125017, 0.79248125076] is still the first
         # sign change on the curve, not the rate 1 (ROADMAP item 3)
         M = mat(K34)
@@ -269,9 +286,9 @@ class TestPrintedSeries:
         s = r["growth"].pop("series")
         assert (s["numerator"], s["denominator"]) == \
             ("1 + 2*t + t^2", "1 - 5*t + 6*t^2")
-        assert r.pop("schema_version") == 3
+        assert r.pop("schema_version") == 4
         assert hashlib.sha256(report_to_json(r).encode()).hexdigest() == \
-            "44379b2cfaf1a333b0a8f1ab3d280c8ea0ad88527931067c9c96007fd2e5ef91"
+            "895cb170a1214b928ef3485b5d097c63fee13d67feb85bcae60bc380e4489087"
         assert r["growth"]["rate"]["bracket"] == \
             [0.792481250166893, 0.7924812507629394]
 
@@ -328,7 +345,7 @@ class TestCache:
         counts = racg_layer_counts(pentagon, 12, Caps())
         store_layers(tmp_path, pentagon.digest(), 12, counts)
         assert load_layers(tmp_path, pentagon.digest(), 4) == counts[:5]
-        warm = partial(cached_layer_counts, pentagon, cache_dir=tmp_path)
+        warm = partial(_system_counts, pentagon, cache_dir=tmp_path)
         roomy = Caps(max_elements=2_000_000)
         tight = Caps(max_elements=60_000)
         assert warm(12, caps=roomy) == (counts, "bfs")
@@ -380,18 +397,20 @@ class TestCache:
         store_layers(tmp_path, digest, 12, counts)
         store_layers(tmp_path, digest, 6, counts[:7])
         store_layers(tmp_path, digest, 3, counts[:4])
-        warm = partial(cached_layer_counts, pentagon, cache_dir=tmp_path)
+        warm = partial(_system_counts, pentagon, cache_dir=tmp_path)
         # ball(12) exceeds the cap and ball(10) fits it: a hit
         assert warm(12, caps=Caps(max_elements=60_000)) == \
             (counts, "recurrence")
-        # ball(10) exceeds the cap, ball(6) = 1161 exceeds it, and
-        # ball(3) = 61 fits any cap, so a cold run would give "bfs"
+        # ball(6) = 1161 exceeds the cap; a System counts through the
+        # validation depth 10 whatever the radius, so a cold run refuses
+        # radius 3 too although ball(3) = 61 fits any cap
         small = Caps(max_elements=1000)
         with pytest.raises(ResourceExceeded):
             warm(12, caps=small)
         with pytest.raises(ResourceExceeded):
             warm(6, caps=small)
-        assert warm(3, caps=small) == (counts[:4], "bfs")
+        with pytest.raises(ResourceExceeded):
+            warm(3, caps=small)
 
     def test_class_vector_cap_refuses_warm_as_cold(self, tmp_path):
         # (D_inf)^3: ball(10) fits the cap, so depth 40 takes the
@@ -407,7 +426,7 @@ class TestCache:
         store_layers(tmp_path, M.digest(), 40,
                      racg_layer_counts(M, 40, Caps()))
         with pytest.raises(ResourceExceeded, match=message):
-            cached_layer_counts(M, 40, caps=caps, cache_dir=tmp_path)
+            _system_counts(M, 40, caps=caps, cache_dir=tmp_path)
 
     def test_corrupt_lines_skipped(self, tmp_path):
         store_layers(tmp_path, "d1", 1, [{(0,): 1}, {(1,): 3}])
@@ -418,8 +437,8 @@ class TestCache:
         got = load_layers(tmp_path, "d1", 1)
         assert got == [{(0,): 1}, {(1,): 3}]
 
-    def test_cached_layer_counts_round_trip(self, tmp_path, pentagon):
-        run = partial(cached_layer_counts, pentagon, caps=Caps(),
+    def test_layer_counts_round_trip(self, tmp_path, pentagon):
+        run = partial(_system_counts, pentagon, caps=Caps(),
                       cache_dir=tmp_path)
         cold, src_cold = run(6)
         warm, src_warm = run(6)
@@ -428,7 +447,7 @@ class TestCache:
         assert shallow == cold[:5]
 
     def test_cache_dir_none_is_passthrough(self, pentagon):
-        layers, src = cached_layer_counts(pentagon, 4, Caps(), cache_dir=None)
+        layers, src = _system_counts(pentagon, 4, Caps(), cache_dir=None)
         assert sum(layers[4].values()) == 105
 
 
@@ -446,7 +465,8 @@ def test_warm_hit_answers_as_cold_run(data):
     M = mat(rows)
     radius = data.draw(st.integers(0, 14))
     caps = Caps(max_elements=data.draw(st.integers(50, 20_000)))
-    deep = radius + data.draw(st.integers(1, 4))
+    # deeper than the System's run, which covers the validation depth
+    deep = max(radius, DEFAULT_VALIDATION_DEPTH) + data.draw(st.integers(1, 4))
     record = racg_layer_counts(M, deep, Caps())
     while not record[-1]:
         record.pop()        # as BFS records a finite group: exhausted
@@ -456,9 +476,9 @@ def test_warm_hit_answers_as_cold_run(data):
             return run()
         except ResourceExceeded as exc:
             return str(exc)
-    cold = answer(lambda: layer_class_counts(M, radius, caps=caps))
+    cold = answer(lambda: _system_counts(M, radius, caps, None))
     with tempfile.TemporaryDirectory() as d:
         store_layers(d, M.digest(), deep, record)
-        warm = answer(lambda: cached_layer_counts(M, radius, caps=caps,
-                                                  cache_dir=d))
+        warm = answer(lambda: _system_counts(M, radius, caps=caps,
+                                           cache_dir=d))
     assert warm == cold
