@@ -18,7 +18,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from coxinv.coxeter import CoxeterMatrix
-from coxinv.growth import growth_rate
+from coxinv.growth import enumeration_rate
 from coxinv.system import System
 
 INF = math.inf
@@ -53,8 +53,7 @@ def main():
         t0 = time.perf_counter()
         system = System(M)
         s = system.rate()
-        f = growth_rate(system, None, method="enumeration",
-                        radius=args.radius)
+        f = enumeration_rate(system, None, args.radius)
         dt = time.perf_counter() - t0
         agree = (f.bracket[0] - f.uncertainty <= s.value
                  <= f.bracket[1] + f.uncertainty)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from coxinv.building import ThicknessVector, critical_exponents
+from coxinv.building import ThicknessVector
 from coxinv.conformal import confdim_bounds
 from coxinv.coxeter import CoxeterMatrix
 from coxinv.system import System
@@ -49,7 +49,7 @@ def main():
           f"{'confdim':>12} {'provenance':>14}")
     for q in range(2, args.qmax + 1):
         thickness = ThicknessVector.constant(M, q)
-        ce = critical_exponents(system, thickness)
+        ce = system.exponents(thickness)
         b = confdim_bounds(system, thickness)
         print(f"{q:>3} {ce.e_q.value:>12.6f} {ce.p_hom:>12.6f} "
               f"{ce.p_cohom:>12.6f} {b.lower:>12.6f} "

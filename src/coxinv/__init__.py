@@ -4,7 +4,7 @@ The public surface is intentionally small; the submodules hold the full
 APIs (coxeter, growth, homology, davis, building, conformal, report).
 Stage functions take a System, which wraps a CoxeterMatrix with its
 resource caps, computes each shared invariant once and is the one owner
-of the caps and the spherical subsets.
+of the caps, the classified parabolics and each thickness's exponents.
 """
 
 __version__ = "0.1.0"

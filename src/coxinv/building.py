@@ -26,6 +26,10 @@ from .errors import (MarginViolation, NotRightAngled, ResourceExceeded,
                      SchemaError, ThicknessClassError, ValidationMismatch)
 from .growth import WeightVector
 
+RADICAL_MAX_PREC = 4096  # interval bits before radical sums are inseparable
+JENSEN_MAX_PREC = 1024   # interval bits before a norm check is indeterminate
+CHAIN_SIZE = 5           # simplices per random chain of the battery
+
 
 class ThicknessVector(WeightVector):
     """Per-conjugacy-class chamber multiplicities q >= 1 (q + 1 chambers
@@ -451,7 +455,7 @@ def lp_power_sum(values, p):
     return None
 
 
-def compare_radical_sums(A, B, max_prec=4096):
+def compare_radical_sums(A, B):
     """Sign of A - B where each side is {kernel: coeff}.  Equality is
     syntactic (square roots of distinct squarefree integers are linearly
     independent over Q); otherwise interval evaluation must separate."""
@@ -466,7 +470,7 @@ def compare_radical_sums(A, B, max_prec=4096):
     prec = 64
     old = iv.prec
     try:
-        while prec <= max_prec:
+        while prec <= RADICAL_MAX_PREC:
             iv.prec = prec
             tot = iv.mpf(0)
             for k, v in diff.items():
@@ -508,7 +512,7 @@ class JensenResult:
     p: Fraction
 
 
-def jensen_check(ball, chain_coeffs, p_values, max_prec=1024):
+def jensen_check(ball, chain_coeffs, p_values):
     """Does ||rho^* rho_* eta||_p <= ||eta||_p hold for this chain?  One
     JensenResult per p in p_values; theta = rho^* rho_* eta is built once.
 
@@ -523,18 +527,18 @@ def jensen_check(ball, chain_coeffs, p_values, max_prec=1024):
     clean = {k: v for k, v in chain_coeffs.items() if v}
     if theta == clean:
         return [JensenResult(True, "equal", p) for p in p_values]
-    return [_compare_norms(theta.values(), clean.values(), p, max_prec)
+    return [_compare_norms(theta.values(), clean.values(), p)
             for p in p_values]
 
 
-def _compare_norms(lhs_values, rhs_values, p, max_prec):
+def _compare_norms(lhs_values, rhs_values, p):
     lhs = lp_power_sum(lhs_values, p)
     rhs = lp_power_sum(rhs_values, p)
     if lhs is not None and rhs is not None:
         sign = compare_radical_sums(lhs, rhs)
         return JensenResult(sign <= 0, "equal" if sign == 0 else "strict", p)
     prec = 64
-    while prec <= max_prec:
+    while prec <= JENSEN_MAX_PREC:
         lo = _interval_power_sum(lhs_values, p, prec)
         hi = _interval_power_sum(rhs_values, p, prec)
         if lo.b < hi.a:
@@ -559,25 +563,25 @@ class CriticalExponents:
     p_cohom_bracket: tuple
     e_q: object            # GrowthRateEstimate | None for thin
     thin: bool
-    nerve_is_pm: bool
 
 
 def critical_exponents(system, thickness):
-    pm = system.type_pm.is_pm
+    """The exponents of the building of this thickness, from the System's
+    memoised rate; System.exponents memoises them in turn."""
     if thickness.all_one():
         return CriticalExponents(math.inf, 1.0, (math.inf, math.inf),
-                                 (1.0, 1.0), None, True, pm)
+                                 (1.0, 1.0), None, True)
     e_q = system.rate(thickness)
     lo, hi = e_q.bracket
     if e_q.value == 0.0 and e_q.exact:
         return CriticalExponents(1.0, math.inf, (1.0, 1.0),
-                                 (math.inf, math.inf), e_q, False, pm)
+                                 (math.inf, math.inf), e_q, False)
     p_hom = 1.0 + e_q.value
     p_cohom = math.inf if e_q.value == 0 else 1.0 + 1.0 / e_q.value
     pc_lo = 1.0 + 1.0 / hi if hi > 0 else math.inf
     pc_hi = math.inf if lo <= 0 else 1.0 + 1.0 / lo
     return CriticalExponents(p_hom, p_cohom, (1.0 + lo, 1.0 + hi),
-                             (pc_lo, pc_hi), e_q, False, pm)
+                             (pc_lo, pc_hi), e_q, False)
 
 
 # ---------------------------------------------------------------------------
@@ -603,8 +607,9 @@ def random_simplices(ball, rng, count):
     |top| >= |T_0|, so no longer chamber passes the margin, and the
     accepted (chamber, chain) pairs keep their distribution.  In the
     prefix the chain (()) always passes, so the loop ends; an empty prefix
-    raises ResourceExceeded before any draw.  A draw with
-    len(word) - |T_0| + |top| + 2 > radius never reaches make_simplex.
+    raises ResourceExceeded before any draw.  Each draw is held to the
+    exact margin of make_simplex, len(word) - |gate drops| + |top| + 2 <=
+    radius, and only a draw that meets it reaches make_simplex.
     Dimensions run over 0 .. max(2, d), d the largest spherical rank."""
     chambers, radius = ball.chambers, ball.radius
     viable = bisect.bisect_right(chambers, radius - 2, key=len)
@@ -624,12 +629,9 @@ def random_simplices(ball, rng, count):
             if not above:
                 break
             chain.append(above[_randbelow(bits, len(above))])
-        if len(word) - len(sph[chain[0]]) + len(sph[chain[-1]]) + 2 > radius:
-            continue
-        try:
+        drops = gate_drops(word, sph[chain[0]], ball.commute)
+        if len(word) - len(drops) + len(sph[chain[-1]]) + 2 <= radius:
             out.append(make_simplex(ball, word, [sph[j] for j in chain]))
-        except MarginViolation:
-            continue
     return out
 
 
@@ -646,9 +648,7 @@ def random_chain(ball, rng, size):
     return {k: v for k, v in out.items() if v}
 
 
-def oracle_battery(system, thickness, radius, p_values=(Fraction(3, 2),
-                   Fraction(2), Fraction(3)), chains=100, seed=0,
-                   chain_size=5):
+def oracle_battery(system, thickness, radius, p_values, chains, seed):
     """Chain-level identity battery on an explicit building ball.
 
     Builds the ball (axioms are re-verified during construction), then
@@ -672,7 +672,7 @@ def oracle_battery(system, thickness, radius, p_values=(Fraction(3, 2),
     rng = random.Random(seed)
     jensen = {"strict": 0, "equal": 0, "interval": 0, "indeterminate": 0}
     for trial in range(chains):
-        ch = random_chain(ball, rng, chain_size)
+        ch = random_chain(ball, rng, CHAIN_SIZE)
         if boundary(ball, boundary(ball, ch)) != {}:
             raise ValidationMismatch(f"boundary^2 != 0 on trial {trial}")
         if boundary(apartment, pushforward(ch)) != \
@@ -684,7 +684,7 @@ def oracle_battery(system, thickness, radius, p_values=(Fraction(3, 2),
                 raise ValidationMismatch(
                     f"norm comparison failed at p={res.p} on trial {trial}")
             jensen[res.comparison if res.holds else "indeterminate"] += 1
-        ch_ap = random_chain(apartment, rng, chain_size)
+        ch_ap = random_chain(apartment, rng, CHAIN_SIZE)
         if boundary(apartment, boundary(apartment, ch_ap)) != {}:
             raise ValidationMismatch(
                 f"apartment boundary^2 != 0 on trial {trial}")

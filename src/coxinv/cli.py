@@ -16,14 +16,14 @@ import os
 import sys
 from fractions import Fraction
 
-from .building import (ThicknessVector, critical_exponents, oracle_battery)
+from .building import ThicknessVector, oracle_battery
 from .conformal import (checked_apartment_confdim, checked_lambda,
                         confdim_bounds, fuchsian_report)
-from .coxeter import CoxeterMatrix, finite_group_order
+from .coxeter import CoxeterMatrix
 from .elements import Caps, checked_int
 from .errors import (CoxinvError, ResourceExceeded, SchemaError,
                      ValidationMismatch)
-from .growth import WeightVector, classify_convergence, growth_rate
+from .growth import WeightVector, classify_convergence, enumeration_rate
 from .report import (build_report, report_to_json, report_to_text,
                      _components_json, _confdim_json, _exponents_json, _fmt,
                      _rate_json, _series_json, _type_pm_json)
@@ -80,6 +80,9 @@ def _load_vector(M, data, key, vector_type):
     missing = [g for g in M.generators if g not in v]
     if missing:
         raise SchemaError(f"{key} missing generators {missing}")
+    unknown = sorted(set(v) - set(M.generators))
+    if unknown:
+        raise SchemaError(f"{key} names unknown generators {unknown}")
     return vector_type.from_generator_map(M, v)
 
 
@@ -134,8 +137,7 @@ def cmd_classify(system, thickness, weights, args):
         "right_angled": M.is_right_angled(),
         "kind": cls.kind,
         "components": _components_json(cls),
-        "order": finite_group_order(M, range(M.rank))
-                 if cls.is_finite() else None,
+        "order": cls.order() if cls.is_finite() else None,
         "hyperbolic": system.hyperbolicity.hyperbolic,
     }
 
@@ -162,8 +164,7 @@ def cmd_growth(system, thickness, weights, args):
         out["convergence_at_one"] = classify_convergence(
             system, weights, 1.0)
     if args.radius is not None:
-        fit = growth_rate(system, w_arg, method="enumeration",
-                          radius=args.radius)
+        fit = enumeration_rate(system, w_arg, args.radius)
         out["enumeration_rate"] = _rate_json(fit)
         # the fit bracket already includes its uncertainty; a bracket
         # straddling 0 cannot confirm a positive rate
@@ -175,12 +176,13 @@ def cmd_growth(system, thickness, weights, args):
 
 def cmd_exponents(system, thickness, weights, args):
     thickness = _require_thickness(thickness)
-    ce = critical_exponents(system, thickness)
+    pm = system.type_pm
+    ce = system.exponents(thickness)
     return {
         "thickness": thickness.per_generator(),
         "thin": ce.thin,
         **_exponents_json(ce),
-        "nerve_is_pm": ce.nerve_is_pm,
+        "nerve_is_pm": pm.is_pm,
     }
 
 
@@ -203,8 +205,8 @@ def cmd_verify_oracle(system, thickness, weights, args):
 
 
 def cmd_report(system, thickness, weights, args):
-    return build_report(system, thickness=thickness, weights=weights,
-                        depth=args.depth, lam=args.lam,
+    return build_report(system, args.depth, thickness=thickness,
+                        weights=weights, lam=args.lam,
                         apartment_confdim=args.apartment_confdim,
                         timings=args.timings)
 

@@ -3,8 +3,9 @@
 Hyperbolicity of a Coxeter system is decided exactly by the flat-subspace
 criterion: the group is hyperbolic unless some subset spans an irreducible
 affine subsystem of rank >= 3, or two commuting (all labels 2 across)
-subsets both generate infinite parabolics.  Witnesses are reported
-lexicographically least.
+subsets both generate infinite parabolics.  Both obstructions are read
+off the minimal non-spherical subsets the System has classified.
+Witnesses are reported lexicographically least.
 
 For a thick right-angled building with chamber growth exponent e_q and a
 visual metric parameter lambda, the boundary Hausdorff dimension is
@@ -15,12 +16,9 @@ triangulated circle the group is virtually a surface group and the bracket
 collapses to the exact value 1 + 1/e_q.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
-from .building import critical_exponents
-from .coxeter import classify_parabolic
 from .errors import (AffineDegenerate, NotHyperbolic, ResourceExceeded,
                      SchemaError, ThinBuilding)
 
@@ -44,31 +42,31 @@ class HyperbolicityReport:
     witness: object         # None | AffineRank3 | CommutingInfinitePair
 
 
-def moussong_hyperbolic(M):
-    """Exact hyperbolicity with a lex-least obstruction witness."""
+def moussong_hyperbolic(system):
+    """Exact hyperbolicity with a (size, lex)-least obstruction witness,
+    found among the minimal non-spherical subsets: every proper
+    subdiagram of an irreducible affine diagram is finite, and a
+    non-spherical proper subset A of an infinite T1 has comm(A) >=
+    comm(T1), so the least T1 whose commuting generators comm(T1) span an
+    infinite parabolic has no such A."""
+    M = system.M
     n = M.rank
     if n > MAX_SUBSET_SCAN_RANK:
         raise ResourceExceeded(f"hyperbolicity scan over 2^{n} subsets")
-    subsets = []
-    for r in range(1, n + 1):
-        subsets.extend(itertools.combinations(range(n), r))
+    minimal = [(tuple(sorted(T)), cls)
+               for T, cls in system.parabolics.items() if not cls.is_finite()]
     # irreducible affine of rank >= 3
-    for T in subsets:
-        if len(T) < 3:
-            continue
-        cls = classify_parabolic(M, T)
-        if cls.is_affine() and len(cls.components) == 1:
-            return HyperbolicityReport(False, AffineRank3(tuple(T)))
+    for T, cls in minimal:
+        if len(T) >= 3 and cls.is_affine() and len(cls.components) == 1:
+            return HyperbolicityReport(False, AffineRank3(T))
     # commuting pair of infinite subsets
-    for T1 in subsets:
-        if classify_parabolic(M, T1).is_finite():
-            continue
-        t1 = set(T1)
-        comm = [s for s in range(n) if s not in t1 and
+    spherical = set(system.sphericals)
+    for T1, _cls in minimal:
+        comm = [s for s in range(n) if s not in T1 and
                 all(M.entry(s, t) == 2 for t in T1)]
-        if comm and not classify_parabolic(M, comm).is_finite():
+        if comm and frozenset(comm) not in spherical:
             return HyperbolicityReport(
-                False, CommutingInfinitePair(tuple(T1), tuple(comm)))
+                False, CommutingInfinitePair(T1, tuple(comm)))
     return HyperbolicityReport(True, None)
 
 
@@ -111,7 +109,7 @@ def resolve_lambda(lam, e_q):
 def _boundary_exponents(system, thickness):
     """critical_exponents of a thick building with exponential chamber
     growth, the only case whose boundary has visual dimension data."""
-    ce = critical_exponents(system, thickness)
+    ce = system.exponents(thickness)
     if ce.thin:
         raise ThinBuilding("conformal data needs thickness >= 2 somewhere")
     if ce.p_cohom == math.inf:
@@ -151,12 +149,12 @@ def confdim_bounds(system, thickness, lam=None, apartment_confdim=None):
     hyp = system.hyperbolicity
     if not hyp.hyperbolic:
         raise NotHyperbolic(f"obstruction: {hyp.witness}")
+    fuch = system.nerve_is_circle
     ce = _boundary_exponents(system, thickness)
     e_q = ce.e_q
     lam_val, lam_prov = resolve_lambda(lam, e_q)
     factor_lo, factor_hi = ce.p_cohom_bracket
     hausdim = e_q.value / math.log(lam_val)
-    fuch = system.nerve_is_circle
     if apartment_confdim is not None:
         base = checked_apartment_confdim(apartment_confdim)
         lower_prov = "UserSupplied"
@@ -181,32 +179,25 @@ def fuchsian_report(system, thickness, p_grid):
     """Degreewise l^p-cohomology vanishing for circle-nerve systems, as
     a list of (p, degree-1 verdict, degree-2 verdict).
 
-    Degree 1 is nonzero exactly above the boundary conformal dimension
-    p_cohom; degree 2 behaves dually (nonzero below the conjugate exponent
-    p_hom).  Grid points inside the uncertainty bracket are "critical".
+    Both degrees change at the boundary conformal dimension p_cohom:
+    degree 1 is nonzero above it, and degree 2, the top degree, is nonzero
+    below it (by duality with the top l^p' cycles, p' > p_hom).  Grid
+    points inside the uncertainty bracket of p_cohom are "critical".
     """
     if not system.nerve_is_circle:
         raise SchemaError("vanishing table requires a circle nerve")
     hyp = system.hyperbolicity
     if not hyp.hyperbolic:
         raise NotHyperbolic(f"obstruction: {hyp.witness}")
-    ce = _boundary_exponents(system, thickness)
-    conf_lo, conf_hi = ce.p_cohom_bracket
-    dual_lo, dual_hi = ce.p_hom_bracket
+    conf_lo, conf_hi = _boundary_exponents(system, thickness).p_cohom_bracket
     table = []
     for p in p_grid:
         p = float(p)
         if p > conf_hi:
-            d1 = "nonzero"
+            d1, d2 = "nonzero", "zero"
         elif p < conf_lo:
-            d1 = "zero"
+            d1, d2 = "zero", "nonzero"
         else:
-            d1 = "critical"
-        if p < dual_lo:
-            d2 = "nonzero"
-        elif p > dual_hi:
-            d2 = "zero"
-        else:
-            d2 = "critical"
+            d1 = d2 = "critical"
         table.append((p, d1, d2))
     return table

@@ -165,6 +165,15 @@ class Component:
     kind: str           # "finite" | "affine" | "other"
     vertices: tuple     # generator indices in the ambient matrix
 
+    def order(self):
+        """Order of a finite component, from its label."""
+        lab = self.label
+        if lab.startswith("I2("):
+            return 2 * int(lab[3:-1])
+        if lab in FINITE_ORDER:
+            return FINITE_ORDER[lab](0)
+        return FINITE_ORDER[lab[0]](int(lab[1:]))
+
 
 @dataclass(frozen=True)
 class Classification:
@@ -180,6 +189,13 @@ class Classification:
 
     def is_affine(self):
         return self.kind == "affine"
+
+    def order(self):
+        """Order of a finite parabolic: the product of its component
+        orders."""
+        if not self.is_finite():
+            raise SchemaError("subset does not span a finite parabolic")
+        return math.prod(c.order() for c in self.components)
 
 
 def _adjacency(M, comp):
@@ -402,49 +418,31 @@ def classify_parabolic(M, subset=None):
     return Classification(kind, tuple(comps))
 
 
-def is_spherical(M, subset):
-    return classify_parabolic(M, subset).is_finite()
-
-
-def spherical_subsets(M):
-    """All subsets T (as frozensets of indices, including the empty set) with
-    W_T finite, in (size, lex) order.  Uses downward closure for pruning."""
+def spherical_subsets(M, whole):
+    """{T: Classification} for every spherical T (a frozenset of indices,
+    the empty set included) and every minimal non-spherical T, whose
+    proper subsets are all spherical, in (size, lex) order: the subsets
+    whose maximal proper subsets are spherical, each classified once.
+    whole is the classification of the full set, read instead of
+    classifying it again."""
     n = M.rank
     if n > MAX_SUBSET_RANK:
         raise ResourceExceeded(f"rank {n} exceeds subset enumeration cap {MAX_SUBSET_RANK}")
     good = {frozenset()}
+    reached = {frozenset(): Classification("finite", ())}
     layer = [frozenset()]
     while layer:
         nxt = []
         for T in layer:
             for s in range(n):
-                if s in T:
-                    continue
                 T2 = T | {s}
-                if T2 in good:
+                if T2 in reached or any(T2 - {x} not in good for x in T2):
                     continue
-                if any(T2 - {x} not in good for x in T2):
-                    continue
-                if is_spherical(M, T2):
+                cls = reached[T2] = whole if len(T2) == n else \
+                    classify_parabolic(M, T2)
+                if cls.is_finite():
                     good.add(T2)
                     nxt.append(T2)
         layer = nxt
-    return sorted(good, key=lambda T: (len(T), sorted(T)))
-
-
-def finite_group_order(M, subset=None):
-    """Order of a finite parabolic computed from the classification table."""
-    cl = classify_parabolic(M, subset)
-    if not cl.is_finite():
-        raise SchemaError("subset does not span a finite parabolic")
-    total = 1
-    for c in cl.components:
-        lab = c.label
-        if lab.startswith("I2("):
-            total *= 2 * int(lab[3:-1])
-        elif lab in FINITE_ORDER:
-            total *= FINITE_ORDER[lab](0)
-        else:
-            fam, num = lab[0], int(lab[1:])
-            total *= FINITE_ORDER[fam](num)
-    return total
+    return dict(sorted(reached.items(),
+                       key=lambda kv: (len(kv[0]), sorted(kv[0]))))

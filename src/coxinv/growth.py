@@ -28,13 +28,13 @@ from itertools import accumulate
 from operator import add
 
 from .algebraic import _int_or_fraction
-from .coxeter import finite_group_order, classify_parabolic
 from .elements import ball_enumerate, racg_ball_sizes, racg_layer_counts
 from .errors import (DegenerateWeights, ResourceExceeded, SchemaError,
                      ValidationMismatch)
 
 DEFAULT_VALIDATION_DEPTH = 10
 ROOT_TOL = Fraction(1, 10 ** 9)
+CURVE_MAX_PREC = 2048   # interval bits before a curve sign is left undecided
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +129,9 @@ class PolyQ:
 
 def exact_rational(v, what):
     """v as a Fraction: an int, a finite float or a rational string such
-    as "3/2".  Anything else raises SchemaError."""
+    as "3/2".  Anything else, a bool included, raises SchemaError."""
+    if isinstance(v, bool):
+        raise SchemaError(f"{what} must be an exact rational, got {v!r}")
     try:
         return Fraction(v)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
@@ -310,17 +312,15 @@ class RationalGrowthSeries:
         return num, den
 
 
-def _parabolic_poly(M, T, caps):
-    """Exact weighted enumeration polynomial of the finite parabolic W_T,
-    in the ambient class variables."""
+def _parabolic_poly(M, comp, caps):
+    """Exact weighted enumeration polynomial of the irreducible finite
+    parabolic on a Component, in the ambient class variables."""
     nclasses = len(M.conjugacy_classes())
-    if not T:
-        return PolyQ.const(nclasses, 1)
-    order = finite_group_order(M, T)
+    idx = comp.vertices
+    order = comp.order()
     if order > caps.max_elements:
-        raise ResourceExceeded(f"parabolic on {sorted(T)} has order {order}")
-    sub = M.submatrix(T)
-    idx = sorted(T)
+        raise ResourceExceeded(f"parabolic on {list(idx)} has order {order}")
+    sub = M.submatrix(idx)
     ball = ball_enumerate(sub, 4 * order, caps=caps)
     assert ball.group_exhausted
     # generators conjugate in W_T are conjugate in W: each class of the
@@ -342,14 +342,11 @@ def rational_growth_series(system):
     """Weighted growth series, one variable per conjugacy class, as an
     exact rational function validated against the system's counts
     through DEFAULT_VALIDATION_DEPTH (mandatory)."""
-    M = system.M
     # count first: a ball the caps refuse stops the run before any
     # parabolic is enumerated
     counts, source = system.layer_counts(DEFAULT_VALIDATION_DEPTH)
-    series = RationalGrowthSeries(
-        *_growth_fraction(M, system.classification, system.sphericals,
-                          system.caps),
-        DEFAULT_VALIDATION_DEPTH)
+    series = RationalGrowthSeries(*_growth_fraction(system),
+                                  DEFAULT_VALIDATION_DEPTH)
     expanded = series.expand(DEFAULT_VALIDATION_DEPTH)
     for k, layer in enumerate(counts):
         if layer != expanded[k]:
@@ -359,37 +356,40 @@ def rational_growth_series(system):
     return series
 
 
-def _growth_fraction(M, classification, sphericals, caps):
+def _growth_fraction(system):
     """(numerator, denominator) of W(t), not yet validated: the product
     of the component polynomials for finite W, else the reciprocity
     sum."""
-    if not classification.is_finite():
-        return _reciprocity(M, sphericals, caps)
+    M, cls = system.M, system.classification
+    if not cls.is_finite():
+        return _reciprocity(system)
     den = PolyQ.const(len(M.conjugacy_classes()), 1)
     num = den
-    for comp in classification.components:
-        num = num * _parabolic_poly(M, comp.vertices, caps)
+    for comp in cls.components:
+        num = num * _parabolic_poly(M, comp, system.caps)
     return num, den
 
 
-def _reciprocity(M, sphericals, caps):
+def _reciprocity(system):
     """(numerator, denominator) of W(t) for infinite W by the reciprocity
     sum over the spherical subsets, the denominator with constant term 1.
 
     Each W_T is the product of the polynomials W_C of the irreducible
     components C of T, so the sum of (-1)^|T| / W_T is accumulated over
     the lcm of these factors: a factor, one per distinct polynomial,
-    enters the lcm to its largest multiplicity in any W_T."""
+    enters the lcm to its largest multiplicity in any W_T.  The
+    components of each T are the System's classification of T."""
+    M = system.M
     nclasses = len(M.conjugacy_classes())
     factors = {}        # polynomial key -> component polynomial
     factor_of = {}      # component vertices -> polynomial key
     signs = Counter()   # factor multiset of a W_T -> sum of (-1)^|T|
-    for T in sphericals:
+    for T in system.sphericals:
         mult = Counter()
-        for comp in classify_parabolic(M, T).components:
+        for comp in system.parabolics[T].components:
             v = comp.vertices
             if v not in factor_of:
-                poly = _parabolic_poly(M, v, caps)
+                poly = _parabolic_poly(M, comp, system.caps)
                 factor_of[v] = key = tuple(sorted(poly.terms.items()))
                 factors.setdefault(key, poly)
             mult[factor_of[v]] += 1
@@ -509,12 +509,12 @@ def _sign_changes(chain, x, first):
     return out
 
 
-def smallest_positive_root(poly, hi, tol=ROOT_TOL):
+def smallest_positive_root(poly, hi):
     """Smallest root in (0, hi] of a polynomial given as its coefficient
     list, lowest degree first.
 
-    Returns (lo, hi) as Fractions bracketing the root to width <= tol, or
-    the exact root as (r, r), or None.  Exact arithmetic only: the Sturm
+    Returns (lo, hi) as Fractions bracketing the root to width <= ROOT_TOL,
+    or the exact root as (r, r), or None.  Exact arithmetic only: the Sturm
     chain is built over the rationals, then each member is scaled to
     integer coefficients, so every sign is read from an integer.
     """
@@ -549,11 +549,11 @@ def smallest_positive_root(poly, hi, tol=ROOT_TOL):
     if count_upto(hi) == 0:
         return None
     lo, b = Fraction(0), hi
-    while b - lo > tol:
+    while b - lo > ROOT_TOL:
         mid = (lo + b) / 2
         s = _sign_at(top, mid)
         if s == 0:
-            if count_upto(mid, s) == 1 or count_upto(mid - tol / 2) == 0:
+            if count_upto(mid, s) == 1 or count_upto(mid - ROOT_TOL / 2) == 0:
                 return (mid, mid)
             b = mid
             continue
@@ -670,9 +670,9 @@ def _iv_eval_curve(curve, x, prec):
         iv.prec = old
 
 
-def _iv_sign(curve, x, max_prec=2048):
+def _iv_sign(curve, x):
     prec = 64
-    while prec <= max_prec:
+    while prec <= CURVE_MAX_PREC:
         v = _iv_eval_curve(curve, x, prec)
         if v > 0:
             return 1
@@ -805,61 +805,58 @@ def enumeration_fit(points):
     return GrowthRateEstimate(b1, "EnumerationFit", unc, (b1 - unc, b1 + unc))
 
 
-def growth_rate(system, weights=None, method="series", radius=None):
-    """Weighted exponential growth rate e_t(W); weights None means the
-    unweighted rate e(W).
+def growth_rate(system, weights):
+    """Weighted exponential growth rate e_t(W) from the exact rational
+    series; weights None means the unweighted rate e(W).
 
-    method "series" locates the smallest positive singularity of the exact
-    rational series: on the substitution curve for non-constant weights,
-    in its one-variable form otherwise; "enumeration" regresses enumerated
-    counting data.  System.rate memoises the series route.
+    The smallest positive singularity is located on the substitution curve
+    for non-constant weights, in the series' one-variable form otherwise.
+    System.rate memoises it.
     """
-    M = system.M
-    cls = system.classification
     if weights is not None and weights.all_one():
         raise DegenerateWeights("all weights are 1; the counting function is trivial")
+    if system.classification.is_finite():
+        return GrowthRateEstimate(0.0, "SeriesSingularity", 0.0, (0.0, 0.0),
+                                  exact=True)
     if weights is not None and any(v == 1 for v in weights.values):
-        ones = [ci for ci, v in enumerate(weights.values) if v == 1]
-        union = [i for ci in ones for i in M.conjugacy_classes()[ci]]
-        if not classify_parabolic(M, union).is_finite():
+        classes = system.M.conjugacy_classes()
+        ones = frozenset(i for ci, v in enumerate(weights.values) if v == 1
+                         for i in classes[ci])
+        if ones not in system.sphericals:
             raise DegenerateWeights(
                 "weight 1 on classes spanning an infinite parabolic")
+    if weights is not None and not weights.is_constant():
+        return _series_rate_curve(system.series, weights)
+    logq = None if weights is None else math.log(float(weights.values[0]))
+    return _series_rate_constant_weight(system.series, logq)
 
-    if method == "series":
-        if cls.is_finite():
-            return GrowthRateEstimate(0.0, "SeriesSingularity", 0.0, (0.0, 0.0),
-                                      exact=True)
-        if weights is not None and not weights.is_constant():
-            return _series_rate_curve(system.series, weights)
-        logq = None if weights is None else math.log(float(weights.values[0]))
-        return _series_rate_constant_weight(system.series, logq)
 
-    if method == "enumeration":
-        if radius is None:
-            radius = 20 if M.is_right_angled() else 12
-        counts, _src = system.layer_counts(radius)
-        if weights is None:
-            sizes = ball_sizes(counts)
-            pts = [(float(k), sizes[k]) for k in range(1, len(sizes))]
-            return enumeration_fit(pts)
-        if any(math.log(v) == 0 for v in weights.values):
-            # a class of weight 1 (to float precision) puts elements of
-            # every length at one v = log t_w, so no count is complete
-            raise DegenerateWeights("degenerate weights: no usable counting function")
-        # Q(v) counts the elements with log t_w <= v, grouped by the exact
-        # weight; it is complete only up to t_min^radius, since heavier
-        # elements may have unenumerated peers of larger length
-        wmax = min(weights.values) ** radius
-        acc = {}
-        for layer in counts:
-            for cv, c in layer.items():
-                w = weights.weight_of(cv)
-                if w <= wmax:
-                    acc[w] = acc.get(w, 0) + c
-        ws = sorted(acc)
-        pts = list(zip(map(math.log, ws), accumulate(acc[w] for w in ws)))
+def enumeration_rate(system, weights, radius):
+    """e_t(W) by regression on the counting data through length radius,
+    the route that shares no code with the series; weights None means
+    e(W)."""
+    if weights is not None and any(math.log(v) == 0 for v in weights.values):
+        # a class of weight 1 (to float precision) puts elements of
+        # every length at one v = log t_w, so no count is complete
+        raise DegenerateWeights("degenerate weights: no usable counting function")
+    counts, _src = system.layer_counts(radius)
+    if weights is None:
+        sizes = ball_sizes(counts)
+        pts = [(float(k), sizes[k]) for k in range(1, len(sizes))]
         return enumeration_fit(pts)
-    raise SchemaError(f"unknown growth-rate method {method!r}")
+    # Q(v) counts the elements with log t_w <= v, grouped by the exact
+    # weight; it is complete only up to t_min^radius, since heavier
+    # elements may have unenumerated peers of larger length
+    wmax = min(weights.values) ** radius
+    acc = {}
+    for layer in counts:
+        for cv, c in layer.items():
+            w = weights.weight_of(cv)
+            if w <= wmax:
+                acc[w] = acc.get(w, 0) + c
+    ws = sorted(acc)
+    pts = list(zip(map(math.log, ws), accumulate(acc[w] for w in ws)))
+    return enumeration_fit(pts)
 
 
 def classify_convergence(system, weights, x):

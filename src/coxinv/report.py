@@ -19,9 +19,7 @@ import math
 import time
 from fractions import Fraction
 
-from .building import critical_exponents
 from .conformal import confdim_bounds
-from .coxeter import finite_group_order
 from .errors import (AffineDegenerate, CoxinvError, DegenerateWeights,
                      NotHyperbolic, SchemaError, ThinBuilding)
 from .growth import PolyQ, WeightVector, classify_convergence
@@ -168,10 +166,11 @@ def _witness_json(w):
 # ---------------------------------------------------------------------------
 # assembly
 
-def build_report(system, thickness=None, weights=None, depth=8, lam=None,
+def build_report(system, depth, thickness=None, weights=None, lam=None,
                  apartment_confdim=None, timings=False):
     """Full invariant report for one System.
 
+    depth: the last length of the printed layer sizes.
     thickness: ThicknessVector or None (no building sections).
     weights: WeightVector or None (the thickness, else all-one).
     timings: per-stage wall clock outside the deterministic payload; work
@@ -188,7 +187,6 @@ def build_report(system, thickness=None, weights=None, depth=8, lam=None,
         return out
 
     cls = system.classification
-    order = finite_group_order(M, range(M.rank)) if cls.is_finite() else None
     report = {
         "schema_version": SCHEMA_VERSION,
         "system": {
@@ -202,7 +200,7 @@ def build_report(system, thickness=None, weights=None, depth=8, lam=None,
             "kind": cls.kind,
             "components": _components_json(cls),
             "finite": cls.is_finite(),
-            "order": order,
+            "order": cls.order() if cls.is_finite() else None,
         },
         "parameters": {"depth": depth},
     }
@@ -262,13 +260,12 @@ def build_report(system, thickness=None, weights=None, depth=8, lam=None,
     # building sections only with a thickness vector
     if thickness is not None:
         try:
-            ce = timed("exponents",
-                       lambda: critical_exponents(system, thickness))
+            ce = timed("exponents", lambda: system.exponents(thickness))
             report["building"] = {
                 "thickness": thickness.per_generator(),
                 "thin": ce.thin,
                 "exponents": _exponents_json(ce),
-                "nerve_is_pm": ce.nerve_is_pm,
+                "nerve_is_pm": pm.is_pm,
             }
         except CoxinvError as exc:
             report["building"] = _error_json(exc)

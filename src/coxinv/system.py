@@ -2,23 +2,23 @@
 
 A System wraps a CoxeterMatrix together with the resource caps and the
 optional enumeration cache directory, and memoises on the instance what
-several pipeline stages read: classification, spherical subsets, nerve,
-type-PM verdict, vcd, hyperbolicity, the circle-nerve verdict, per-length
-class counts, the per-class growth series and the series-route rate of
-each weight vector.  The stage functions in growth, building, conformal,
-davis and report take a System, so one report builds each of these once
-however many sections read it.
+several pipeline stages read: classification, the classified parabolics,
+nerve, type-PM verdict, vcd, hyperbolicity, the circle-nerve verdict,
+per-length class counts, the per-class growth series, the series-route
+rate of each weight vector and the critical exponents of each thickness.
+The stage functions take a System, so one report builds each of these
+once however many sections read it.
 
-The System owns the caps and the spherical subsets.  Only its default
-caps (and the command line) read the environment; every function below
-it that enumerates elements or builds a complex takes its caps as a
-required argument, and the nerve, vcd and oracle stages read the caps
-and the spherical subsets from the System.
+The System owns the caps and the classification of every parabolic a
+stage reads.  Only its default caps (and the command line) read the
+environment; every function below it that enumerates elements or builds
+a complex takes its caps as a required argument.
 """
 
 from functools import cached_property
 
 from . import cache, growth
+from .building import critical_exponents
 from .conformal import is_nerve_circle, moussong_hyperbolic
 from .coxeter import classify_parabolic, spherical_subsets
 from .davis import nerve_complex, vcd_real
@@ -33,14 +33,21 @@ class System:
         self.cache_dir = cache_dir
         self._layers = None     # (depth, counts, source) of the deepest run
         self._rates = {}        # weight values, or None -> GrowthRateEstimate
+        self._exponents = {}    # thickness values -> CriticalExponents
 
     @cached_property
     def classification(self):
         return classify_parabolic(self.M)
 
     @cached_property
+    def parabolics(self):
+        """{T: Classification} for every spherical T and every minimal
+        non-spherical T, in (size, lex) order."""
+        return spherical_subsets(self.M, self.classification)
+
+    @cached_property
     def sphericals(self):
-        return spherical_subsets(self.M)
+        return [T for T, cls in self.parabolics.items() if cls.is_finite()]
 
     @cached_property
     def nerve(self):
@@ -56,7 +63,7 @@ class System:
 
     @cached_property
     def hyperbolicity(self):
-        return moussong_hyperbolic(self.M)
+        return moussong_hyperbolic(self)
 
     @cached_property
     def nerve_is_circle(self):
@@ -104,3 +111,10 @@ class System:
         if key not in self._rates:
             self._rates[key] = growth.growth_rate(self, weights)
         return self._rates[key]
+
+    def exponents(self, thickness):
+        """Critical exponents of the building of this thickness."""
+        key = thickness.values
+        if key not in self._exponents:
+            self._exponents[key] = critical_exponents(self, thickness)
+        return self._exponents[key]

@@ -11,12 +11,13 @@ enumeration for parabolic finiteness, vertex degrees with Betti numbers
 for circle nerves, term-by-term evaluation of a polynomial at a rational
 point, the minimal polynomial of 2cos(pi/N) with every Dickson
 polynomial built from scratch, vcd as the relative homology of the Davis
-chamber and its mirrors ranked by Bareiss elimination, and Sturm root
-isolation with every sign read from a Fraction value.  Deliberately
-simple and slow.  The rest are checks the library does not run: d∘d = 0
-on a whole complex, the cone test, the rate comparison bounds, the count
-side of the pullback norms, and the inverse of the machine report
-encoding.
+chamber and its mirrors ranked by Bareiss elimination, Sturm root
+isolation with every sign read from a Fraction value, and hyperbolicity
+by classifying all 2^rank subsets rather than the minimal non-spherical
+ones.  Deliberately simple and slow.  The rest are checks the library
+does not run: d∘d = 0 on a whole complex, the cone test, the rate
+comparison bounds, the count side of the pullback norms, and the inverse
+of the machine report encoding.
 """
 
 import itertools
@@ -27,13 +28,15 @@ from fractions import Fraction
 
 from coxinv.algebraic import cyclotomic, dickson
 from coxinv.building import lp_power_sum
-from coxinv.coxeter import spherical_subsets
+from coxinv.conformal import AffineRank3, CommutingInfinitePair
+from coxinv.coxeter import classify_parabolic
 from coxinv.elements import DEFAULT_MAX_SIMPLICES as CAP, Caps, ReflectionRep
 from coxinv.errors import DegenerateWeights, SchemaError
 from coxinv.growth import (_p1_deriv, _p1_exact_div, _p1_gcd, _p1_trim,
                            _sturm_chain, layer_class_counts)
 from coxinv.homology import SimplicialComplexQ, betti_numbers
 from coxinv.report import INF_TOKEN, NEG_INF_TOKEN
+from coxinv.system import System
 
 
 def bareiss_rank(rows):
@@ -321,7 +324,7 @@ def nerve_circle_by_degrees(M):
     """Nerve a triangulated circle, from vertex degrees, edge counts and
     Betti numbers: a 1-dimensional complex on at least three vertices with
     as many edges as vertices, every vertex of degree 2, and b = [1, 1]."""
-    N = SimplicialComplexQ([T for T in spherical_subsets(M) if T], CAP)
+    N = SimplicialComplexQ([T for T in System(M).sphericals if T], CAP)
     if N.dim != 1:
         return False
     verts = N.k_faces(0)
@@ -335,6 +338,27 @@ def nerve_circle_by_degrees(M):
     if any(deg.get(v[0], 0) != 2 for v in verts):
         return False
     return betti_numbers(N) == [1, 1]
+
+
+def hyperbolicity_by_subset_scan(M):
+    """(hyperbolic, witness) with every one of the 2^rank subsets
+    classified, in (size, lex) order: the least irreducible affine subset
+    of rank >= 3, else the least infinite T1 whose commuting generators
+    span an infinite parabolic."""
+    subsets = [T for r in range(1, M.rank + 1)
+               for T in itertools.combinations(range(M.rank), r)]
+    for T in subsets:
+        cls = classify_parabolic(M, T)
+        if len(T) >= 3 and cls.is_affine() and len(cls.components) == 1:
+            return False, AffineRank3(T)
+    for T1 in subsets:
+        if classify_parabolic(M, T1).is_finite():
+            continue
+        comm = tuple(s for s in range(M.rank) if s not in T1 and
+                     all(M.entry(s, t) == 2 for t in T1))
+        if comm and not classify_parabolic(M, comm).is_finite():
+            return False, CommutingInfinitePair(T1, comm)
+    return True, None
 
 
 def degree_product(degrees):
@@ -514,7 +538,7 @@ class DavisChamber:
 def davis_chamber(M):
     """The chamber K as the order complex of the spherical subsets, and the
     mirror K_s as the chains whose members all contain s."""
-    sphericals = spherical_subsets(M)
+    sphericals = System(M).sphericals
     X = order_complex(sphericals, lambda a, b: a < b,
                       key=lambda T: tuple(sorted(T)))
     mirrors = {}

@@ -23,8 +23,8 @@ from coxinv.conformal import (AffineRank3, CommutingInfinitePair,
                               confdim_bounds, fuchsian_report,
                               moussong_hyperbolic)
 from coxinv.elements import DEFAULT_MAX_SIMPLICES, Caps
-from coxinv.growth import (WeightVector, growth_rate, layer_class_counts,
-                           rational_growth_series)
+from coxinv.growth import (WeightVector, enumeration_rate, growth_rate,
+                           layer_class_counts, rational_growth_series)
 from coxinv.homology import SimplicialComplexQ, pm_verdict
 from coxinv.report import build_report, report_to_json
 from coxinv.system import System
@@ -79,13 +79,12 @@ class TestCriterion02PentagonRateTwoRoutes:
     regression at depth 20 within 5e-2."""
 
     def test_series_route(self, pentagon):
-        r = growth_rate(System(pentagon), None, method="series")
+        r = growth_rate(System(pentagon), None)
         assert abs(r.value - PENTAGON_RATE) < 1e-3
         assert r.bracket[0] <= PENTAGON_RATE <= r.bracket[1]
 
     def test_enumeration_route(self, pentagon):
-        r = growth_rate(System(pentagon), None, method="enumeration",
-                        radius=20)
+        r = enumeration_rate(System(pentagon), None, 20)
         assert abs(r.value - PENTAGON_RATE) < 5e-2
         assert r.method == "EnumerationFit"
 
@@ -120,8 +119,7 @@ class TestCriterion04AffineDegeneration:
 
     def test_fit_slope_vanishes(self, triangle_333):
         w = WeightVector.constant(triangle_333, 2)
-        r = growth_rate(System(triangle_333), w, method="enumeration",
-                        radius=30)
+        r = enumeration_rate(System(triangle_333), w, 30)
         assert abs(r.value) < 1e-2
         assert r.bracket[0] <= 0.0 <= r.bracket[1]
 
@@ -193,7 +191,7 @@ class TestCriterion08ConformalDimension:
         # the same bracket rebuilt from the rate interval, without the
         # surface-group shortcut
         w = WeightVector.constant(pentagon, 2)
-        e_q = growth_rate(System(pentagon), w, method="series")
+        e_q = growth_rate(System(pentagon), w)
         lo, hi = e_q.bracket
         lam = math.exp(e_q.value)
         lower = 1.0 * (1.0 + 1.0 / hi)
@@ -216,23 +214,23 @@ class TestCriterion09HyperbolicityWitnesses:
     """Exact obstruction witnesses."""
 
     def test_affine_rank3(self, triangle_333):
-        r = moussong_hyperbolic(triangle_333)
+        r = moussong_hyperbolic(System(triangle_333))
         assert not r.hyperbolic
         assert r.witness == AffineRank3((0, 1, 2))
 
     def test_affine_rank3_with_cone_vertex(self):
         M = mat([[1, 3, 3, 2], [3, 1, 3, 2], [3, 3, 1, 2], [2, 2, 2, 1]])
-        r = moussong_hyperbolic(M)
+        r = moussong_hyperbolic(System(M))
         assert r.witness == AffineRank3((0, 1, 2))
 
     def test_commuting_pair(self, square_product):
-        r = moussong_hyperbolic(square_product)
+        r = moussong_hyperbolic(System(square_product))
         assert not r.hyperbolic
         assert r.witness == CommutingInfinitePair((0, 2), (1, 3))
 
     def test_hyperbolic_references(self, pentagon, dihedral_inf, triangle_732):
         for M in (pentagon, dihedral_inf, triangle_732):
-            assert moussong_hyperbolic(M).hyperbolic
+            assert moussong_hyperbolic(System(M)).hyperbolic
 
 
 class TestCriterion10Determinism:

@@ -237,7 +237,7 @@ class TestCriticalExponents:
         e = math.log((3 + math.sqrt(5)) / 2) / math.log(2)
         assert abs(ce.p_hom - (1 + e)) < 1e-6
         assert abs(ce.p_cohom - (1 + 1 / e)) < 1e-6
-        assert ce.nerve_is_pm and not ce.thin
+        assert not ce.thin
         assert ce.p_hom_bracket[0] <= ce.p_hom <= ce.p_hom_bracket[1]
 
     def test_affine_exact(self, triangle_333):
@@ -279,6 +279,8 @@ class TestRadicalArithmetic:
 # pentagon tally was strict 60, and the digests were c1e84fd2... and
 # b36929e4... when words were drawn from the whole ball
 
+# the command line's default grid
+BATTERY_GRID = (Fraction(3, 2), Fraction(2), Fraction(3))
 PIN_IDENTITIES = ["boundary_squared_zero", "pushforward_boundary",
                   "retraction_section", "pullback_boundary",
                   "norm_comparison"]
@@ -323,13 +325,13 @@ class TestBatteryPins:
     def test_pentagon_battery(self, pentagon):
         out = oracle_battery(System(pentagon),
                              ThicknessVector.constant(pentagon, 2), 4,
-                             chains=20, seed=0)
+                             BATTERY_GRID, chains=20, seed=0)
         assert out == PIN_PENTAGON_Q2_R4
 
     def test_dihedral_battery(self, dihedral_inf):
         out = oracle_battery(System(dihedral_inf),
                              ThicknessVector.constant(dihedral_inf, 3), 8,
-                             chains=10, seed=0)
+                             BATTERY_GRID, chains=10, seed=0)
         assert out == PIN_DIHEDRAL_Q3_R8
 
     def test_pentagon_draws(self, pent_ball):
@@ -596,13 +598,15 @@ class TestSampler:
         monkeypatch.setattr(building_mod, "random_simplices", recorded)
         oracle_battery(System(pentagon),
                        ThicknessVector.constant(pentagon, 2), 4,
-                       chains=100, seed=0)
+                       BATTERY_GRID, chains=100, seed=0)
         # 304,872 and 500 when every draw reached make_simplex and theta
         # was rebuilt for each p; 10,792 make_simplex calls for 2,924
         # simplices and 1,656,224 getrandbits calls when words were drawn
-        # from the whole ball and 200 attempts per simplex could run out
+        # from the whole ball and 200 attempts per simplex could run out;
+        # 11,517 calls, 8,517 of them refused, while the sampler tested
+        # only the margin bound |T_0| on the gate's drops
         assert filled == [(15, 15)] * 200
-        assert calls["make_simplex"] <= 11600
+        assert calls["make_simplex"] == 3000
         assert calls["getrandbits"] <= 90000
         assert calls["pullback"] == 300
 
@@ -630,7 +634,7 @@ class TestTopDimensionalSimplices:
         monkeypatch.setattr(building_mod, "make_simplex", recorded)
         out = oracle_battery(System(dinf_cubed),
                              ThicknessVector.constant(dinf_cubed, 2), 5,
-                             chains=100, seed=0)
+                             BATTERY_GRID, chains=100, seed=0)
         assert max(dims) == 3
         assert out["identities"] == PIN_IDENTITIES
 

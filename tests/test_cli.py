@@ -483,6 +483,19 @@ class TestExitCodes:
                              self._write(tmp_path, weights="1e400"))
         assert "too large for a float" in proc.stderr
 
+    def test_boolean_thickness(self, tmp_path):
+        # a JSON true used to be read as thickness 1
+        proc = self._refused("exponents", "--input",
+                             self._write(tmp_path, thickness=True))
+        assert "thickness must be an exact rational, got True" in proc.stderr
+
+    def test_map_naming_no_generator(self, tmp_path):
+        # the extra key used to be ignored
+        thickness = dict(dict.fromkeys("abcde", 2), f=9)
+        proc = self._refused("exponents", "--input",
+                             self._write(tmp_path, thickness=thickness))
+        assert "thickness names unknown generators ['f']" in proc.stderr
+
 
 # recorded again when words came to be drawn from the viable prefix only;
 # the jensen tallies moved and nothing else (the whole-ball draws gave
@@ -500,28 +513,32 @@ GOLDEN_ORACLE = {
 # thickness and per-class weights, the (7,3,2) triangle (CycloField route)
 # and the free product of three Z/2 (the non-Fuchsian confdim path).  The
 # growth rows were recorded again when the series came to print in lowest
-# terms; every other field of their output kept its bytes
+# terms; every other field of their output kept its bytes.  The three
+# Fuchsian confdim rows were recorded again when the degree-2 verdicts came
+# to change at p_cohom instead of p_hom; only degree_2 entries moved (p = 2
+# to "zero" on the pentagons, p = 3/2 and 2 to "nonzero" on (7,3,2)), and
+# they were 8b227420..., b65711ed... and 4073ea9d... before
 GOLDEN_SUBCOMMANDS = {
     ("growth", "pentagon"): "786fc494858b56e4a7e2220fe932a935"
                             "1e70ccee4981620fad5e7cf15515e891",
     ("exponents", "pentagon"): "7c170f63a0ff40f3ac6fc3e3143c7865"
                                "c7b182708c264146562efe0ea1c11d44",
-    ("confdim", "pentagon"): "8b227420ad25629ed580d68c647c3447"
-                             "39972efd3848a15d76f708f4463c39b6",
+    ("confdim", "pentagon"): "dd0661be0dd225ab7a71784c9c9dc497"
+                             "9d48b1e27c0870d02f56501c7e50c83e",
     ("growth", "pentagon_t23222"): "77b427ad05d36e29a98b7c2d30ae1aa1"
                                    "59b72015734ac69447f257af320462f0",
     ("exponents", "pentagon_t23222"): "07092f571102300b867b3ac6c7b396df"
                                       "a9691273671fd2cbb054e14fb0c7545c",
-    ("confdim", "pentagon_t23222"): "b65711edd2cd54a6815e6897097e2f96"
-                                    "9e9e6e531c07654ff41eebb8d82cb69a",
+    ("confdim", "pentagon_t23222"): "75d65d90c862c60c5b50e0697e527290"
+                                    "4289d568350023f2566313536ef8e22d",
     ("growth", "pentagon_w22223"): "77b427ad05d36e29a98b7c2d30ae1aa1"
                                    "59b72015734ac69447f257af320462f0",
     ("growth", "t732"): "0fa4dbee1e76735f8fbe5d2a7de17673"
                         "bd0102eac24108d7245c2ba023bb378d",
     ("exponents", "t732"): "a3abcd500fb0c93db087de9f4c63a7a2"
                            "27c30d64c58d4fe004cdb1d29206e475",
-    ("confdim", "t732"): "4073ea9d94690a642ca7e6155c52a839"
-                         "e54d265e1ca41ae87dfe32b6a138ce1d",
+    ("confdim", "t732"): "1872eae7d4e18c7f30cb2298545fa806"
+                         "06c483f37e1adf363dff397b794265da",
     ("confdim", "free3"): "6196381cbc321e98b70296fe9bb0cbb7"
                           "15bc0231b7e5b65cd29fc3f84c61b35c",
 }

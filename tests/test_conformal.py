@@ -1,6 +1,7 @@
 """Hyperbolicity witnesses and conformal dimension brackets."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,7 @@ from coxinv.errors import (AffineDegenerate, NotHyperbolic, ResourceExceeded,
                            SchemaError, ThinBuilding)
 from coxinv.system import System
 from .conftest import INF, mat
-from .oracles import nerve_circle_by_degrees
+from .oracles import hyperbolicity_by_subset_scan, nerve_circle_by_degrees
 
 PENT_RATE = math.log((3 + math.sqrt(5)) / 2)   # e(W) of the 5-cycle system
 
@@ -32,19 +33,19 @@ def free_product_3():
 class TestMoussong:
     def test_hyperbolic_systems(self, pentagon, dihedral_inf, a2, triangle_732):
         for M in (pentagon, dihedral_inf, a2, triangle_732):
-            r = moussong_hyperbolic(M)
+            r = moussong_hyperbolic(System(M))
             assert r.hyperbolic and r.witness is None
 
     def test_affine_rank3_witness(self, triangle_333, cone_333):
-        r = moussong_hyperbolic(triangle_333)
+        r = moussong_hyperbolic(System(triangle_333))
         assert not r.hyperbolic
         assert r.witness == AffineRank3((0, 1, 2))
         # the witness ignores the spectator cone generator
-        r = moussong_hyperbolic(cone_333)
+        r = moussong_hyperbolic(System(cone_333))
         assert r.witness == AffineRank3((0, 1, 2))
 
     def test_commuting_pair_witness(self, square_product):
-        r = moussong_hyperbolic(square_product)
+        r = moussong_hyperbolic(System(square_product))
         assert not r.hyperbolic
         assert r.witness == CommutingInfinitePair((0, 2), (1, 3))
 
@@ -52,7 +53,29 @@ class TestMoussong:
         n = 15
         rows = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
         with pytest.raises(ResourceExceeded):
-            moussong_hyperbolic(mat(rows, [f"g{i}" for i in range(n)]))
+            moussong_hyperbolic(System(mat(rows, [f"g{i}" for i in range(n)])))
+
+    def test_named_systems_match_subset_scan(
+            self, pentagon, triangle_732, triangle_333, cone_333,
+            square_product):
+        for M in (pentagon, triangle_732, triangle_333, cone_333,
+                  square_product):
+            r = System(M).hyperbolicity
+            assert (r.hyperbolic, r.witness) == hyperbolicity_by_subset_scan(M)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_random_systems_match_subset_scan(self, data):
+        # the minimal non-spherical subsets against all 2^rank subsets
+        n = data.draw(st.integers(2, 6))
+        labels = st.sampled_from([2, 3, 4, 5, 6, INF])
+        rows = [[1] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = data.draw(labels)
+        M = mat(rows)
+        r = System(M).hyperbolicity
+        assert (r.hyperbolic, r.witness) == hyperbolicity_by_subset_scan(M)
 
 
 class TestNerveCircle:
@@ -157,10 +180,28 @@ class TestFuchsianReport:
                                 p_grid=(1.25, conf, 2.0, dual, 3.0))
         as_dict = {round(p, 6): (d1, d2) for p, d1, d2 in table}
         assert as_dict[1.25] == ("zero", "nonzero")
-        assert as_dict[round(conf, 6)][0] == "critical"
-        assert as_dict[2.0] == ("nonzero", "nonzero")
-        assert as_dict[round(dual, 6)][1] == "critical"
+        assert as_dict[round(conf, 6)] == ("critical", "critical")
+        # both degrees change at the conformal dimension p_cohom, below
+        # 2 here: 1/W(2) = -1/9 < 0 puts the L^2-cohomology in degree 1
+        assert as_dict[2.0] == ("nonzero", "zero")
+        assert as_dict[round(dual, 6)] == ("nonzero", "zero")
         assert as_dict[3.0] == ("nonzero", "zero")
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 6])
+    def test_p2_verdicts_follow_l2_euler_characteristic(self, pentagon, q):
+        # the weighted L^2-Euler characteristic b_1 - b_2 ... of the
+        # building is 1/W(q) (Davis, Dymara, Januszkiewicz and Okun, Geom.
+        # Topol. 11, 2007), and a circle nerve puts it in one degree:
+        # degree 2 when positive, degree 1 when negative
+        S = System(pentagon)
+        num, den = S.series.univariate()
+        chi = sum(Fraction(c) * q ** k for k, c in enumerate(den)) / \
+            sum(Fraction(c) * q ** k for k, c in enumerate(num))
+        assert chi == Fraction(1 - 3 * q + q * q, (1 + q) ** 2)
+        [(_p, d1, d2)] = fuchsian_report(
+            S, ThicknessVector.constant(pentagon, q), p_grid=(2,))
+        assert (d2 == "nonzero") == (chi > 0)
+        assert (d1 == "nonzero") == (chi < 0)
 
     def test_requires_circle_nerve(self, path_2edge):
         q = ThicknessVector.constant(path_2edge, 2)

@@ -3,9 +3,9 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coxinv.coxeter import (CoxeterMatrix, classify_parabolic, finite_group_order,
-                            is_spherical, spherical_subsets)
+from coxinv.coxeter import CoxeterMatrix, classify_parabolic, spherical_subsets
 from coxinv.errors import AsymmetryError, BadEntry, DiagonalError, SchemaError
+from coxinv.system import System
 
 from .oracles import parabolic_is_finite_by_enumeration
 from .conftest import mat
@@ -129,30 +129,40 @@ def test_is_affine_system(triangle_333, square_product):
 # group orders and spherical subsets
 
 def test_finite_group_orders():
-    assert finite_group_order(mat([[1, 3], [3, 1]])) == 6
-    assert finite_group_order(mat([[1, 5, 2], [5, 1, 3], [2, 3, 1]])) == 120
-    assert finite_group_order(
-        mat([[1, 5, 2, 2], [5, 1, 3, 2], [2, 3, 1, 3], [2, 2, 3, 1]])) == 14400
+    def order(rows):
+        return classify_parabolic(mat(rows)).order()
+    assert order([[1, 3], [3, 1]]) == 6
+    assert order([[1, 5, 2], [5, 1, 3], [2, 3, 1]]) == 120
+    assert order([[1, 5, 2, 2], [5, 1, 3, 2], [2, 3, 1, 3],
+                  [2, 2, 3, 1]]) == 14400
+    with pytest.raises(SchemaError):
+        classify_parabolic(mat([[1, INF], [INF, 1]])).order()
 
 
 def test_spherical_subsets_pentagon(pentagon):
-    subs = spherical_subsets(pentagon)
+    walk = spherical_subsets(pentagon, classify_parabolic(pentagon))
+    subs = [T for T, cls in walk.items() if cls.is_finite()]
     # empty set, 5 singletons, 5 commuting pairs
     assert len(subs) == 11
     sizes = sorted(len(T) for T in subs)
     assert sizes == [0, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2]
+    # and the 5 non-commuting pairs, minimal non-spherical
+    assert [sorted(T) for T, cls in walk.items() if not cls.is_finite()] == \
+        [[0, 2], [0, 3], [1, 3], [1, 4], [2, 4]]
+    assert subs == System(pentagon).sphericals
 
 
 def test_spherical_subsets_333(triangle_333):
-    subs = spherical_subsets(triangle_333)
+    walk = spherical_subsets(triangle_333, classify_parabolic(triangle_333))
     # the whole set is affine, every proper subset is spherical
-    assert frozenset({0, 1, 2}) not in subs
-    assert len(subs) == 7
+    assert walk[frozenset({0, 1, 2})].is_affine()
+    assert len(walk) == 8
+    assert frozenset({0, 1, 2}) not in System(triangle_333).sphericals
 
 
 def test_sphericality_matches_matrix_enumeration(pentagon, triangle_732):
     for M in (pentagon, triangle_732):
-        for T in spherical_subsets(M):
+        for T in System(M).sphericals:
             if not T:
                 continue
             finite, _n = parabolic_is_finite_by_enumeration(M, T)
@@ -200,4 +210,4 @@ def test_classification_invariant_under_relabelling(data):
     assert c1.kind == c2.kind
     assert sorted(c.label for c in c1.components) == \
         sorted(c.label for c in c2.components)
-    assert len(spherical_subsets(M)) == len(spherical_subsets(M2))
+    assert len(System(M).sphericals) == len(System(M2).sphericals)

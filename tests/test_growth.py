@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from coxinv.coxeter import classify_parabolic, spherical_subsets
+from coxinv.coxeter import classify_parabolic
 from coxinv.elements import Caps, ball_enumerate
 from coxinv.errors import (DegenerateWeights, ResourceExceeded,
                            ValidationMismatch)
@@ -14,7 +14,7 @@ from coxinv.growth import (DEFAULT_VALIDATION_DEPTH, CurveTerms,
                            _p1_gcd, _p1_rem, _parabolic_poly, _reciprocity,
                            _series_rate_constant_weight,
                            _series_rate_curve, classify_convergence,
-                           enumeration_fit, growth_rate,
+                           enumeration_fit, enumeration_rate, growth_rate,
                            rational_growth_series, smallest_positive_root)
 from coxinv.system import System
 
@@ -81,7 +81,8 @@ def test_parabolic_poly_b3_in_534():
     # the B3 parabolic on {b, c, d} has the same two classes
     M = mat([[1, 5, 2, 2], [5, 1, 3, 2], [2, 3, 1, 4], [2, 2, 4, 1]])
     assert M.conjugacy_classes() == ((0, 1, 2), (3,))
-    poly = _parabolic_poly(M, {1, 2, 3}, Caps())
+    (b3,) = classify_parabolic(M, {1, 2, 3}).components
+    poly = _parabolic_poly(M, b3, Caps())
     assert poly.terms == bn_poincare(3)
     assert sum(poly.terms.values()) == 48
 
@@ -91,7 +92,8 @@ def test_parabolic_poly_two_classes_merge():
     # put a and b in one ambient class
     M = mat([[1, 4, 3], [4, 1, 3], [3, 3, 1]])
     assert M.conjugacy_classes() == ((0, 1, 2),)
-    poly = _parabolic_poly(M, {0, 1}, Caps())
+    (i24,) = classify_parabolic(M, {0, 1}).components
+    poly = _parabolic_poly(M, i24, Caps())
     # (1 + t)(1 + t + t^2 + t^3)
     assert poly.terms == {(0,): 1, (1,): 2, (2,): 2, (3,): 2, (4,): 1}
 
@@ -101,9 +103,9 @@ def test_validation_is_mandatory(monkeypatch, dihedral_inf):
     import coxinv.growth as G
     orig = G._parabolic_poly
 
-    def corrupted(M, T, caps):
-        poly = orig(M, T, caps)
-        if len(T) == 1:
+    def corrupted(M, comp, caps):
+        poly = orig(M, comp, caps)
+        if len(comp.vertices) == 1:
             poly = poly + PolyQ.const(poly.nvars, 1)
         return poly
 
@@ -121,9 +123,10 @@ def test_mismatch_names_the_counting_route(monkeypatch, pentagon, depth,
     import coxinv.growth as G
     orig = G._parabolic_poly
 
-    def corrupted(M, T, caps):
-        poly = orig(M, T, caps)
-        return poly + PolyQ.const(poly.nvars, 1) if len(T) == 1 else poly
+    def corrupted(M, comp, caps):
+        poly = orig(M, comp, caps)
+        return poly + PolyQ.const(poly.nvars, 1) \
+            if len(comp.vertices) == 1 else poly
 
     system = System(pentagon, caps=Caps(max_elements=100_000))
     assert system.layer_counts(depth)[1] == source
@@ -166,7 +169,7 @@ def test_dodecahedron_series_over_the_lcm():
     # numerator and denominator come straight from the reciprocity sum
     M = right_angled_dodecahedron()
     assert sum(row.count(2) for row in M.m) == 60
-    num, den = _reciprocity(M, spherical_subsets(M), Caps())
+    num, den = _reciprocity(System(M, caps=Caps()))
     assert (len(num.terms), len(den.terms)) == (4096, 1748)
     # (1+t)^3 / ((1-t)(1-8t+t^2))
     assert RationalGrowthSeries(num, den, 0).univariate() == \
@@ -301,7 +304,7 @@ def test_smallest_positive_root_matches_reference_on_random_polys(data):
 # growth rates
 
 def test_pentagon_rate_series(pentagon):
-    e = growth_rate(System(pentagon), None, method="series")
+    e = growth_rate(System(pentagon), None)
     assert e.method == "SeriesSingularity"
     assert abs(e.value - E_PENTAGON) < 1e-6
     assert e.uncertainty < 1e-8
@@ -309,36 +312,36 @@ def test_pentagon_rate_series(pentagon):
 
 
 def test_732_rate_is_lehmer(triangle_732):
-    e = growth_rate(System(triangle_732), None, method="series")
+    e = growth_rate(System(triangle_732), None)
     assert abs(math.exp(e.value) - 1.17628081825991) < 1e-9
 
 
 def test_affine_rates_exact_zero(triangle_333, square_product, dihedral_inf):
     for M in (triangle_333, square_product, dihedral_inf):
-        e = growth_rate(System(M), None, method="series")
+        e = growth_rate(System(M), None)
         assert e.value == 0.0 and e.exact
 
 
 def test_finite_rate_zero(a2):
-    e = growth_rate(System(a2), None, method="series")
+    e = growth_rate(System(a2), None)
     assert e.value == 0.0 and e.exact
 
 
 def test_pentagon_weighted_constant(pentagon):
     w = WeightVector.constant(pentagon, 2)
-    e = growth_rate(System(pentagon), w, method="series")
+    e = growth_rate(System(pentagon), w)
     assert abs(e.value - E_PENTAGON / math.log(2)) < 1e-6
 
 
 def test_affine_weighted_exact_zero(triangle_333):
     w = WeightVector.constant(triangle_333, 2)
-    e = growth_rate(System(triangle_333), w, method="series")
+    e = growth_rate(System(triangle_333), w)
     assert e.value == 0.0 and e.exact
 
 
 def test_pentagon_mixed_weights_bounds(pentagon):
     w = WeightVector(pentagon, [2, 2, 2, 2, 3])
-    e = growth_rate(System(pentagon), w, method="series")
+    e = growth_rate(System(pentagon), w)
     lo, hi = rate_comparison_bounds(System(pentagon), w)
     assert lo - 1e-9 <= e.value <= hi + 1e-9
     # strictly inside: the mixed rate differs from both constant-weight rates
@@ -347,20 +350,19 @@ def test_pentagon_mixed_weights_bounds(pentagon):
 
 def test_weight_one_on_finite_parabolic_allowed(dihedral_inf):
     e = growth_rate(System(dihedral_inf),
-                    WeightVector(dihedral_inf, [1, 2]), method="series")
+                    WeightVector(dihedral_inf, [1, 2]))
     assert e.value == 0.0 and e.exact
 
 
 def test_weight_one_on_infinite_parabolic_rejected(path_2edge):
     with pytest.raises(DegenerateWeights):
-        growth_rate(System(path_2edge), WeightVector(path_2edge, [1, 2, 1]),
-                    method="series")
+        growth_rate(System(path_2edge), WeightVector(path_2edge, [1, 2, 1]))
 
 
 def test_all_one_weights_rejected(dihedral_inf):
     with pytest.raises(DegenerateWeights):
         growth_rate(System(dihedral_inf),
-                    WeightVector(dihedral_inf, [1, 1]), method="series")
+                    WeightVector(dihedral_inf, [1, 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -397,20 +399,20 @@ def test_curve_route_overlaps_sturm_route(pentagon_system, pentagon, q):
 # enumeration fits (moderate depth here; deep runs live in acceptance)
 
 def test_pentagon_fit_unweighted(pentagon):
-    e = growth_rate(System(pentagon), None, method="enumeration", radius=12)
+    e = enumeration_rate(System(pentagon), None, 12)
     assert e.method == "EnumerationFit"
     assert abs(e.value - E_PENTAGON) < 5e-2
 
 
 def test_pentagon_fit_weighted(pentagon):
     w = WeightVector.constant(pentagon, 2)
-    e = growth_rate(System(pentagon), w, method="enumeration", radius=12)
+    e = enumeration_rate(System(pentagon), w, 12)
     assert abs(e.value - E_PENTAGON / math.log(2)) < 5e-2
 
 
 def test_affine_fit_bracket_contains_zero(triangle_333):
     w = WeightVector.constant(triangle_333, 2)
-    e = growth_rate(System(triangle_333), w, method="enumeration", radius=30)
+    e = enumeration_rate(System(triangle_333), w, 30)
     assert abs(e.value) < 1e-2
     assert e.bracket[0] <= 0.0 <= e.bracket[1]
 
@@ -425,7 +427,7 @@ def test_enumeration_fit_points_in_complete_range(pentagon, monkeypatch):
 
     monkeypatch.setattr(G, "enumeration_fit", recording_fit)
     w = WeightVector(pentagon, [2, 2, 2, 2, 4])
-    growth_rate(System(pentagon), w, method="enumeration", radius=10)
+    enumeration_rate(System(pentagon), w, 10)
     # every fitted point lies within the completeness bound
     vmax = 10 * math.log(2)
     vs, qs = zip(*seen)
@@ -469,9 +471,8 @@ def pentagon_system(pentagon):
 @given(st.integers(2, 6))
 def test_constant_weight_scaling(pentagon, pentagon_system, q):
     """e_q(W) = e(W) / log q for constant weights."""
-    e0 = growth_rate(pentagon_system, None, method="series")
-    eq = growth_rate(pentagon_system, WeightVector.constant(pentagon, q),
-                     method="series")
+    e0 = growth_rate(pentagon_system, None)
+    eq = growth_rate(pentagon_system, WeightVector.constant(pentagon, q))
     assert abs(eq.value - e0.value / math.log(q)) < 1e-6
 
 
@@ -493,8 +494,8 @@ def test_weighted_rate_monotone_in_weights(free_rank3, free_rank3_system,
                                            qa, qb):
     """Raising any single weight cannot raise the counting exponent."""
     M, S = free_rank3, free_rank3_system
-    e1 = growth_rate(S, WeightVector(M, [qa, qb, qb]), method="series")
-    e2 = growth_rate(S, WeightVector(M, [qa + 1, qb, qb]), method="series")
+    e1 = growth_rate(S, WeightVector(M, [qa, qb, qb]))
+    e2 = growth_rate(S, WeightVector(M, [qa + 1, qb, qb]))
     assert e2.value <= e1.value + 1e-6
 
 
@@ -533,7 +534,7 @@ def _unvalidated_series(M):
     """The library's per-class series of M without the BFS check, which
     the larger joins and free products below cannot afford."""
     return RationalGrowthSeries(*_growth_fraction(
-        M, classify_parabolic(M), spherical_subsets(M), Caps()), 0)
+        System(M, caps=Caps())), 0)
 
 
 LABEL = st.one_of(st.just(2), st.sampled_from((3, 4, 5, 6, math.inf)))

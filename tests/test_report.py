@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from coxinv.building import ThicknessVector
 from coxinv.cache import load_layers, store_layers
+from coxinv.cli import main as cli_main
 from coxinv.elements import Caps, racg_layer_counts
 from coxinv.errors import ResourceExceeded
 from coxinv.growth import (DEFAULT_VALIDATION_DEPTH, WeightVector,
@@ -191,7 +192,8 @@ class TestSharedSystem:
             M = mat([[1, 4, 3], [4, 1, 3], [3, 3, 1]])
         else:
             M = request.getfixturevalue(name)
-        r = build_report(System(M), thickness=ThicknessVector.constant(M, 2))
+        r = build_report(System(M), depth=8,
+                         thickness=ThicknessVector.constant(M, 2))
         digest = hashlib.sha256(report_to_json(r).encode()).hexdigest()
         assert digest == GOLDEN_Q2[name]
 
@@ -200,10 +202,10 @@ class TestSharedSystem:
         kind, digits = name.split("=")
         values = [int(d) for d in digits]
         if kind == "weights":
-            r = build_report(System(pentagon),
+            r = build_report(System(pentagon), depth=8,
                              weights=WeightVector(pentagon, values))
         else:
-            r = build_report(System(pentagon),
+            r = build_report(System(pentagon), depth=8,
                              thickness=ThicknessVector(pentagon, values))
         digest = hashlib.sha256(report_to_json(r).encode()).hexdigest()
         assert digest == GOLDEN_MIXED[name]
@@ -211,9 +213,9 @@ class TestSharedSystem:
     @pytest.mark.parametrize("name", sorted(GOLDEN_MATRIX))
     def test_golden_bytes_matrix(self, triangle_732, name):
         if name == "linear_534":
-            r = build_report(System(mat(LINEAR_534)))
+            r = build_report(System(mat(LINEAR_534)), depth=8)
         else:
-            r = build_report(System(triangle_732), thickness=
+            r = build_report(System(triangle_732), depth=8, thickness=
                              ThicknessVector.constant(triangle_732, 3))
         digest = hashlib.sha256(report_to_json(r).encode()).hexdigest()
         assert digest == GOLDEN_MATRIX[name]
@@ -227,7 +229,7 @@ class TestSharedSystem:
         M = mat(LINEAR_534)
         calls = _counting(monkeypatch, sys.modules["coxinv.growth"],
                           "ball_enumerate", keep=lambda N, *a: N is not M)
-        build_report(System(M))
+        build_report(System(M), depth=8)
         subsets = [tuple(N.generators) for N, *_ in calls]
         assert sorted(subsets) == sorted(
             ("a", "b", "c", "d")[i:j] for i in range(4)
@@ -239,23 +241,52 @@ class TestSharedSystem:
                   "growth.layer_class_counts", "growth.rational_growth_series",
                   "davis.nerve_complex", "davis.vcd_real",
                   "homology.pm_verdict", "conformal.moussong_hyperbolic",
-                  "conformal.is_nerve_circle")
-        calls = dict.fromkeys(leaves, 0)
-        for name in leaves:
-            modname, attr = name.split(".")
-            orig = getattr(sys.modules[f"coxinv.{modname}"], attr)
-
-            def counted(*args, _orig=orig, _name=name, **kwargs):
-                calls[_name] += 1
-                return _orig(*args, **kwargs)
-            # replace every binding, including `from .x import f` copies
-            for modkey, mod in list(sys.modules.items()):
-                if modkey.startswith("coxinv") and \
-                        getattr(mod, attr, None) is orig:
-                    monkeypatch.setattr(mod, attr, counted)
+                  "conformal.is_nerve_circle", "building.critical_exponents")
+        calls = _calls_everywhere(monkeypatch,
+                                  leaves + ("coxeter.classify_parabolic",))
         q = ThicknessVector.constant(triangle_732, 2)
-        build_report(System(triangle_732), thickness=q)
-        assert calls == dict.fromkeys(calls, 1)
+        build_report(System(triangle_732), depth=8, thickness=q)
+        assert {name: len(calls[name]) for name in leaves} == \
+            dict.fromkeys(leaves, 1)
+        # the whole set, three pairs and three singletons, each once
+        subsets = [frozenset(args[1]) if len(args) > 1 else frozenset(range(3))
+                   for args in calls.pop("coxeter.classify_parabolic")]
+        assert len(subsets) == len(set(subsets)) == 7
+
+    def test_confdim_computes_exponents_once(self, monkeypatch, capsys,
+                                             tmp_path):
+        # the bracket and the vanishing table read one CriticalExponents
+        path = tmp_path / "t732.json"
+        path.write_text(json.dumps({
+            "generators": ["a", "b", "c"], "thickness": 2,
+            "matrix": [[1, 7, 2], [7, 1, 3], [2, 3, 1]]}))
+        calls = _calls_everywhere(monkeypatch, ("building.critical_exponents",
+                                                "coxeter.classify_parabolic"))
+        assert cli_main(["confdim", "--input", str(path)]) == 0
+        assert "degree_2" in capsys.readouterr().out
+        assert len(calls["building.critical_exponents"]) == 1
+        subsets = [frozenset(args[1]) if len(args) > 1 else frozenset(range(3))
+                   for args in calls["coxeter.classify_parabolic"]]
+        assert len(subsets) == len(set(subsets))
+
+
+def _calls_everywhere(monkeypatch, names):
+    """{name: [args of each call]} for coxinv functions given as
+    "module.function", through every binding of each, `from .x import f`
+    copies included."""
+    calls = {name: [] for name in names}
+    for name in names:
+        modname, attr = name.split(".")
+        orig = getattr(sys.modules[f"coxinv.{modname}"], attr)
+
+        def counted(*args, _orig=orig, _name=name, **kwargs):
+            calls[_name].append(args)
+            return _orig(*args, **kwargs)
+        for modkey, mod in list(sys.modules.items()):
+            if modkey.startswith("coxinv") and \
+                    getattr(mod, attr, None) is orig:
+                monkeypatch.setattr(mod, attr, counted)
+    return calls
 
 
 # right-angled K_{3,4}: a1-a3 pairwise inf, b1-b4 pairwise inf, every
@@ -281,7 +312,7 @@ class TestPrintedSeries:
         # rate bracket [0.79248125017, 0.79248125076] is still the first
         # sign change on the curve, not the rate 1 (ROADMAP item 3)
         M = mat(K34)
-        r = build_report(System(M), thickness=ThicknessVector(
+        r = build_report(System(M), depth=8, thickness=ThicknessVector(
             M, [2, 2, 2, 4, 4, 4, 4]))
         s = r["growth"].pop("series")
         assert (s["numerator"], s["denominator"]) == \
@@ -313,7 +344,7 @@ class TestCountingWork:
         system = System(pentagon, caps=Caps(max_elements=1000))
         with pytest.raises(ResourceExceeded,
                            match="exceeds cap 1000 at radius 6$"):
-            build_report(system, thickness=ThicknessVector.constant(
+            build_report(system, depth=8, thickness=ThicknessVector.constant(
                 pentagon, 2))
         assert calls == []
 
@@ -366,7 +397,7 @@ class TestCache:
         out, per_run = [], []
         for _ in range(3):
             before = len(calls)
-            r = build_report(System(a2, cache_dir=tmp_path),
+            r = build_report(System(a2, cache_dir=tmp_path), depth=8,
                              thickness=ThicknessVector.constant(a2, 2))
             out.append(report_to_json(r))
             per_run.append(len(calls) - before)
