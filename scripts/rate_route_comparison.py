@@ -2,9 +2,11 @@
 
 Route 1 isolates the smallest positive singularity of the exact rational
 series; route 2 regresses enumerated counting data and never sees the
-series.  Agreement within the fit uncertainty is the headline sanity
-check of the whole counting stack; the affine row shows both routes
-recognizing subexponential growth.
+series.  Agreement, by the rule `coxinv growth --radius` prints as
+routes_consistent (the series rate inside the fit bracket, and the
+bracket above 0 exactly when the rate is), is the headline sanity check
+of the whole counting stack; the affine row shows both routes recognizing
+subexponential growth.
 
 Usage: python3 scripts/rate_route_comparison.py [--radius 30]
 """
@@ -18,7 +20,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from coxinv.coxeter import CoxeterMatrix
-from coxinv.growth import enumeration_rate
+from coxinv.growth import enumeration_rate, routes_consistent
 from coxinv.system import System
 
 INF = math.inf
@@ -55,8 +57,7 @@ def main():
         s = system.rate()
         f = enumeration_rate(system, None, args.radius)
         dt = time.perf_counter() - t0
-        agree = (f.bracket[0] - f.uncertainty <= s.value
-                 <= f.bracket[1] + f.uncertainty)
+        agree = routes_consistent(s, f)
         print(f"{name:<24} {s.value:>12.8f} {f.value:>12.8f} "
               f"{truth:>12.8f} {abs(f.value - truth):>9.2e} "
               f"{'yes' if agree else 'NO':>6}  ({dt:.1f}s)")

@@ -19,6 +19,7 @@ precision P from an interval enclosure of x: the bounds bracket the
 element times 2^P, and P doubles until the bracket excludes zero.
 """
 
+import contextlib
 import functools
 from fractions import Fraction
 from math import lcm
@@ -31,6 +32,21 @@ VALIDATION_DIGITS = 60
 MAX_FIELD_N = 1000
 SIGN_START_PREC = 64
 SIGN_DOUBLINGS = 12
+
+
+@contextlib.contextmanager
+def iv_precision(prec):
+    """mpmath.iv at prec bits inside the block, its precision restored on
+    leaving; yields mpmath.iv.  mpmath is loaded here, not at import:
+    exact-only runs never need it."""
+    import mpmath
+    iv = mpmath.iv
+    old = iv.prec
+    iv.prec = prec
+    try:
+        yield iv
+    finally:
+        iv.prec = old
 
 
 def _poly_divmod_exact(a, b):
@@ -226,12 +242,8 @@ class CycloField:
         """
         if prec in self._bounds:
             return self._bounds[prec]
-        import mpmath
-        from mpmath import libmp
-        iv = mpmath.iv
-        old = iv.prec
-        try:
-            iv.prec = prec
+        with iv_precision(prec) as iv:
+            from mpmath import libmp
             x = 2 * iv.cos(iv.pi / self.N)
             p = iv.mpf(1)
             L, U = [], []
@@ -240,8 +252,6 @@ class CycloField:
                 L.append(libmp.to_int(libmp.mpf_shift(a, prec), "f"))
                 U.append(libmp.to_int(libmp.mpf_shift(b, prec), "c"))
                 p = p * x
-        finally:
-            iv.prec = old
         self._bounds[prec] = (L, U)
         return L, U
 

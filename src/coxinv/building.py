@@ -5,6 +5,10 @@ product of the groups Z/(q_s + 1) over the commutation graph acts on a
 building whose chambers are the group elements; syllable normal forms give
 canonical chamber names, and erasing exponents is the retraction rho onto
 the base apartment (a copy of W, realized here as the q = 1 building).
+A ball is built as rho describes it: the canonical Coxeter words of the
+apartment ball, each times its fibre of q_w exponent choices.  The panel
+axioms are then checked through the syllable arithmetic (append_syllable
+and the gates), which the construction never calls.
 
 Simplices of the geometric realization are chains of nested spherical
 residues, identified by (gate chamber, increasing chain of spherical
@@ -21,7 +25,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .elements import commutation_table
+from .algebraic import iv_precision
+from .elements import blocker_masks, commutation_table, word_children
 from .errors import (MarginViolation, NotRightAngled, ResourceExceeded,
                      SchemaError, ThicknessClassError, ValidationMismatch)
 from .growth import WeightVector
@@ -182,51 +187,55 @@ class BuildingBall:
         return out
 
 
+def fibre(gens, per):
+    """The chambers over the Weyl word gens (a canonical Coxeter word):
+    the word with one exponent 1..q_s on each letter, in increasing
+    order.  Two syllables of one letter never sit side by side in a
+    canonical word, so every such word is a canonical syllable word."""
+    return itertools.product(*[[(s, e) for e in range(1, per[s] + 1)]
+                               for s in gens])
+
+
 def building_ball(system, thickness, radius):
-    """Enumerate the ball and verify the two panel axioms on it: every
-    panel meeting the interior has exactly q_s + 1 chambers, and each has a
-    unique gate (its shortest chamber) with all others one step longer.
-    The search skips each s already ending a word up to commuting
-    syllables, where every s^e merges or cancels.  The system's
-    max_elements caps the chamber count."""
+    """The ball as the Weyl ball times its fibres, then the two panel
+    axioms verified on it: every panel meeting the interior has exactly
+    q_s + 1 chambers, and each has a unique gate (its shortest chamber)
+    with all others one step longer.
+
+    Layer k holds the fibres over the canonical words of length k, found
+    by elements.word_children; each layer is sorted, since the fibres of
+    different words interleave.  The system's max_elements caps the
+    chamber count, checked as each new Weyl word adds its q_w chambers,
+    before any fibre of its layer is built."""
     M, caps = system.M, system.caps
     if not M.is_right_angled():
         raise NotRightAngled("building model requires a right-angled system")
-    commute = commutation_table(M)
+    blockers = blocker_masks(M)
     per = thickness.per_generator()
-    qmod = tuple(q + 1 for q in per)
-    n = M.rank
-
-    seen = {(): 0}
-    frontier = [()]
-    layers = [[()]]
-    for r in range(radius):
-        nxt = []
-        for w in frontier:
-            for s in range(n):
-                row = commute[s]
-                for t, _e in reversed(w):
-                    if t == s or not row[t]:
-                        break
-                if w and t == s:
-                    continue
-                for e in range(1, qmod[s]):
-                    w2, _d = append_syllable(w, s, e, commute, qmod)
-                    if w2 not in seen:
-                        seen[w2] = r + 1
-                        nxt.append(w2)
-                        if len(seen) > caps.max_elements:
-                            raise ResourceExceeded(
-                                f"building ball exceeds {caps.max_elements} chambers")
-        nxt.sort()
-        layers.append(nxt)
-        frontier = nxt
-
-    chambers = [w for layer in layers for w in layer]
-    fibers = {}
-    for w in chambers:
-        fibers.setdefault(word_gens(w), []).append(w)
-    ball = BuildingBall(M, thickness, radius, chambers, fibers, commute, qmod,
+    chambers = [()]
+    fibers = {(): [()]}
+    words = [()]
+    total = 1
+    for _ in range(radius):
+        layer = set()
+        for w in words:
+            for _s, w2 in word_children(w, blockers):
+                if w2 not in layer:
+                    layer.add(w2)
+                    total += math.prod(per[s] for s in w2)
+                    if total > caps.max_elements:
+                        raise ResourceExceeded(
+                            f"building ball exceeds {caps.max_elements} chambers")
+        words = sorted(layer)
+        new = []
+        for w in words:
+            fibers[w] = list(fibre(w, per))
+            new += fibers[w]
+        new.sort()
+        chambers += new
+    ball = BuildingBall(M, thickness, radius, chambers, fibers,
+                        commutation_table(M),
+                        tuple(q + 1 for q in per),
                         frozenset(tuple(sorted(T))
                                   for T in system.sphericals))
     _verify_building_axioms(ball)
@@ -373,12 +382,8 @@ def pullback(ball, chain_coeffs):
     for (gens, chain), c in merged.items():
         if not c:
             continue
-        qw = 1
-        for s in gens:
-            qw *= per[s]
-        share = Fraction(c) / qw
-        syllables = [[(s, e) for e in range(1, per[s] + 1)] for s in gens]
-        for gate in itertools.product(*syllables):
+        share = Fraction(c) / math.prod(per[s] for s in gens)
+        for gate in fibre(gens, per):
             out[Simplex(gate, chain)] = share
     return out
 
@@ -465,13 +470,9 @@ def compare_radical_sums(A, B):
     diff = {k: v for k, v in diff.items() if v}
     if not diff:
         return 0
-    import mpmath   # loaded here, not at import: exact-only runs never need it
-    iv = mpmath.iv
     prec = 64
-    old = iv.prec
-    try:
-        while prec <= RADICAL_MAX_PREC:
-            iv.prec = prec
+    while prec <= RADICAL_MAX_PREC:
+        with iv_precision(prec) as iv:
             tot = iv.mpf(0)
             for k, v in diff.items():
                 term = iv.sqrt(iv.mpf(k)) * iv.mpf(v.numerator) / iv.mpf(v.denominator)
@@ -480,18 +481,12 @@ def compare_radical_sums(A, B):
                 return 1
             if tot < 0:
                 return -1
-            prec *= 2
-    finally:
-        iv.prec = old
+        prec *= 2
     raise ArithmeticError("radical comparison did not separate")
 
 
 def _interval_power_sum(values, p, prec):
-    import mpmath
-    iv = mpmath.iv
-    old = iv.prec
-    try:
-        iv.prec = prec
+    with iv_precision(prec) as iv:
         pv = iv.mpf(Fraction(p).numerator) / iv.mpf(Fraction(p).denominator)
         tot = iv.mpf(0)
         for av, n in _abs_counts(values).items():
@@ -501,8 +496,6 @@ def _interval_power_sum(values, p, prec):
             x = iv.mpf(av.numerator) / iv.mpf(av.denominator)
             tot += iv.exp(pv * iv.log(x)) * n
         return tot
-    finally:
-        iv.prec = old
 
 
 @dataclass

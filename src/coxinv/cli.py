@@ -23,7 +23,8 @@ from .coxeter import CoxeterMatrix
 from .elements import Caps, checked_int
 from .errors import (CoxinvError, ResourceExceeded, SchemaError,
                      ValidationMismatch)
-from .growth import WeightVector, classify_convergence, enumeration_rate
+from .growth import (WeightVector, classify_convergence, enumeration_rate,
+                     routes_consistent)
 from .report import (build_report, report_to_json, report_to_text,
                      _components_json, _confdim_json, _exponents_json, _fmt,
                      _rate_json, _series_json, _type_pm_json)
@@ -166,11 +167,7 @@ def cmd_growth(system, thickness, weights, args):
     if args.radius is not None:
         fit = enumeration_rate(system, w_arg, args.radius)
         out["enumeration_rate"] = _rate_json(fit)
-        # the fit bracket already includes its uncertainty; a bracket
-        # straddling 0 cannot confirm a positive rate
-        out["routes_consistent"] = (
-            fit.contains(rate.value)
-            and (fit.bracket[0] > 0) == (rate.value > 0))
+        out["routes_consistent"] = routes_consistent(rate, fit)
     return out
 
 

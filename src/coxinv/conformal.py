@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import (AffineDegenerate, NotHyperbolic, ResourceExceeded,
-                     SchemaError, ThinBuilding)
+                     SchemaError, ThinBuilding, ValidationMismatch)
 
 MAX_SUBSET_SCAN_RANK = 14
 
@@ -145,6 +145,12 @@ def confdim_bounds(system, thickness, lam=None, apartment_confdim=None):
     the apartment boundary is itself a circle, confdim 1) pinches the
     bracket to the exact value 1 + 1/e_q.  The factor 1 + 1/e_q and its
     bracket are critical_exponents' p_cohom and p_cohom_bracket.
+
+    Two identities are checked on the way: on a right-angled circle nerve,
+    the p = 2 verdicts against 1/W(q) (ValidationMismatch); elsewhere,
+    lower <= upper, an inversion being a fault (ValidationMismatch) under
+    the preset lambda and the vcd floor, and bad input (SchemaError)
+    under a given lambda or apartment conformal dimension.
     """
     hyp = system.hyperbolicity
     if not hyp.hyperbolic:
@@ -167,12 +173,48 @@ def confdim_bounds(system, thickness, lam=None, apartment_confdim=None):
     lower = base * factor_lo
     upper = (e_q.bracket[1] / math.log(lam_val)) * factor_hi
     if fuch:
+        if system.M.is_right_angled():
+            _check_l2_euler(system, thickness, ce.p_cohom_bracket)
         # exact: boundary of a Fuchsian-type building
         return ConfdimBounds(ce.p_cohom, ce.p_cohom, "FuchsianExact",
                              "FuchsianExact", lam_val, lam_prov, hausdim,
                              True)
+    # float ends, not rounded outward: an excess of a few ulps is rounding
+    if lower > upper and not math.isclose(lower, upper, rel_tol=1e-12):
+        given = []
+        if lam_prov == "UserSupplied":
+            given.append(f"lambda {lam_val!r}")
+        if lower_prov == "UserSupplied":
+            given.append(f"apartment conformal dimension {base!r}")
+        empty = f"lower bound {lower!r} exceeds upper bound {upper!r}"
+        if given:
+            raise SchemaError(f"{empty} under the given {' and '.join(given)}")
+        raise ValidationMismatch(f"{empty} under the preset lambda and the "
+                                 "vcd floor")
     return ConfdimBounds(lower, upper, lower_prov, "HausdorffBound",
                          lam_val, lam_prov, hausdim, fuch)
+
+
+def _check_l2_euler(system, thickness, p_cohom_bracket):
+    """The p = 2 verdicts of fuchsian_report against the weighted
+    L^2-Euler characteristic 1/W(q) of a right-angled circle-nerve
+    building (Davis, Dymara, Januszkiewicz and Okun, Geom. Topol. 11,
+    2007), evaluated exactly from the per-class series.  It is b_2 - b_1
+    with one of the two zero, so a positive value needs degree 2 nonzero
+    at p = 2 (p_cohom not entirely below 2) and a negative one degree 1
+    nonzero (p_cohom not entirely above 2); 0 or an undefined value
+    asserts nothing."""
+    series = system.series
+    num, den = (sum(c * thickness.weight_of(e) for e, c in poly.terms.items())
+                for poly in (series.numerator, series.denominator))
+    if num == 0:
+        return
+    chi = den / num
+    lo, hi = p_cohom_bracket
+    if (chi > 0 and hi < 2) or (chi < 0 and lo > 2):
+        raise ValidationMismatch(
+            f"1/W(q) = {chi} contradicts p_cohom bracket [{lo!r}, {hi!r}] "
+            "at p = 2")
 
 
 def fuchsian_report(system, thickness, p_grid):

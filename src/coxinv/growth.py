@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import add
 
-from .algebraic import _int_or_fraction
+from .algebraic import _int_or_fraction, iv_precision
 from .elements import ball_enumerate, racg_ball_sizes, racg_layer_counts
 from .errors import (DegenerateWeights, ResourceExceeded, SchemaError,
                      ValidationMismatch)
@@ -656,18 +656,12 @@ class CurveTerms:
 def _iv_eval_curve(curve, x, prec):
     """Certified interval value of the sum of c_w * w^-x over curve.terms,
     at a rational x."""
-    import mpmath
-    iv = mpmath.iv
-    old = iv.prec
-    try:
-        iv.prec = prec
+    with iv_precision(prec) as iv:
         xs = _iv_frac(x)
         tot = iv.mpf(0)
         for c, logw in curve.iv_terms():
             tot += c * iv.exp(-xs * logw)
         return tot
-    finally:
-        iv.prec = old
 
 
 def _iv_sign(curve, x):
@@ -805,13 +799,44 @@ def enumeration_fit(points):
     return GrowthRateEstimate(b1, "EnumerationFit", unc, (b1 - unc, b1 + unc))
 
 
+def _product_rate(system, weights):
+    """Mixed weights on a reducible system.  W is the product of its
+    irreducible components, and each component's weighted series has
+    non-negative terms and constant term 1, so the product converges
+    exactly when every factor does: the rate is the largest component
+    rate.  Finite and affine components grow polynomially, rate 0.  Each
+    other component is a System on its submatrix under the same caps,
+    weighted by the ambient class of each of its classes."""
+    from .system import System     # system.py imports this module
+    M = system.M
+    class_of = M.class_of()
+    rates = []
+    for comp in system.classification.components:
+        if comp.kind != "other":
+            rates.append(GrowthRateEstimate(0.0, "SeriesSingularity", 0.0,
+                                            (0.0, 0.0), exact=True))
+            continue
+        sub = M.submatrix(comp.vertices)
+        vals = [weights.values[class_of[comp.vertices[c[0]]]]
+                for c in sub.conjugacy_classes()]
+        rates.append(System(sub, caps=system.caps).rate(WeightVector(sub, vals)))
+    top = max(rates, key=lambda r: r.bracket)
+    if all(top.bracket[0] >= r.bracket[1] for r in rates if r is not top):
+        return top
+    lo = max(r.bracket[0] for r in rates)
+    hi = max(r.bracket[1] for r in rates)
+    return GrowthRateEstimate((lo + hi) / 2, "SeriesSingularity",
+                              (hi - lo) / 2, (lo, hi))
+
+
 def growth_rate(system, weights):
     """Weighted exponential growth rate e_t(W) from the exact rational
     series; weights None means the unweighted rate e(W).
 
     The smallest positive singularity is located on the substitution curve
-    for non-constant weights, in the series' one-variable form otherwise.
-    System.rate memoises it.
+    for non-constant weights, in the series' one-variable form otherwise;
+    non-constant weights on a reducible system take the largest rate of
+    its components.  System.rate memoises it.
     """
     if weights is not None and weights.all_one():
         raise DegenerateWeights("all weights are 1; the counting function is trivial")
@@ -826,6 +851,8 @@ def growth_rate(system, weights):
             raise DegenerateWeights(
                 "weight 1 on classes spanning an infinite parabolic")
     if weights is not None and not weights.is_constant():
+        if len(system.classification.components) > 1:
+            return _product_rate(system, weights)
         return _series_rate_curve(system.series, weights)
     logq = None if weights is None else math.log(float(weights.values[0]))
     return _series_rate_constant_weight(system.series, logq)
@@ -857,6 +884,13 @@ def enumeration_rate(system, weights, radius):
     ws = sorted(acc)
     pts = list(zip(map(math.log, ws), accumulate(acc[w] for w in ws)))
     return enumeration_fit(pts)
+
+
+def routes_consistent(rate, fit):
+    """Does the regression fit confirm the series rate?  The fit bracket
+    already includes its uncertainty, so the rate must lie in it, and a
+    bracket straddling 0 cannot confirm a positive rate."""
+    return fit.contains(rate.value) and (fit.bracket[0] > 0) == (rate.value > 0)
 
 
 def classify_convergence(system, weights, x):

@@ -1,4 +1,6 @@
 import math
+import os
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -6,6 +8,14 @@ from hypothesis import settings
 from coxinv.coxeter import CoxeterMatrix
 
 INF = math.inf
+
+# the CLI tests run `python -m coxinv.cli` in a child process: put src/ on
+# its path, as pyproject's pythonpath does for this one, so the suite runs
+# from a plain checkout
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
+             if p and p != SRC])
 
 # every @given test draws the same examples on every run
 settings.register_profile("derandomized", derandomize=True)
@@ -78,3 +88,11 @@ def square_product():
 def path_2edge():
     # a-b-c with a,c not joined: nerve is a path, not a cycle
     return mat([[1, 2, INF], [2, 1, 2], [INF, 2, 1]])
+
+
+@pytest.fixture(scope="session")
+def k34():
+    # right-angled K_{3,4}: a1-a3 pairwise inf, b1-b4 pairwise inf, every
+    # a_i b_j = 2, so W = (Z/2)^{*3} x (Z/2)^{*4}
+    return mat([[1 if i == j else (INF if (i < 3) == (j < 3) else 2)
+                 for j in range(7)] for i in range(7)])

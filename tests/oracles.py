@@ -14,7 +14,8 @@ polynomial built from scratch, vcd as the relative homology of the Davis
 chamber and its mirrors ranked by Bareiss elimination, Sturm root
 isolation with every sign read from a Fraction value, and hyperbolicity
 by classifying all 2^rank subsets rather than the minimal non-spherical
-ones.  Deliberately simple and slow.  The rest are checks the library
+ones, and the building ball by a chamber search that multiplies each
+chamber by every generator power.  Deliberately simple and slow.  The rest are checks the library
 does not run: d∘d = 0 on a whole complex, the cone test, the rate
 comparison bounds, the count side of the pullback norms, and the inverse
 of the machine report encoding.
@@ -27,10 +28,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from coxinv.algebraic import cyclotomic, dickson
-from coxinv.building import lp_power_sum
+from coxinv.building import append_syllable, lp_power_sum
 from coxinv.conformal import AffineRank3, CommutingInfinitePair
 from coxinv.coxeter import classify_parabolic
-from coxinv.elements import DEFAULT_MAX_SIMPLICES as CAP, Caps, ReflectionRep
+from coxinv.elements import (DEFAULT_MAX_SIMPLICES as CAP, Caps, ReflectionRep,
+                             commutation_table)
 from coxinv.errors import DegenerateWeights, SchemaError
 from coxinv.growth import (_p1_deriv, _p1_exact_div, _p1_gcd, _p1_trim,
                            _sturm_chain, layer_class_counts)
@@ -434,6 +436,29 @@ def iterative_gate(word, T, commute):
                 changed = True
                 break
     return cur
+
+
+def chamber_search(M, thickness, radius):
+    """The chambers of the building ball, sorted by (length, word): a
+    breadth-first search that multiplies each chamber by every power of
+    every generator through append_syllable and keeps the fresh
+    syllables, the words one step longer.  It never looks at a Weyl
+    word."""
+    commute = commutation_table(M)
+    qmod = [q + 1 for q in thickness.per_generator()]
+    layer = [()]
+    chambers = [()]
+    for _ in range(radius):
+        nxt = set()
+        for w in layer:
+            for s in range(M.rank):
+                for e in range(1, qmod[s]):
+                    w2, delta = append_syllable(w, s, e, commute, qmod)
+                    if delta == 1:
+                        nxt.add(w2)
+        layer = sorted(nxt)
+        chambers += layer
+    return chambers
 
 
 def lex_least_trace(syllables, commute):

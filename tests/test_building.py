@@ -15,6 +15,8 @@ import types
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coxinv.building as building_mod
 from coxinv.building import (Simplex, ThicknessVector, _interval_power_sum,
@@ -25,11 +27,14 @@ from coxinv.building import (Simplex, ThicknessVector, _interval_power_sum,
                              oracle_battery, pullback, pushforward,
                              random_chain, word_gens)
 from coxinv.coxeter import CoxeterMatrix
-from coxinv.errors import (MarginViolation, NotRightAngled,
-                           ThicknessClassError)
+from coxinv.elements import Caps
+from coxinv.errors import (MarginViolation, NotRightAngled, ResourceExceeded,
+                           ThicknessClassError, ValidationMismatch)
 from coxinv.system import System
 
-from .oracles import iterative_gate, lp_pullback_partial_sums
+from .conftest import INF, mat
+from .oracles import (chamber_search, iterative_gate,
+                      lp_pullback_partial_sums)
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +118,85 @@ class TestChamberCounts:
         with pytest.raises(NotRightAngled):
             building_ball(System(triangle_333),
                           ThicknessVector.constant(triangle_333, 2), 2)
+
+
+FREE3 = mat([[1, INF, INF], [INF, 1, INF], [INF, INF, 1]])
+
+
+class TestFibreConstruction:
+    """The ball as the Weyl ball times its fibres, against a chamber search
+    through the syllable arithmetic."""
+
+    @pytest.mark.parametrize("system, thickness, radius, size", [
+        ("pentagon", 2, 4, 2071),
+        ("dihedral_inf", 3, 8, 19681),
+        ("pentagon", 3, 5, 76561),
+        ("free3", 2, 6, 8191),
+        ("square_product", 2, 5, 1033),
+        ("pentagon", (2, 3, 2, 2, 2), 4, 2916),
+    ])
+    def test_matches_chamber_search(self, request, system, thickness,
+                                    radius, size):
+        M = FREE3 if system == "free3" else request.getfixturevalue(system)
+        th = (ThicknessVector(M, list(thickness)) if isinstance(thickness, tuple)
+              else ThicknessVector.constant(M, thickness))
+        ball = building_ball(System(M), th, radius)
+        assert len(ball.chambers) == size
+        assert ball.chambers == chamber_search(M, th, radius)
+        assert sorted(c for fib in ball.fibers.values() for c in fib) == \
+            sorted(ball.chambers)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_random_right_angled_match_chamber_search(self, data):
+        n = data.draw(st.integers(1, 5))
+        rows = [[1] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = data.draw(st.sampled_from((2, INF)))
+        M = mat(rows)
+        th = ThicknessVector(M, [data.draw(st.integers(1, 3))
+                                 for _ in range(n)])
+        radius = data.draw(st.integers(0, 4))
+        assert building_ball(System(M), th, radius).chambers == \
+            chamber_search(M, th, radius)
+
+    def test_construction_avoids_syllable_arithmetic(self, pentagon,
+                                                     pent_ball, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("construction used the syllable arithmetic")
+        for name in ("append_syllable", "rebuild_word", "gate_drops",
+                     "drop_syllables", "gate_word"):
+            monkeypatch.setattr(building_mod, name, refuse)
+        monkeypatch.setattr(building_mod, "_verify_building_axioms",
+                            lambda ball: None)
+        ball = building_ball(System(pentagon),
+                             ThicknessVector.constant(pentagon, 2), 4)
+        assert ball.chambers == pent_ball.chambers
+
+    def test_placement_fault_is_caught(self, pentagon, monkeypatch):
+        # a fresh syllable appended at the end of the word, never moved
+        # left past commuting letters: a search through this arithmetic
+        # builds 4,491 chambers that pass the same check
+        real = building_mod.append_syllable
+
+        def at_end(word, s, e, commute, qmod):
+            w2, delta = real(word, s, e, commute, qmod)
+            if delta == 1:
+                return word + ((s, e % qmod[s]),), 1
+            return w2, delta
+        monkeypatch.setattr(building_mod, "append_syllable", at_end)
+        with pytest.raises(ValidationMismatch,
+                           match="panel escapes the enumerated ball"):
+            building_ball(System(pentagon),
+                          ThicknessVector.constant(pentagon, 2), 4)
+
+    def test_cap_counts_fibres(self, pentagon):
+        th = ThicknessVector.constant(pentagon, 2)
+        building_ball(System(pentagon, caps=Caps(2071)), th, 4)
+        with pytest.raises(ResourceExceeded,
+                           match="building ball exceeds 2070 chambers"):
+            building_ball(System(pentagon, caps=Caps(2070)), th, 4)
 
 
 class TestWordsAndGates:

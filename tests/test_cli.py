@@ -61,6 +61,31 @@ FREE_PRODUCT_3 = {
 
 I2_173 = {"generators": ["a", "b"], "matrix": [[1, 173], [173, 1]]}
 
+SIMPLEX_534 = {
+    "generators": ["a", "b", "c", "d"],
+    "matrix": [[1, 5, 2, 2], [5, 1, 3, 2], [2, 3, 1, 4], [2, 2, 4, 1]],
+    "thickness": 2,
+}
+
+# (7,3,2) with a generator commuting with a alone: hyperbolic, vcd 2, its
+# nerve a circle with a pendant edge
+PENDANT_732 = {
+    "generators": ["a", "b", "c", "d"],
+    "matrix": [[1, 7, 2, 2], [7, 1, 3, "inf"], [2, 3, 1, "inf"],
+               [2, "inf", "inf", 1]],
+    "thickness": 2,
+}
+
+# right-angled K_{3,4}, W = (Z/2)^{*3} x (Z/2)^{*4}, weights 8 on the a's
+# and 27 on the b's: both factor rates are 1/3
+K34_W827 = {
+    "generators": ["a1", "a2", "a3", "b1", "b2", "b3", "b4"],
+    "matrix": [[1 if i == j else ("inf" if (i < 3) == (j < 3) else 2)
+                for j in range(7)] for i in range(7)],
+    "weights": {g: 8 if g[0] == "a" else 27
+                for g in ("a1", "a2", "a3", "b1", "b2", "b3", "b4")},
+}
+
 # the free product of 16 copies of Z/2: its ball passes 2,000,000
 # elements at radius 6
 FREE_PRODUCT_16 = {
@@ -93,6 +118,8 @@ def inputs(tmp_path_factory):
                           ("t333", TRIANGLE_333), ("tree_q3", TREE_Q3),
                           ("t732", TRIANGLE_732),
                           ("free3", FREE_PRODUCT_3), ("i2_173", I2_173),
+                          ("s534", SIMPLEX_534), ("pendant", PENDANT_732),
+                          ("k34_w827", K34_W827),
                           ("free16", FREE_PRODUCT_16),
                           ("huge_label", HUGE_LABEL)):
         p = d / f"{name}.json"
@@ -426,6 +453,40 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert "resource cap" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command", ["confdim", "report"])
+    def test_inverted_preset_bracket_exits_4(self, inputs, command):
+        # exit 0 with lower 6.508501774453936 above upper 3.2542509032152385
+        # before: the preset's Hausdorff dimension 1 is below vcd - 1 = 2
+        proc = run_cli(command, "--input", inputs["s534"])
+        assert proc.returncode == 4
+        assert "lower bound 6.508501774453936 exceeds upper bound " \
+            "3.2542509032152385" in proc.stderr
+
+    def test_oversized_lambda_exits_2(self, inputs):
+        assert run_cli("confdim", "--input", inputs["pendant"]).returncode == 0
+        proc = self._refused("confdim", "--input", inputs["pendant"],
+                             "--lambda", "1000")
+        assert proc.stderr.rstrip().endswith("under the given lambda 1000.0")
+
+    def test_shifted_rate_fails_l2_check(self, inputs, monkeypatch, capsys):
+        # 1/W(2) = -1/9 on the pentagon: degree 1 is nonzero at p = 2, so
+        # p_cohom cannot lie above 2, as a rate of 1/2 would put it
+        import coxinv.growth
+        monkeypatch.setattr(coxinv.growth, "growth_rate", lambda S, w:
+                            coxinv.growth.GrowthRateEstimate(
+                                0.5, "SeriesSingularity", 0.0, (0.5, 0.5)))
+        assert main(["confdim", "--input", inputs["pentagon"]]) == 4
+        assert "1/W(q) = -1/9 contradicts" in capsys.readouterr().err
+
+    def test_equal_factor_rates(self, inputs):
+        # exit 4, "no singularity found on the substitution curve", before
+        r = machine_result(run_cli("growth", "--input", inputs["k34_w827"],
+                                   "--format", "machine"))
+        lo, hi = r["rate"]["bracket"]
+        # float ends, not rounded outward (GrowthRateEstimate.contains)
+        assert lo - 1e-15 <= 1 / 3 <= hi + 1e-15 and hi - lo < 1e-9
+        assert r["convergence_at_one"] == "converges"
 
     @pytest.mark.parametrize("command", ["confdim", "report"])
     @pytest.mark.parametrize("argv, message", [

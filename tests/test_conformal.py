@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+import coxinv.conformal as conformal_mod
+import coxinv.growth as growth_mod
 from hypothesis import given, settings, strategies as st
 
 from coxinv.building import ThicknessVector
@@ -11,7 +13,8 @@ from coxinv.conformal import (AffineRank3, CommutingInfinitePair,
                               confdim_bounds, fuchsian_report, is_nerve_circle,
                               moussong_hyperbolic, resolve_lambda)
 from coxinv.errors import (AffineDegenerate, NotHyperbolic, ResourceExceeded,
-                           SchemaError, ThinBuilding)
+                           SchemaError, ThinBuilding, ValidationMismatch)
+from coxinv.growth import GrowthRateEstimate
 from coxinv.system import System
 from .conftest import INF, mat
 from .oracles import hyperbolicity_by_subset_scan, nerve_circle_by_degrees
@@ -150,10 +153,14 @@ class TestConfdimBounds:
         assert b.upper > 0 and b.upper_provenance == "HausdorffBound"
 
     def test_user_supplied_floor(self, free_product_3):
+        # the preset puts upper at p_cohom = 2, so a floor above 1 (it was
+        # 1.2 before the bracket order was checked) empties the bracket
         q = ThicknessVector.constant(free_product_3, 2)
-        b = confdim_bounds(System(free_product_3), q, apartment_confdim=1.2)
+        b = confdim_bounds(System(free_product_3), q, apartment_confdim=1.0)
         assert b.lower_provenance == "UserSupplied"
         assert b.lower > 0
+        with pytest.raises(SchemaError, match="conformal dimension 1.2$"):
+            confdim_bounds(System(free_product_3), q, apartment_confdim=1.2)
 
     def test_not_hyperbolic(self, square_product):
         q = ThicknessVector.constant(square_product, 2)
@@ -227,3 +234,59 @@ class TestLambdaResolution:
             value = 2.0
         lam, prov = resolve_lambda(3.5, FakeRate())
         assert lam == 3.5 and prov == "UserSupplied"
+
+
+# [5,3,4]: the compact hyperbolic 3-simplex group, vcd 3 and a 2-sphere nerve
+SIMPLEX_534 = mat([[1, 5, 2, 2], [5, 1, 3, 2], [2, 3, 1, 4], [2, 2, 4, 1]])
+# the (7,3,2) triangle group with a fourth generator commuting with the
+# first alone: hyperbolic, its nerve a circle with a pendant edge, vcd 2
+PENDANT_732 = mat([[1, 7, 2, 2], [7, 1, 3, INF], [2, 3, 1, INF],
+                   [2, INF, INF, 1]])
+
+class TestRuntimeIdentities:
+    """confdim_bounds checks the p = 2 verdicts against 1/W(q) on
+    right-angled circle nerves, and that lower <= upper elsewhere."""
+
+    @pytest.mark.parametrize("thickness", [[q] * 5 for q in range(2, 7)] +
+                             [[2, 3, 2, 2, 2]])
+    def test_l2_check_holds_on_the_pentagon(self, pentagon, monkeypatch,
+                                            thickness):
+        checked = []
+        real = conformal_mod._check_l2_euler
+        monkeypatch.setattr(conformal_mod, "_check_l2_euler",
+                            lambda *a: checked.append(real(*a)))
+        b = confdim_bounds(System(pentagon),
+                           ThicknessVector(pentagon, thickness))
+        assert b.fuchsian and checked == [None]
+
+    @pytest.mark.parametrize("q, rate", [(2, 0.5), (3, 2.0)])
+    def test_l2_check_catches_a_shifted_rate(self, pentagon, monkeypatch,
+                                             q, rate):
+        # 1/W(2) = -1/9 needs degree 1 nonzero at p = 2, which p_cohom 3
+        # denies; 1/W(3) = 1/16 needs degree 2 nonzero, which p_cohom 3/2
+        # denies
+        monkeypatch.setattr(growth_mod, "growth_rate", lambda S, w:
+                            GrowthRateEstimate(rate, "SeriesSingularity", 0.0,
+                                               (rate, rate)))
+        with pytest.raises(ValidationMismatch, match="contradicts p_cohom"):
+            confdim_bounds(System(pentagon),
+                           ThicknessVector.constant(pentagon, q))
+
+    def test_inverted_preset_bracket_is_a_fault(self):
+        # the preset makes the Hausdorff dimension 1, below vcd - 1 = 2
+        with pytest.raises(ValidationMismatch,
+                           match="lower bound 6.50850177445.* exceeds upper"):
+            confdim_bounds(System(SIMPLEX_534),
+                           ThicknessVector.constant(SIMPLEX_534, 2))
+
+    def test_inverted_user_bracket_is_bad_input(self):
+        S = System(PENDANT_732)
+        q = ThicknessVector.constant(PENDANT_732, 2)
+        assert not S.nerve_is_circle and S.vcd.value == 2
+        b = confdim_bounds(S, q)
+        assert b.lower <= b.upper
+        with pytest.raises(SchemaError, match="given lambda 1000.0$"):
+            confdim_bounds(S, q, lam=1000.0)
+        with pytest.raises(SchemaError,
+                           match="given apartment conformal dimension 9.0$"):
+            confdim_bounds(S, q, apartment_confdim=9.0)

@@ -366,6 +366,50 @@ def test_all_one_weights_rejected(dihedral_inf):
 
 
 # ---------------------------------------------------------------------------
+# reducible systems: the largest component rate
+
+@pytest.mark.parametrize("wa, wb", [(2, 4), (2, 5)])
+def test_k34_mixed_rate_is_largest_component_rate(k34, wa, wb):
+    # (Z/2)^{*3} weighted wa has rate log 2 / log wa = 1 and (Z/2)^{*4}
+    # weighted wb has log 3 / log wb < 1; the first sign change on the
+    # curve of the product's denominator was 0.79 (2, 4) and 0.68 (2, 5)
+    S = System(k34)
+    w = WeightVector(k34, [wa] * 3 + [wb] * 4)
+    e = S.rate(w)
+    assert e.bracket == (1.0, 1.0) and e.exact
+    assert classify_convergence(S, w, 1) == "boundary"
+
+
+def test_k34_equal_factor_rates(k34):
+    # both factor poles at x = 1/3, where the product's denominator only
+    # touches 0 on the curve: the scan found no sign change and raised
+    e = growth_rate(System(k34), WeightVector(k34, [8] * 3 + [27] * 4))
+    assert e.contains(1 / 3) and e.bracket[1] - e.bracket[0] < 1e-9
+
+
+def test_k34_exponents(k34):
+    from coxinv.building import ThicknessVector
+    ce = System(k34).exponents(ThicknessVector(k34, [2] * 3 + [4] * 4))
+    assert (ce.p_hom, ce.p_cohom) == (2.0, 2.0)
+
+
+def test_product_rate_skips_finite_and_affine_factors(pentagon):
+    # pentagon x A1 x ~A1: only the pentagon factor grows exponentially
+    INF = math.inf
+    rows = [[1 if i == j else 2 for j in range(8)] for i in range(8)]
+    for i in range(5):
+        for j in range(5):
+            if i != j:
+                rows[i][j] = pentagon.entry(i, j)
+    rows[6][7] = rows[7][6] = INF
+    M = mat(rows)
+    w = growth_rate(System(M), WeightVector(M, [2, 2, 2, 2, 3, 5, 7, 7]))
+    alone = growth_rate(System(pentagon),
+                        WeightVector(pentagon, [2, 2, 2, 2, 3]))
+    assert w == alone
+
+
+# ---------------------------------------------------------------------------
 # the mixed-weight curve route
 
 @pytest.mark.parametrize("x", [1, 2, 3])

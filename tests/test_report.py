@@ -308,9 +308,11 @@ class TestPrintedSeries:
         # the a's and 4 on the b's, has the bytes it had when the series
         # printed as the degree-31 collapse of the per-class fraction, less
         # the keys SCHEMA_VERSION 3 dropped (digest d54fcf62... before) and
-        # the radius and p grid SCHEMA_VERSION 4 dropped (44379b2c...).  Its
-        # rate bracket [0.79248125017, 0.79248125076] is still the first
-        # sign change on the curve, not the rate 1 (ROADMAP item 3)
+        # the radius and p grid SCHEMA_VERSION 4 dropped (44379b2c...).  The
+        # rate is now the larger factor rate, 1, where the first sign change
+        # on the curve gave [0.79248125017, 0.79248125076] (895cb170...);
+        # only the rate, convergence_at_one (converges -> boundary) and the
+        # exponents (1.79 and 2.26 -> 2 and 2) moved
         M = mat(K34)
         r = build_report(System(M), depth=8, thickness=ThicknessVector(
             M, [2, 2, 2, 4, 4, 4, 4]))
@@ -319,9 +321,9 @@ class TestPrintedSeries:
             ("1 + 2*t + t^2", "1 - 5*t + 6*t^2")
         assert r.pop("schema_version") == 4
         assert hashlib.sha256(report_to_json(r).encode()).hexdigest() == \
-            "895cb170a1214b928ef3485b5d097c63fee13d67feb85bcae60bc380e4489087"
-        assert r["growth"]["rate"]["bracket"] == \
-            [0.792481250166893, 0.7924812507629394]
+            "9706216bc34b9745b80b645a47702d3198635abd8c593bee2d8a83be37664151"
+        assert r["growth"]["rate"]["bracket"] == [1.0, 1.0]
+        assert r["growth"]["convergence_at_one"] == "boundary"
 
 
 class TestCountingWork:

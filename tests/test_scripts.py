@@ -21,13 +21,20 @@ def test_thickness_sweep_confdim_equals_p_cohom():
         assert row[5] == "FuchsianExact"
 
 
-def test_rate_route_comparison_routes_agree():
+def _agree_column(*argv):
     proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / "rate_route_comparison.py"),
-         "--radius", "12"],
+        [sys.executable, str(SCRIPTS / "rate_route_comparison.py"), *argv],
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     rows = proc.stdout.splitlines()[1:]
-    # the agree column precedes the per-row time
     assert len(rows) == 4
-    assert [row.split()[-2] for row in rows] == ["yes"] * 4
+    # the agree column precedes the per-row time
+    return [row.split()[-2] for row in rows]
+
+
+def test_rate_route_comparison_routes_agree():
+    # at radius 12 the (7,3,2) fit bracket [0.02578, 0.15562] misses the
+    # series rate 0.16236, as `coxinv growth --radius 12` reports; the
+    # column once widened the bracket by its uncertainty again and said yes
+    assert _agree_column("--radius", "12") == ["yes", "NO", "yes", "yes"]
+    assert _agree_column() == ["yes"] * 4
