@@ -12,9 +12,12 @@ and the gates), which the construction never calls.
 
 Simplices of the geometric realization are chains of nested spherical
 residues, identified by (gate chamber, increasing chain of spherical
-subsets).  Everything stays exact: coefficients are Fractions, and l^p
+subsets).  Everything stays exact: coefficients are rationals, and l^p
 norm comparisons for integer and half-integer p reduce to rational vectors
-over an explicit basis of square roots.
+over an explicit basis of square roots, whose signs are decided in integer
+arithmetic (by the signs of the coefficients, or else by integer square
+roots of the kernels scaled by 4^P).  Only other p go through mpmath
+intervals, so the default p grid never imports mpmath.
 """
 
 import bisect
@@ -31,7 +34,7 @@ from .errors import (MarginViolation, NotRightAngled, ResourceExceeded,
                      SchemaError, ThicknessClassError, ValidationMismatch)
 from .growth import WeightVector
 
-RADICAL_MAX_PREC = 4096  # interval bits before radical sums are inseparable
+RADICAL_MAX_PREC = 4096  # largest P of the 2^P sqrt(k) bracket of radical sums
 JENSEN_MAX_PREC = 1024   # interval bits before a norm check is indeterminate
 CHAIN_SIZE = 5           # simplices per random chain of the battery
 
@@ -105,11 +108,11 @@ def rebuild_word(syllables, commute, qmod):
 
 
 def erase_exponents(word):
-    return tuple((s, 1) for s, _e in word)
+    return tuple([(s, 1) for s, _e in word])
 
 
 def word_gens(word):
-    return tuple(s for s, _e in word)
+    return tuple([s for s, _e in word])
 
 
 def gate_drops(word, T, commute):
@@ -172,6 +175,8 @@ class BuildingBall:
     # chain as given -> validated chain, filled by make_simplex
     checked_chains: dict = field(default_factory=dict, compare=False,
                                  repr=False)
+    # what random_simplices draws from, made on its first call
+    sampling_plan: tuple = field(default=None, compare=False, repr=False)
 
     def sphere_sizes(self):
         out = [0] * (self.radius + 1)
@@ -326,24 +331,22 @@ def _check_chain(ball, chain):
 
 
 def boundary(ball, chain_coeffs):
-    """Exact boundary of a chain {Simplex: Fraction}; deleting the bottom
-    type re-gates to the next residue."""
+    """Exact boundary of a chain {Simplex: coefficient}; deleting the bottom
+    type re-gates to the next residue.
+
+    Face i carries the coefficient c for even i and -c for odd i, both
+    made once per simplex.  Faces are made by tuple.__new__ on Simplex,
+    which skips the Python-level constructor of the NamedTuple."""
+    commute, qmod, new = ball.commute, ball.qmod, tuple.__new__
     out = {}
-    for sx, c in chain_coeffs.items():
-        if sx.dim == 0:
+    for (gate, chain), c in chain_coeffs.items():
+        if len(chain) == 1 or not c:
             continue
-        for i in range(len(sx.chain)):
-            sub = sx.chain[:i] + sx.chain[i + 1:]
-            if i == 0:
-                g = gate_word(sx.gate, sub[0], ball.commute, ball.qmod)
-            else:
-                g = sx.gate
-            face = Simplex(g, sub)
-            v = out.get(face, Fraction(0)) + c * (-1 if i % 2 else 1)
-            if v:
-                out[face] = v
-            elif face in out:
-                del out[face]
+        signed = (c, -c)
+        for i in range(len(chain)):
+            sub = chain[:i] + chain[i + 1:]
+            g = gate_word(gate, sub[0], commute, qmod) if i == 0 else gate
+            _add_term(out, new(Simplex, (g, sub)), signed[i & 1])
     return out
 
 
@@ -353,38 +356,57 @@ def pushforward(chain_coeffs):
     A pulled-back fiber is a run of one coefficient over one face, so each
     run of equal (face, coefficient) pairs is added once, times its
     length."""
+    new = tuple.__new__
     out = {}
-    terms = ((Simplex(erase_exponents(sx.gate), sx.chain), c)
-             for sx, c in chain_coeffs.items())
-    for (face, c), run in itertools.groupby(terms):
-        n = len(list(run))
-        v = out.get(face, Fraction(0)) + (c if n == 1 else c * n)
-        if v:
-            out[face] = v
-        elif face in out:
-            del out[face]
+    face = c = None
+    n = 0
+    for (gate, chain), v in chain_coeffs.items():
+        f = new(Simplex, (erase_exponents(gate), chain))
+        if f == face and (v is c or v == c):
+            n += 1
+            continue
+        if n:
+            _add_term(out, face, c if n == 1 else c * n)
+        face, c, n = f, v, 1
+    if n:
+        _add_term(out, face, c if n == 1 else c * n)
     return out
+
+
+def _add_term(out, face, v):
+    """out[face] += v, the face leaving the chain when the sum cancels; a
+    face's first coefficient is stored as it is, with no zero to add to."""
+    old = out.get(face)
+    if old is not None:
+        v += old
+    if v:
+        out[face] = v
+    elif old is not None:
+        del out[face]
 
 
 def pullback(ball, chain_coeffs):
     """rho^*: spread each apartment simplex over its fiber with weight
-    1/q_w; a section of rho_* (rho_* rho^* = identity).
+    1/q_w; a section of rho_* (rho_* rho^* = identity).  The simplices
+    lie in the ball, whose fibres are read from ball.fibers.
 
     Simplices with the same Weyl word and chain spread over the same
     chambers, so their coefficients are merged first and each fiber is
     written once, every chamber holding the one shared value."""
-    per = ball.thickness.per_generator()
     merged = {}
-    for sx, c in chain_coeffs.items():
-        key = (word_gens(sx.gate), sx.chain)
-        merged[key] = merged.get(key, 0) + c
+    for (gate, chain), c in chain_coeffs.items():
+        key = (word_gens(gate), chain)
+        old = merged.get(key)
+        merged[key] = c if old is None else old + c
+    new, fibers = tuple.__new__, ball.fibers
     out = {}
     for (gens, chain), c in merged.items():
         if not c:
             continue
-        share = Fraction(c) / math.prod(per[s] for s in gens)
-        for gate in fibre(gens, per):
-            out[Simplex(gate, chain)] = share
+        fib = fibers[gens]
+        share = Fraction(c) / len(fib)
+        for gate in fib:
+            out[new(Simplex, (gate, chain))] = share
     return out
 
 
@@ -434,62 +456,79 @@ def _abs_counts(values):
     return counts
 
 
-def lp_power_sum(values, p):
-    """Sum of |v|^p as {squarefree kernel: rational coefficient}, for
-    integer or half-integer p whose numerator is at most 1000; None for
-    any other p, which the caller compares by certified intervals (an
-    exact power of huge p need never finish).  Each distinct |v| is
-    raised to the power once."""
+def _counted_power_sum(counts, p):
+    """Sum of |v|^p over {|v|: multiplicity} as {squarefree kernel:
+    rational coefficient}, for integer or half-integer p whose numerator
+    is at most 1000; None for any other p, which the caller compares by
+    certified intervals (an exact power of huge p need never finish).
+    Each distinct |v| is raised to the power once."""
     p = Fraction(p)
     if p.numerator > 1000:
         return None
-    out = {}
     if p.denominator == 1:
         e = int(p)
-        tot = sum(av ** e * n for av, n in _abs_counts(values).items())
-        return {1: Fraction(tot)}
-    if p.denominator == 2:
-        half = (p.numerator - 1) // 2
-        for av, n in _abs_counts(values).items():
-            if av == 0:
-                continue
-            av = Fraction(av)
-            root_rat, kernel = _sqrt_fraction(av)
-            out[kernel] = out.get(kernel, Fraction(0)) + av ** half * root_rat * n
-        return out or {1: Fraction(0)}
-    return None
+        return {1: Fraction(sum(av ** e * n for av, n in counts.items()))}
+    if p.denominator != 2:
+        return None
+    half = (p.numerator - 1) // 2
+    out = {}
+    for av, n in counts.items():
+        if av == 0:
+            continue
+        av = Fraction(av)
+        root_rat, kernel = _sqrt_fraction(av)
+        term = av ** half * root_rat * n
+        old = out.get(kernel)
+        out[kernel] = term if old is None else old + term
+    return out or {1: Fraction(0)}
 
 
 def compare_radical_sums(A, B):
-    """Sign of A - B where each side is {kernel: coeff}.  Equality is
-    syntactic (square roots of distinct squarefree integers are linearly
-    independent over Q); otherwise interval evaluation must separate."""
+    """Sign of A - B where each side is {squarefree kernel: rational
+    coeff}.  Equality is syntactic (square roots of distinct squarefree
+    integers are linearly independent over Q), and a difference whose
+    coefficients share one sign has that sign.  Otherwise the difference
+    times the common denominator D of its coefficients and 2^P is
+    bracketed in integers, by isqrt(k 4^P) <= 2^P sqrt(k) <
+    isqrt(k 4^P) + 1 on each kernel k, with P doubling from 64 to
+    RADICAL_MAX_PREC until the bracket excludes zero."""
     diff = dict(A)
     for k, v in B.items():
-        diff[k] = diff.get(k, Fraction(0)) - v
-    diff = {k: v for k, v in diff.items() if v}
-    if not diff:
+        diff[k] = diff.get(k, 0) - v
+    terms = [(k, v) for k, v in diff.items() if v]
+    if not terms:
         return 0
+    if all(v > 0 for _k, v in terms):
+        return 1
+    if all(v < 0 for _k, v in terms):
+        return -1
+    den = math.lcm(*(v.denominator for _k, v in terms))
+    terms = [(k, v.numerator * (den // v.denominator)) for k, v in terms]
     prec = 64
     while prec <= RADICAL_MAX_PREC:
-        with iv_precision(prec) as iv:
-            tot = iv.mpf(0)
-            for k, v in diff.items():
-                term = iv.sqrt(iv.mpf(k)) * iv.mpf(v.numerator) / iv.mpf(v.denominator)
-                tot += term
-            if tot > 0:
-                return 1
-            if tot < 0:
-                return -1
+        lo = hi = 0
+        for k, c in terms:
+            s = math.isqrt(k << (2 * prec))
+            if c > 0:
+                lo += c * s
+                hi += c * (s + 1)
+            else:
+                lo += c * (s + 1)
+                hi += c * s
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
         prec *= 2
     raise ArithmeticError("radical comparison did not separate")
 
 
-def _interval_power_sum(values, p, prec):
+def _counted_interval_sum(counts, p, prec):
+    """An interval enclosing the sum of |v|^p over {|v|: multiplicity}."""
     with iv_precision(prec) as iv:
         pv = iv.mpf(Fraction(p).numerator) / iv.mpf(Fraction(p).denominator)
         tot = iv.mpf(0)
-        for av, n in _abs_counts(values).items():
+        for av, n in counts.items():
             if av == 0:
                 continue
             av = Fraction(av)
@@ -507,7 +546,8 @@ class JensenResult:
 
 def jensen_check(ball, chain_coeffs, p_values):
     """Does ||rho^* rho_* eta||_p <= ||eta||_p hold for this chain?  One
-    JensenResult per p in p_values; theta = rho^* rho_* eta is built once.
+    JensenResult per p in p_values; theta = rho^* rho_* eta and each
+    side's {|v|: multiplicity} are built once.
 
     Exact for integer and half-integer p; otherwise certified intervals,
     with None when the two sides cannot be separated (e.g. equality at
@@ -520,20 +560,21 @@ def jensen_check(ball, chain_coeffs, p_values):
     clean = {k: v for k, v in chain_coeffs.items() if v}
     if theta == clean:
         return [JensenResult(True, "equal", p) for p in p_values]
-    return [_compare_norms(theta.values(), clean.values(), p)
-            for p in p_values]
+    lhs, rhs = _abs_counts(theta.values()), _abs_counts(clean.values())
+    return [_compare_norms(lhs, rhs, p) for p in p_values]
 
 
-def _compare_norms(lhs_values, rhs_values, p):
-    lhs = lp_power_sum(lhs_values, p)
-    rhs = lp_power_sum(rhs_values, p)
+def _compare_norms(lhs_counts, rhs_counts, p):
+    """The Jensen verdict at p from each side's {|v|: multiplicity}."""
+    lhs = _counted_power_sum(lhs_counts, p)
+    rhs = _counted_power_sum(rhs_counts, p)
     if lhs is not None and rhs is not None:
         sign = compare_radical_sums(lhs, rhs)
         return JensenResult(sign <= 0, "equal" if sign == 0 else "strict", p)
     prec = 64
     while prec <= JENSEN_MAX_PREC:
-        lo = _interval_power_sum(lhs_values, p, prec)
-        hi = _interval_power_sum(rhs_values, p, prec)
+        lo = _counted_interval_sum(lhs_counts, p, prec)
+        hi = _counted_interval_sum(rhs_counts, p, prec)
         if lo.b < hi.a:
             return JensenResult(True, "interval", p)
         if lo.a > hi.b:
@@ -590,6 +631,20 @@ def _randbelow(getrandbits, n):
     return r
 
 
+def _sampling_plan(ball):
+    """(viable, types, bigger, dims) for random_simplices: the length of
+    the viable prefix of the chambers, the spherical types by (size,
+    tuple), for each type the indices of its strict supersets, and the
+    number of dimensions drawn.  Raises ResourceExceeded on an empty
+    prefix."""
+    viable = bisect.bisect_right(ball.chambers, ball.radius - 2, key=len)
+    if not viable:
+        raise ResourceExceeded("no margin-valid simplices at this radius")
+    sph = sorted(ball.spherical_types, key=lambda t: (len(t), t))
+    bigger = [[j for j, U in enumerate(sph) if set(U) > set(T)] for T in sph]
+    return viable, sph, bigger, max(3, len(sph[-1]) + 1)
+
+
 def random_simplices(ball, rng, count):
     """count margin-valid simplices for the test battery, drawn uniformly
     as rng.randrange draws.
@@ -603,14 +658,13 @@ def random_simplices(ball, rng, count):
     raises ResourceExceeded before any draw.  Each draw is held to the
     exact margin of make_simplex, len(word) - |gate drops| + |top| + 2 <=
     radius, and only a draw that meets it reaches make_simplex.
-    Dimensions run over 0 .. max(2, d), d the largest spherical rank."""
+    Dimensions run over 0 .. max(2, d), d the largest spherical rank.
+    The sampling plan is made once per ball and kept on it."""
+    plan = ball.sampling_plan
+    if plan is None:
+        plan = ball.sampling_plan = _sampling_plan(ball)
+    viable, sph, bigger, dims = plan
     chambers, radius = ball.chambers, ball.radius
-    viable = bisect.bisect_right(chambers, radius - 2, key=len)
-    if not viable:
-        raise ResourceExceeded("no margin-valid simplices at this radius")
-    sph = sorted(ball.spherical_types, key=lambda t: (len(t), t))
-    bigger = [[j for j, U in enumerate(sph) if set(U) > set(T)] for T in sph]
-    dims = max(3, len(sph[-1]) + 1)
     bits = rng.getrandbits
     out = []
     while len(out) < count:

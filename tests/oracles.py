@@ -18,7 +18,10 @@ ones, and the building ball by a chamber search that multiplies each
 chamber by every generator power.  Deliberately simple and slow.  The rest are checks the library
 does not run: d∘d = 0 on a whole complex, the cone test, the rate
 comparison bounds, the count side of the pullback norms, and the inverse
-of the machine report encoding.
+of the machine report encoding.  Last, reference copies of the chain maps
+boundary, pushforward and pullback as they were before their coefficient
+arithmetic was made cheaper (a Fraction(0) seed per face, a NamedTuple
+constructor per simplex), which the faster maps must agree with.
 """
 
 import itertools
@@ -28,7 +31,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from coxinv.algebraic import cyclotomic, dickson
-from coxinv.building import append_syllable, lp_power_sum
+from coxinv.building import (Simplex, _abs_counts, _counted_interval_sum,
+                             _counted_power_sum, append_syllable,
+                             erase_exponents, fibre, gate_word, word_gens)
 from coxinv.conformal import AffineRank3, CommutingInfinitePair
 from coxinv.coxeter import classify_parabolic
 from coxinv.elements import (DEFAULT_MAX_SIMPLICES as CAP, Caps, ReflectionRep,
@@ -696,6 +701,17 @@ def _q_of(thickness, class_vector):
     return out
 
 
+def lp_power_sum(values, p):
+    """The library's exact power sum of |v|^p, {kernel: coefficient} or
+    None, on a list of values rather than on counted |values|."""
+    return _counted_power_sum(_abs_counts(values), p)
+
+
+def interval_power_sum(values, p, prec):
+    """The library's interval power sum on a list of values."""
+    return _counted_interval_sum(_abs_counts(values), p, prec)
+
+
 def lp_pullback_partial_sums(M, thickness, p, radius):
     """Partial sums through each radius of sum_w q_w^(1-p): the p-th power
     of the pullback norm of the apartment's chamber indicator, radius by
@@ -763,3 +779,69 @@ def minimal_poly_2cos_pi_over_by_dickson(N):
             for i, v in enumerate(dickson(j)):
                 psi[i] += e * v
     return psi
+
+
+# ---------------------------------------------------------------------------
+# reference chain maps, kept as they were
+
+def boundary(ball, chain_coeffs):
+    """Exact boundary of a chain {Simplex: Fraction}; deleting the bottom
+    type re-gates to the next residue."""
+    out = {}
+    for sx, c in chain_coeffs.items():
+        if sx.dim == 0:
+            continue
+        for i in range(len(sx.chain)):
+            sub = sx.chain[:i] + sx.chain[i + 1:]
+            if i == 0:
+                g = gate_word(sx.gate, sub[0], ball.commute, ball.qmod)
+            else:
+                g = sx.gate
+            face = Simplex(g, sub)
+            v = out.get(face, Fraction(0)) + c * (-1 if i % 2 else 1)
+            if v:
+                out[face] = v
+            elif face in out:
+                del out[face]
+    return out
+
+
+def pushforward(chain_coeffs):
+    """rho_*: erase exponents, map onto the q = 1 apartment ball.
+
+    A pulled-back fiber is a run of one coefficient over one face, so each
+    run of equal (face, coefficient) pairs is added once, times its
+    length."""
+    out = {}
+    terms = ((Simplex(erase_exponents(sx.gate), sx.chain), c)
+             for sx, c in chain_coeffs.items())
+    for (face, c), run in itertools.groupby(terms):
+        n = len(list(run))
+        v = out.get(face, Fraction(0)) + (c if n == 1 else c * n)
+        if v:
+            out[face] = v
+        elif face in out:
+            del out[face]
+    return out
+
+
+def pullback(ball, chain_coeffs):
+    """rho^*: spread each apartment simplex over its fiber with weight
+    1/q_w; a section of rho_* (rho_* rho^* = identity).
+
+    Simplices with the same Weyl word and chain spread over the same
+    chambers, so their coefficients are merged first and each fiber is
+    written once, every chamber holding the one shared value."""
+    per = ball.thickness.per_generator()
+    merged = {}
+    for sx, c in chain_coeffs.items():
+        key = (word_gens(sx.gate), sx.chain)
+        merged[key] = merged.get(key, 0) + c
+    out = {}
+    for (gens, chain), c in merged.items():
+        if not c:
+            continue
+        share = Fraction(c) / math.prod(per[s] for s in gens)
+        for gate in fibre(gens, per):
+            out[Simplex(gate, chain)] = share
+    return out

@@ -7,6 +7,7 @@ fiber and panel axioms on every build, so any normal-form regression
 fails twice.
 """
 
+import bisect
 import hashlib
 import itertools
 import math
@@ -19,22 +20,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coxinv.building as building_mod
-from coxinv.building import (Simplex, ThicknessVector, _interval_power_sum,
-                             _randbelow, append_syllable, boundary,
-                             building_ball, compare_radical_sums,
-                             critical_exponents, gate_drops, gate_word,
-                             jensen_check, lp_power_sum, make_simplex,
-                             oracle_battery, pullback, pushforward,
-                             random_chain, word_gens)
+from coxinv.building import (Simplex, ThicknessVector, _randbelow,
+                             append_syllable, boundary, building_ball,
+                             compare_radical_sums, critical_exponents,
+                             gate_drops, gate_word, jensen_check,
+                             make_simplex, oracle_battery, pullback,
+                             pushforward, random_chain, word_gens)
 from coxinv.coxeter import CoxeterMatrix
 from coxinv.elements import Caps
 from coxinv.errors import (MarginViolation, NotRightAngled, ResourceExceeded,
                            ThicknessClassError, ValidationMismatch)
 from coxinv.system import System
 
+from . import oracles
 from .conftest import INF, mat
-from .oracles import (chamber_search, iterative_gate,
-                      lp_pullback_partial_sums)
+from .oracles import (chamber_search, interval_power_sum, iterative_gate,
+                      lp_power_sum, lp_pullback_partial_sums)
 
 
 @pytest.fixture(scope="module")
@@ -356,6 +357,78 @@ class TestRadicalArithmetic:
         assert A[1] == Fraction(2, 3) ** 3 + Fraction(5) ** 3
 
 
+SQUAREFREE = (1, 2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 22, 30)
+
+
+def reference_radical_sign(A, B):
+    """Sign of A - B from the kernel-wise exact difference summed at 2048
+    bits; the sum of a nonzero difference of these sizes lies far above
+    the rounding, which the margin asserts."""
+    import mpmath
+    diff = {k: Fraction(A.get(k, 0)) - Fraction(B.get(k, 0))
+            for k in set(A) | set(B)}
+    if not any(diff.values()):
+        return 0
+    with mpmath.workprec(2048):
+        tot = mpmath.fsum(mpmath.sqrt(k) * mpmath.mpf(v.numerator)
+                          / v.denominator for k, v in diff.items())
+        assert abs(tot) > mpmath.mpf(2) ** -1500
+        return 1 if tot > 0 else -1
+
+
+def pell_convergent(n):
+    """The n-th convergent p/q of sqrt(2): p^2 - 2 q^2 = (-1)^(n + 1)."""
+    p, q = 1, 1
+    for _ in range(n):
+        p, q = p + 2 * q, p + q
+    return p, q
+
+
+class TestRadicalComparison:
+    """compare_radical_sums against a 2048-bit reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_reference(self, data):
+        coeffs = st.fractions(min_value=-40, max_value=40, max_denominator=60)
+        kernel_map = st.dictionaries(st.sampled_from(SQUAREFREE), coeffs,
+                                     max_size=6)
+        A = data.draw(kernel_map)
+        # B shares some of A's terms, so parts of the difference vanish
+        B = {k: v for k, v in A.items() if data.draw(st.booleans())}
+        B.update(data.draw(kernel_map))
+        assert compare_radical_sums(A, B) == reference_radical_sign(A, B)
+        assert compare_radical_sums(B, A) == reference_radical_sign(B, A)
+
+    @pytest.mark.parametrize("n", [39, 40])
+    def test_pell_near_cancellation_escalates(self, n, monkeypatch):
+        # |q sqrt(2) - p| = 1 / (q sqrt(2) + p), about 2^-52 at n = 40
+        # where q is about 2^50.6, while the bracket at P = 64 is off by
+        # up to q + p: only the doubled precisions separate it
+        p, q = pell_convergent(n)
+        assert p * p - 2 * q * q == (-1) ** (n + 1)
+        A, B = {2: Fraction(q)}, {1: Fraction(p)}
+        want = 1 if p * p < 2 * q * q else -1
+        assert want == reference_radical_sign(A, B)
+        assert compare_radical_sums(A, B) == want
+        assert compare_radical_sums({2: Fraction(q), 1: Fraction(-p)},
+                                    {}) == want
+        monkeypatch.setattr(building_mod, "RADICAL_MAX_PREC", 64)
+        with pytest.raises(ArithmeticError):
+            compare_radical_sums(A, B)
+
+    def test_one_signed_difference_needs_no_bracket(self, monkeypatch):
+        # coefficients of one sign decide the sign before any bracket: with
+        # no precision allowed, only those differences are decided
+        monkeypatch.setattr(building_mod, "RADICAL_MAX_PREC", 0)
+        assert compare_radical_sums({2: Fraction(1), 3: Fraction(2)},
+                                    {3: Fraction(1)}) == 1
+        assert compare_radical_sums({5: Fraction(1, 7)},
+                                    {5: Fraction(1, 3), 7: 1}) == -1
+        with pytest.raises(ArithmeticError):
+            compare_radical_sums({2: Fraction(1)}, {1: Fraction(1)})
+
+
 # ---------------------------------------------------------------------------
 # pinned battery output and RNG draws, recorded with the iterative gate
 # and per-element sums: faster gates and sums must keep both.  Recorded
@@ -540,6 +613,107 @@ class TestMergedPullback:
                         naive_power_sum(theta.values(), p)
 
 
+COEFFS = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+def _draw_chain(data, ball, cancel):
+    """A chain of drawn simplices and coefficients, zeros included: a
+    drawn flag of spherical types over a chamber short enough for the
+    margin, so flags of every length occur and small gates share faces.
+    With cancel, a simplex over the same Weyl word with other exponents
+    joins each one, carrying the opposite coefficient, so the pushforward
+    and the pullback cancel them against each other."""
+    types = sorted(ball.spherical_types, key=lambda t: (len(t), t))
+    out = {}
+    for _ in range(data.draw(st.integers(1, 8))):
+        flag = [data.draw(st.sampled_from(types))]
+        while data.draw(st.booleans()):
+            above = [U for U in types if set(U) > set(flag[-1])]
+            if not above:
+                break
+            flag.append(data.draw(st.sampled_from(above)))
+        room = ball.radius - 2 - len(flag[-1])
+        if room < 0:
+            continue
+        short = bisect.bisect_right(ball.chambers, room, key=len)
+        word = ball.chambers[data.draw(st.integers(0, short - 1))]
+        sx = make_simplex(ball, word, flag)
+        c = data.draw(COEFFS)
+        out[sx] = c
+        if cancel:
+            fib = ball.fibers[word_gens(sx.gate)]
+            twin = Simplex(fib[data.draw(st.integers(0, len(fib) - 1))],
+                           sx.chain)
+            out[twin] = -c
+    return out
+
+
+def _check_chain_maps(data, ball, apartment):
+    ch = _draw_chain(data, ball, data.draw(st.booleans()))
+    ch_ap = _draw_chain(data, apartment, False)
+    d = boundary(ball, ch)
+    assert d == oracles.boundary(ball, ch)
+    # a boundary chain's faces all cancel, through the deletion path
+    assert boundary(ball, d) == oracles.boundary(ball, d) == {}
+    assert pushforward(ch) == oracles.pushforward(ch)
+    assert pushforward(d) == oracles.pushforward(d)
+    assert boundary(apartment, ch_ap) == oracles.boundary(apartment, ch_ap)
+    assert pullback(ball, ch_ap) == oracles.pullback(ball, ch_ap)
+    down = oracles.pushforward(ch)
+    assert pullback(ball, down) == oracles.pullback(ball, down)
+
+
+class TestChainMapsAgainstReference:
+    """boundary, pushforward and pullback against the reference copies in
+    oracles.py, on drawn chains over the two benchmark balls and over
+    random right-angled balls."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_benchmark_balls(self, pent_ball, pent_apartment, tree_ball,
+                             tree_apartment, data):
+        ball, apartment = data.draw(st.sampled_from(
+            [(pent_ball, pent_apartment), (tree_ball, tree_apartment)]))
+        _check_chain_maps(data, ball, apartment)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_right_angled_balls(self, data):
+        n = data.draw(st.integers(1, 4))
+        rows = [[1] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = data.draw(st.sampled_from((2, INF)))
+        M = mat(rows)
+        th = ThicknessVector(M, [data.draw(st.integers(1, 3))
+                                 for _ in range(n)])
+        # the largest drawn radius whose ball has at most 3,000 chambers
+        system = System(M, caps=Caps(3000))
+        radius = data.draw(st.integers(2, 6))
+        while True:
+            try:
+                ball = building_ball(system, th, radius)
+                break
+            except ResourceExceeded:
+                radius -= 1
+        _check_chain_maps(data, ball,
+                          building_ball(system,
+                                        ThicknessVector.constant(M, 1),
+                                        radius))
+
+    def test_cancelling_faces_are_deleted(self, pent_ball):
+        # two edges from chambers of one panel to its barycentre, with
+        # opposite coefficients: the shared face is stored, then deleted
+        # when its sum reaches zero
+        w = next(c for c in pent_ball.chambers if word_gens(c) == (0,))
+        a = make_simplex(pent_ball, w, [(), (0,)])
+        b = make_simplex(pent_ball, (), [(), (0,)])
+        ch = {a: Fraction(1, 3), b: Fraction(-1, 3)}
+        want = oracles.boundary(pent_ball, ch)
+        assert boundary(pent_ball, ch) == want
+        assert Simplex((), ((0,),)) not in want and len(want) == 2
+
+
 class TestGroupedPowerSums:
     def test_equal_values_of_mixed_types(self):
         # equal values as distinct Fraction objects, as ints and with sign
@@ -568,7 +742,7 @@ class TestGroupedPowerSums:
         import mpmath
         vals = [Fraction(1, 18)] * 40 + [Fraction(-2, 3)] * 5 + [3, Fraction(3)]
         p = Fraction(5, 3)
-        grouped = _interval_power_sum(vals, p, 64)
+        grouped = interval_power_sum(vals, p, 64)
         with mpmath.workprec(256):
             exact = mpmath.fsum(
                 (mpmath.mpf(abs(v).numerator) / abs(v).denominator)
@@ -693,6 +867,41 @@ class TestSampler:
         assert calls["make_simplex"] == 3000
         assert calls["getrandbits"] <= 90000
         assert calls["pullback"] == 300
+
+
+    def test_counts_and_plans_made_once(self, pentagon, monkeypatch):
+        # each side's |values| are counted once per chain, not once per p
+        # (6 per chain on this grid before), and the sampling plan is made
+        # once per ball, not on each of the 200 random_simplices calls
+        calls = {"_abs_counts": 0, "_sampling_plan": 0, "random_simplices": 0}
+        per_check = []
+
+        def counted(name):
+            inner = getattr(building_mod, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            return wrapper
+        for name in calls:
+            monkeypatch.setattr(building_mod, name, counted(name))
+        check = building_mod.jensen_check
+
+        def recorded(*args):
+            before = calls["_abs_counts"]
+            out = check(*args)
+            per_check.append(calls["_abs_counts"] - before)
+            return out
+        monkeypatch.setattr(building_mod, "jensen_check", recorded)
+        out = oracle_battery(System(pentagon),
+                             ThicknessVector.constant(pentagon, 2), 4,
+                             BATTERY_GRID, chains=100, seed=0)
+        assert len(per_check) == 100 and set(per_check) <= {0, 2}
+        # a chain equal to its theta needs no counts
+        assert per_check.count(0) * 3 <= out["jensen"]["equal"]
+        assert calls["_abs_counts"] == 2 * per_check.count(2) > 0
+        assert calls["random_simplices"] == 200
+        assert calls["_sampling_plan"] == 2
 
 
 # ---------------------------------------------------------------------------

@@ -739,6 +739,25 @@ def test_import_does_not_load_numpy():
     assert proc.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize("name", sorted(GOLDEN_ORACLE))
+def test_oracle_runs_without_mpmath(inputs, name):
+    # the default p grid 3/2, 2, 3 is decided in integer arithmetic: with
+    # mpmath made unimportable the battery keeps its pinned bytes
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH="src")
+    radius, digest = GOLDEN_ORACLE[name]
+    script = ("import sys\n"
+              "sys.modules['mpmath'] = None\n"
+              "from coxinv.cli import main\n"
+              f"sys.exit(main(['verify-oracle', '--input', {inputs[name]!r}, "
+              f"'--radius', '{radius}', '--chains', '100', '--seed', '0', "
+              "'--format', 'machine']))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, cwd=root, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("name, loaded", [("pentagon", False),
                                           ("pentagon_w22223", True)])
 def test_mpmath_loads_only_for_interval_evaluation(inputs, name, loaded):
