@@ -24,7 +24,7 @@ import functools
 from fractions import Fraction
 from math import lcm
 
-from .errors import ResourceExceeded
+from .errors import ResourceExceeded, ValidationMismatch
 
 VALIDATION_DIGITS = 60
 # every system whose finite labels have lcm <= 1000 builds its field in a
@@ -124,7 +124,8 @@ def _validate_minpoly(psi, N):
         x = 2 * mpmath.cos(mpmath.pi / N)
         val = mpmath.polyval([mpmath.mpf(c) for c in reversed(psi)], x)
         if not abs(val) < mpmath.mpf("1e-30"):
-            raise AssertionError(f"minimal polynomial failed validation at N={N}: residual {val}")
+            raise ValidationMismatch(f"minimal polynomial failed validation "
+                                     f"at N={N}: residual {val}")
 
 
 def _int_or_fraction(q):
@@ -281,7 +282,8 @@ class CycloField:
             if hi < 0:
                 return -1
             prec *= 2
-        raise AssertionError("sign refinement failed to converge on a nonzero element")
+        raise ValidationMismatch(
+            "sign refinement failed to converge on a nonzero element")
 
     def __repr__(self):
         return f"CycloField(N={self.N}, degree={self.degree})"

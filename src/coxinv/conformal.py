@@ -19,10 +19,8 @@ collapses to the exact value 1 + 1/e_q.
 import math
 from dataclasses import dataclass
 
-from .errors import (AffineDegenerate, NotHyperbolic, ResourceExceeded,
-                     SchemaError, ThinBuilding, ValidationMismatch)
-
-MAX_SUBSET_SCAN_RANK = 14
+from .errors import (AffineDegenerate, NotHyperbolic, SchemaError,
+                     ThinBuilding, ValidationMismatch)
 
 
 @dataclass(frozen=True)
@@ -51,8 +49,6 @@ def moussong_hyperbolic(system):
     infinite parabolic has no such A."""
     M = system.M
     n = M.rank
-    if n > MAX_SUBSET_SCAN_RANK:
-        raise ResourceExceeded(f"hyperbolicity scan over 2^{n} subsets")
     minimal = [(tuple(sorted(T)), cls)
                for T, cls in system.parabolics.items() if not cls.is_finite()]
     # irreducible affine of rank >= 3

@@ -322,7 +322,10 @@ def _parabolic_poly(M, comp, caps):
         raise ResourceExceeded(f"parabolic on {list(idx)} has order {order}")
     sub = M.submatrix(idx)
     ball = ball_enumerate(sub, 4 * order, caps=caps)
-    assert ball.group_exhausted
+    if not ball.group_exhausted:
+        raise ValidationMismatch(
+            f"enumeration of the parabolic on {list(idx)} of order {order} "
+            "did not exhaust it")
     # generators conjugate in W_T are conjugate in W: each class of the
     # parabolic lies in one ambient class
     class_of = M.class_of()

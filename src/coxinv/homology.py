@@ -9,7 +9,7 @@ an independent integer (Bareiss) elimination.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ResourceExceeded
+from .errors import ResourceExceeded, ValidationMismatch
 
 
 class SimplicialComplexQ:
@@ -151,7 +151,8 @@ class PMVerdict:
     """Answers for the top-dimensional structure of a complex.
 
     orientable and fundamental_cycle are None unless the complex is a
-    connected pseudomanifold; the fundamental cycle carries integer signs
+    connected pseudomanifold; the orientation verdict is checked against
+    the top Betti number, and the fundamental cycle carries integer signs
     and is verified to have exact zero boundary.
     """
     dim: int
@@ -214,10 +215,15 @@ def pm_verdict(X):
     cycle = None
     if pseudo and connected:
         orientable, cycle = _propagate_orientation(top, ridge_count)
-        if orientable and cycle is not None:
-            assert _cycle_boundary_is_zero(cycle)
-        else:
-            cycle = None
+        # a second route: a connected pseudomanifold is orientable exactly
+        # when its top homology over Q is one-dimensional
+        b_top = betti_numbers(X)[d]
+        if orientable != (b_top == 1):
+            raise ValidationMismatch(
+                f"orientation propagation says orientable={orientable}, "
+                f"but the top Betti number b_{d} is {b_top}")
+        if orientable and not _cycle_boundary_is_zero(cycle):
+            raise ValidationMismatch("fundamental cycle has nonzero boundary")
     return PMVerdict(d, purely, pseudo, connected, orientable, cycle)
 
 
@@ -242,11 +248,6 @@ def _propagate_orientation(top, ridge_count):
             else:
                 sign[g] = want
                 stack.append(g)
-    # global re-check: every ridge must cancel
-    for r, (a, b) in ridge_count.items():
-        total = sign[a] * _ridge_sign(a, r) + sign[b] * _ridge_sign(b, r)
-        if total != 0:
-            return False, None
     return True, sign
 
 

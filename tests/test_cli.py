@@ -310,6 +310,24 @@ class TestExitCodes:
         assert r["face_counts"] == [12, 30, 20]
         assert r["type_pm"]["is_pm"] is True
 
+    @pytest.mark.parametrize("rank, code", [(15, 0), (21, 3)])
+    def test_classify_free_coxeter_group(self, tmp_path, capsys, rank, code):
+        # hyperbolicity reads only the minimal non-spherical subsets: rank
+        # 15 used to exit 3 on a cap for a scan over all 2^rank of them,
+        # and rank 21 passes the subset enumeration cap of 20
+        p = tmp_path / "free.json"
+        p.write_text(json.dumps({
+            "generators": [f"s{i}" for i in range(rank)],
+            "matrix": [[1 if i == j else "inf" for j in range(rank)]
+                       for i in range(rank)]}))
+        assert main(["classify", "--input", str(p),
+                     "--format", "machine"]) == code
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert json.loads(out)["result"]["hyperbolic"] is True
+        else:
+            assert "rank 21 exceeds subset enumeration cap 20" in err
+
     def test_corrupted_cache_count_is_skipped(self, inputs, tmp_path):
         # a record whose layers fail their hash is rebuilt, not trusted
         cache = tmp_path / "cache"

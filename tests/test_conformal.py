@@ -53,9 +53,11 @@ class TestMoussong:
         assert r.witness == CommutingInfinitePair((0, 2), (1, 3))
 
     def test_rank_guard(self):
-        n = 15
+        # the verdict reads the spherical subsets, so their enumeration cap
+        # (coxeter.MAX_SUBSET_RANK = 20) is the one guard
+        n = 21
         rows = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
-        with pytest.raises(ResourceExceeded):
+        with pytest.raises(ResourceExceeded, match="rank 21 exceeds subset"):
             moussong_hyperbolic(System(mat(rows, [f"g{i}" for i in range(n)])))
 
     def test_named_systems_match_subset_scan(
